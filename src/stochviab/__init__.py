@@ -9,7 +9,6 @@ three independent ways: exact policy evaluation, Monte Carlo simulation, and
 brute-force policy enumeration.
 """
 
-from ._kernels import HAVE_NUMBA, USE_NUMBA, warmup
 from .closed_form import KernelShape, example_matrix, kernel_closed_form, matrix_value
 from .dp import (
     ARGMAX_TOL,
@@ -79,7 +78,6 @@ __all__ = [
     "DisturbanceLaw",
     "ExprDynamics",
     "FeedbackPolicy",
-    "HAVE_NUMBA",
     "InvalidModelError",
     "KernelShape",
     "KernelSlice",
@@ -93,7 +91,6 @@ __all__ = [
     "TableDynamics",
     "TimeGrid",
     "Trajectory",
-    "USE_NUMBA",
     "ValueFunction",
     "ValueSlice",
     "bellman_step",
@@ -121,7 +118,6 @@ __all__ = [
     "to_source",
     "validate",
     "viable_feedback_check",
-    "warmup",
     "wilson_interval",
     "write_argmax_csv",
     "write_kernel_csv",

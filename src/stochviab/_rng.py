@@ -5,9 +5,9 @@ to advance, so draws can be produced in any order, split across workers, and
 still reproduce bit for bit.  The mixing function is the SplitMix64 finalizer
 applied to ``seed + (counter + 1) * GOLDEN`` modulo 2**64.
 
-Three equivalent implementations exist and are tested for bit equality:
-plain Python integers (this module), vectorized numpy uint64 (this module),
-and the jitted loops in ``_kernels``.
+This module is the only place the SplitMix64 constants and mixing live.  The
+plain Python integer versions (``mix64``, ``derive_seed``) are the reference;
+the numpy uint64 versions vectorize the same arithmetic and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -34,20 +34,6 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def stream_u64(seed: int, counter: int) -> int:
-    """The ``counter``-th 64-bit word of the stream identified by ``seed``."""
-    return mix64((seed + (counter + 1) * GOLDEN) & MASK64)
-
-
-def u64_to_unit(u: int) -> float:
-    """Map a 64-bit word to a float in [0, 1) using its top 53 bits."""
-    return (u >> 11) * _INV_2_53
-
-
-def unit_draw(seed: int, counter: int) -> float:
-    return u64_to_unit(stream_u64(seed, counter))
-
-
 def derive_seed(base_seed: int, index: int) -> int:
     """Independent child seed for sample ``index`` of a run keyed by ``base_seed``.
 
@@ -57,37 +43,43 @@ def derive_seed(base_seed: int, index: int) -> int:
     return mix64(((base_seed ^ SAMPLE_SALT) + (index + 1) * GOLDEN) & MASK64)
 
 
-# --- numpy uint64 versions (silent wraparound on arrays) ---
+# --- numpy uint64 versions (silent wraparound; the products and sums go
+# through explicit ufuncs, which wrap without a warning even on scalars) ---
 
+_U1 = np.uint64(1)
 _U30 = np.uint64(30)
 _U27 = np.uint64(27)
 _U31 = np.uint64(31)
 _U11 = np.uint64(11)
+_UGOLDEN = np.uint64(GOLDEN)
 _UMIX_A = np.uint64(MIX_A)
 _UMIX_B = np.uint64(MIX_B)
 
 
-def mix64_array(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.uint64)
-    z = (z ^ (z >> _U30)) * _UMIX_A
-    z = (z ^ (z >> _U27)) * _UMIX_B
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    z = np.multiply(z ^ (z >> _U30), _UMIX_A)
+    z = np.multiply(z ^ (z >> _U27), _UMIX_B)
     return z ^ (z >> _U31)
 
 
-def stream_u64_array(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Vectorized ``stream_u64`` over an array of counters."""
-    counters = np.asarray(counters, dtype=np.uint64)
-    base = np.uint64(seed & MASK64)
-    step = np.uint64(GOLDEN)
-    return mix64_array(base + (counters + np.uint64(1)) * step)
+def stream_array(seed, counter) -> np.ndarray:
+    """Word ``counter`` of the stream ``seed`` as uint64, vectorized.
+
+    ``seed`` (in 0..2**64-1) and ``counter`` broadcast against each other:
+    one seed over many counters is a scenario, many seeds at one counter is a
+    stage of a batch walk.
+    """
+    seed = np.asarray(seed, dtype=np.uint64)
+    counter = np.asarray(counter, dtype=np.uint64)
+    return _mix64_array(np.add(seed, np.multiply(counter + _U1, _UGOLDEN)))
 
 
-def unit_array(u: np.ndarray) -> np.ndarray:
-    return (np.asarray(u, dtype=np.uint64) >> _U11).astype(np.float64) * _INV_2_53
+def uniform_array(seed, counter) -> np.ndarray:
+    """``stream_array`` mapped to floats in [0, 1) by its top 53 bits."""
+    return (stream_array(seed, counter) >> _U11).astype(np.float64) * _INV_2_53
 
 
 def derive_seed_array(base_seed: int, n: int) -> np.ndarray:
-    """Vectorized ``derive_seed`` for indices 0..n-1 (uint64 output)."""
-    base = np.uint64((base_seed ^ SAMPLE_SALT) & MASK64)
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    return mix64_array(base + idx * np.uint64(GOLDEN))
+    """Vectorized ``derive_seed`` for indices 0..n-1 (uint64 output): the
+    salted stream of ``base_seed`` over counters 0..n-1."""
+    return stream_array((base_seed ^ SAMPLE_SALT) & MASK64, np.arange(n))

@@ -10,7 +10,6 @@ given its flags, seeds included.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from pathlib import Path
 
@@ -19,32 +18,17 @@ import numpy as np
 from . import closed_form, io, kernel as kern, mc
 from .dp import solve
 from .kernel import select_feedback
-from .model import Model, ModelError, make_three_state_example, validate
-
-# solve results keyed by model-file content hash, so chained subcommands in
-# one process do not recompute the induction
-_SOLVE_CACHE: dict[str, tuple] = {}
-_SOLVE_CACHE_LIMIT = 8
+from .model import InvalidModelError, Model, ModelError, make_three_state_example
 
 
-def _load_model_checked(path: str) -> Model:
+def _solve_file(path: str) -> tuple:
+    """(model, ValueFunction, ArgmaxPolicy) for a model file; validation
+    failures name the file and list every violation."""
     model = io.load_model(path)
-    violations = validate(model)
-    if violations:
-        raise ModelError(f"{path}: " + "; ".join(violations))
-    return model
-
-
-def _solve_cached(path: str):
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    hit = _SOLVE_CACHE.get(digest)
-    if hit is not None:
-        return hit
-    model = _load_model_checked(path)
-    vf, am = solve(model)
-    if len(_SOLVE_CACHE) >= _SOLVE_CACHE_LIMIT:
-        _SOLVE_CACHE.pop(next(iter(_SOLVE_CACHE)))
-    _SOLVE_CACHE[digest] = (model, vf, am)
+    try:
+        vf, am = solve(model)
+    except InvalidModelError as err:
+        raise ModelError(f"{path}: " + "; ".join(err.violations)) from None
     return model, vf, am
 
 
@@ -54,7 +38,7 @@ def _value_source(args) -> tuple:
         vf = io.read_value_csv(args.values)
         return vf.points, vf
     if args.model:
-        _, vf, _ = _solve_cached(args.model)
+        _, vf, _ = _solve_file(args.model)
         return vf.points, vf
     raise ModelError("one of --values or --model is required")
 
@@ -67,7 +51,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    model, vf, am = _solve_cached(args.model)
+    model, vf, am = _solve_file(args.model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     io.write_value_csv(vf, out / "value.csv")
@@ -103,7 +87,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_policy(args) -> int:
-    model, _, am = _solve_cached(args.model)
+    model, _, am = _solve_file(args.model)
     tie = args.tie_break
     fb = select_feedback(am, tie)
     io.write_policy_csv(model, fb, args.out)
@@ -112,7 +96,7 @@ def cmd_policy(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model, vf, am = _solve_cached(args.model)
+    model, vf, am = _solve_file(args.model)
     fb = select_feedback(am)
     states, controls, draws, success = mc.simulate_batch(
         model, fb, args.x0, args.samples, args.seed
@@ -150,7 +134,7 @@ def _write_plot_data(model: Model, states: np.ndarray, path: str) -> None:
 
 
 def cmd_estimate(args) -> int:
-    model, vf, am = _solve_cached(args.model)
+    model, vf, am = _solve_file(args.model)
     fb = select_feedback(am)
     est = mc.estimate_probability(model, fb, args.x0, args.samples, args.seed)
     print(io.format_estimate(est))

@@ -9,9 +9,11 @@ started at x.  It satisfies the recursion
     V(t, x) = 1_{A(t)}(x) * max_u  sum_i probs[i] * V(t+1, f(t, x, u, w_i))
 
 with the maximum over the admissible controls at (t, x).  The sink carries
-value 0 at every stage.  Controls whose stage expectation comes within
-``ARGMAX_TOL`` of the maximum all count as maximizers; any selection from
-those sets achieves V (see :mod:`stochviab.kernel`).
+value 0 at every stage.  Controls whose stage expectation q satisfies
+``q >= best - ARGMAX_TOL * best`` (ties, or a relative gap of at most
+``ARGMAX_TOL`` below the stage maximum ``best``) all count as maximizers;
+any selection from those sets achieves V (see :mod:`stochviab.kernel`),
+values close to 0 included.
 
 ``brute_force_value`` is an independent oracle: it enumerates every feedback
 law (one control slot per stage and non-sink state), scores each with the
@@ -26,7 +28,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import _kernels
 from .model import InvalidModelError, Model, ModelError, validate
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,6 +49,37 @@ __all__ = [
 
 ARGMAX_TOL = 1e-12
 BRUTE_FORCE_GUARD = 10**6
+
+
+def _stage_backup(member_t, n_ctrl_t, next_t, probs, v_next):
+    """One backward-induction stage.
+
+    Returns ``(values, argmax_mask)`` where ``values[x]`` is the stage value
+    (0 outside the constraint set) and ``argmax_mask[x, j]`` flags admissible
+    control slots within relative ``ARGMAX_TOL`` of the stage maximum.
+    """
+    n_total, u_max, n_atoms = next_t.shape
+    acc = np.zeros((n_total, u_max))
+    for i in range(n_atoms):
+        acc += probs[i] * v_next[next_t[:, :, i]]
+    valid = np.arange(u_max)[None, :] < n_ctrl_t[:, None]
+    q = np.where(valid, acc, -np.inf)
+    best = q.max(axis=1)[:, None]
+    # float drift in the probability sum can push the expectation a few ulp
+    # past 1; the true value is a probability, so clamp the stored value
+    values = np.where(member_t, np.minimum(best[:, 0], 1.0), 0.0)
+    mask = member_t[:, None] & (q >= best - ARGMAX_TOL * best)
+    return values, mask
+
+
+def _policy_backup(member_t, next_t, choice_t, probs, v_next):
+    """One policy-evaluation stage: expectation under the fixed control slot."""
+    n_total, _, n_atoms = next_t.shape
+    succ = next_t[np.arange(n_total), choice_t, :]
+    acc = np.zeros(n_total)
+    for i in range(n_atoms):
+        acc += probs[i] * v_next[succ[:, i]]
+    return np.where(member_t, np.minimum(acc, 1.0), 0.0)
 
 
 class PolicyError(ValueError):
@@ -140,13 +172,12 @@ def bellman_step(model: Model, t: int, next_slice: ValueSlice
         )
     tab = model.tables
     k = model.time.stage_index(t, terminal=False)
-    values, mask = _kernels.stage_backup(
+    values, mask = _stage_backup(
         tab.member[k],
         tab.n_ctrl[k],
         tab.next_state[k],
         tab.probs,
         np.asarray(next_slice.values, dtype=np.float64),
-        ARGMAX_TOL,
     )
     argmax = [tuple(int(j) for j in np.nonzero(mask[x])[0]) for x in range(values.shape[0])]
     return ValueSlice(t, values), argmax
@@ -163,9 +194,8 @@ def solve(model: Model) -> tuple[ValueFunction, ArgmaxPolicy]:
     table[steps] = tab.member[steps].astype(np.float64)
     mask = np.zeros((steps, n_total, tab.u_max), dtype=bool)
     for k in range(steps - 1, -1, -1):
-        values, stage_mask = _kernels.stage_backup(
-            tab.member[k], tab.n_ctrl[k], tab.next_state[k],
-            tab.probs, table[k + 1], ARGMAX_TOL,
+        values, stage_mask = _stage_backup(
+            tab.member[k], tab.n_ctrl[k], tab.next_state[k], tab.probs, table[k + 1]
         )
         table[k] = values
         mask[k] = stage_mask
@@ -209,7 +239,7 @@ def evaluate_policy(model: Model, policy: "FeedbackPolicy") -> ValueFunction:
     table = np.zeros((steps + 1, tab.n_states + 1))
     table[steps] = tab.member[steps].astype(np.float64)
     for k in range(steps - 1, -1, -1):
-        table[k] = _kernels.policy_backup(
+        table[k] = _policy_backup(
             tab.member[k], tab.next_state[k], choice[k], tab.probs, table[k + 1]
         )
     return ValueFunction(tab.t0, tab.T, model.states.points.copy(), table)

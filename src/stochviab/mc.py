@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, _rng
+from . import _rng
 from .dp import _policy_choice_array
 from .kernel import FeedbackPolicy
 from .model import DisturbanceLaw, Model, ModelError
@@ -77,15 +77,18 @@ def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, floa
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _draws(cdf: np.ndarray, seed, counter) -> np.ndarray:
+    """Inverse-cdf disturbance indices of stream words ``(seed, counter)``."""
+    u = _rng.uniform_array(seed, counter)
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)
+
+
 def sample_scenario(noise: DisturbanceLaw, n_steps: int, seed: int) -> Scenario:
     """Independent inverse-cdf draws from the marginal, one per transition."""
     if n_steps < 0:
         raise ModelError(f"n_steps must be non-negative, got {n_steps}")
-    u = _rng.unit_array(_rng.stream_u64_array(seed, np.arange(n_steps)))
-    draws = np.minimum(
-        np.searchsorted(noise.cdf, u, side="right"), noise.n_atoms - 1
-    ).astype(np.int64)
-    return Scenario(draws)
+    draws = _draws(noise.cdf, seed & _rng.MASK64, np.arange(n_steps))
+    return Scenario(draws.astype(np.int64))
 
 
 def _check_x0(model: Model, x0: int) -> int:
@@ -95,26 +98,48 @@ def _check_x0(model: Model, x0: int) -> int:
     return int(x0)
 
 
+def _child_seeds(base_seed: int, n: int) -> np.ndarray:
+    if n < 1:
+        raise ModelError(f"need n >= 1 samples, got {n}")
+    return _rng.derive_seed_array(base_seed, n)
+
+
+def _walk(model: Model, policy: FeedbackPolicy, x0: int, seeds: np.ndarray,
+          record: bool):
+    """Closed-loop walks from ``x0``, one per seed, advanced together one
+    stage at a time; the draw of stage ``k`` is word ``k`` of the seed's stream.
+
+    Returns the success flags, preceded by the ``(states, controls, draws)``
+    paths when ``record`` is set; without it nothing is kept per stage.
+    """
+    choice = _policy_choice_array(model, policy)
+    tab = model.tables
+    n = seeds.shape[0]
+    x = np.full(n, x0, dtype=np.int64)
+    ok = np.full(n, bool(tab.member[0, x0]))
+    if record:
+        states = np.empty((n, tab.steps + 1), dtype=np.int64)
+        controls = np.empty((n, tab.steps), dtype=np.int64)
+        draws = np.empty((n, tab.steps), dtype=np.int64)
+        states[:, 0] = x0
+    for k in range(tab.steps):
+        d = _draws(tab.cdf, seeds, k)
+        slot = choice[k, x]
+        x = tab.next_state[k, x, slot, d]
+        ok &= tab.member[k + 1, x]
+        if record:
+            states[:, k + 1] = x
+            controls[:, k] = slot
+            draws[:, k] = d
+    return (states, controls, draws, ok) if record else ok
+
+
 def simulate(model: Model, policy: FeedbackPolicy, x0: int, seed: int) -> Trajectory:
     """One closed-loop trajectory under ``policy`` from state index ``x0``."""
     x0 = _check_x0(model, x0)
-    choice = _policy_choice_array(model, policy)
-    tab = model.tables
-    steps = tab.steps
-    scenario = sample_scenario(model.noise, steps, seed)
-
-    states = np.empty(steps + 1, dtype=np.int64)
-    controls = np.empty(steps, dtype=np.int64)
-    states[0] = x0
-    x = x0
-    ok = bool(tab.member[0, x])
-    for k in range(steps):
-        slot = int(choice[k, x])
-        controls[k] = slot
-        x = int(tab.next_state[k, x, slot, scenario.draws[k]])
-        states[k + 1] = x
-        ok = ok and bool(tab.member[k + 1, x])
-    return Trajectory(states, controls, scenario, ok)
+    seeds = np.array([seed & _rng.MASK64], dtype=np.uint64)
+    states, controls, draws, ok = _walk(model, policy, x0, seeds, record=True)
+    return Trajectory(states[0], controls[0], Scenario(draws[0]), bool(ok[0]))
 
 
 def simulate_batch(model: Model, policy: FeedbackPolicy, x0: int, n: int,
@@ -126,28 +151,14 @@ def simulate_batch(model: Model, policy: FeedbackPolicy, x0: int, n: int,
     ``derive_seed(base_seed, i)``.
     """
     x0 = _check_x0(model, x0)
-    if n < 1:
-        raise ModelError(f"need n >= 1 samples, got {n}")
-    choice = _policy_choice_array(model, policy)
-    tab = model.tables
-    seeds = _rng.derive_seed_array(base_seed, n)
-    return _kernels.batch_paths(
-        x0, seeds, tab.next_state, choice, tab.member, tab.cdf
-    )
+    return _walk(model, policy, x0, _child_seeds(base_seed, n), record=True)
 
 
 def estimate_probability(model: Model, policy: FeedbackPolicy, x0: int, n: int,
                          base_seed: int) -> ProbabilityEstimate:
     """Monte Carlo estimate of the closed-loop success probability."""
     x0 = _check_x0(model, x0)
-    if n < 1:
-        raise ModelError(f"need n >= 1 samples, got {n}")
-    choice = _policy_choice_array(model, policy)
-    tab = model.tables
-    seeds = _rng.derive_seed_array(base_seed, n)
-    ok = _kernels.batch_success(
-        x0, seeds, tab.next_state, choice, tab.member, tab.cdf
-    )
+    ok = _walk(model, policy, x0, _child_seeds(base_seed, n), record=False)
     successes = int(np.count_nonzero(ok))
     lo, hi = wilson_interval(successes, n)
     return ProbabilityEstimate(successes / n, n, lo, hi, int(base_seed))

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from stochviab import make_three_state_example, warmup
+from stochviab import make_three_state_example
 from stochviab.kernel import FeedbackPolicy
 from stochviab.model import (
     ConstraintSets,
@@ -18,12 +18,6 @@ from stochviab.model import (
     TableDynamics,
     TimeGrid,
 )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the jitted kernels once so timed tests measure steady state
-    warmup()
 
 
 @pytest.fixture(scope="session")

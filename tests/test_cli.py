@@ -62,6 +62,19 @@ def test_solve_diagnostics_on_incomplete_model(tmp_path, capsys):
     assert "missing" in captured.err and "dynamics" in captured.err
 
 
+def test_solve_diagnostics_on_invalid_model(model_path, tmp_path, capsys):
+    doc = json.loads(model_path.read_text())
+    doc["noise"]["probs"] = [0.005, 0.885, 0.01]  # sums to 0.9
+    bad = tmp_path / "invalid.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["solve", "--model", str(bad), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert "DisturbanceLaw" in captured.err
+    assert captured.out == ""
+
+
 def test_solve_missing_file_is_io_error(tmp_path, capsys):
     rc = main(["solve", "--model", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")])

@@ -139,12 +139,30 @@ class TestSolve:
         assert np.allclose(vf.table, vf2.table, atol=1e-12)
 
 
+def _tiny_value_model() -> Model:
+    """Two states, T = 3: control 0 stays with probability 1e-5, control 1
+    always goes to the sink, so V(0, x) = 1e-15 and control 1 achieves 0."""
+    m, steps = 2, 3
+    table = np.full((steps, m + 1, 2, 2), m, dtype=np.int64)
+    for x in range(m):
+        table[:, x, 0, 0] = x
+    return Model(
+        TimeGrid(0, steps),
+        StateSpace(np.arange(m, dtype=float)[:, None]),
+        ControlMap.shared(np.array([[0.0], [1.0]]), m),
+        DisturbanceLaw(np.array([[0.0], [1.0]]), np.array([1e-5, 1.0 - 1e-5])),
+        TableDynamics(table),
+        ConstraintSets("set", stationary=tuple(range(m))),
+    )
+
+
 class TestEvaluatePolicy:
     def test_argmax_selection_achieves_value(self, example_model):
-        vf, am = solve(example_model)
-        fb = select_feedback(am)
-        pv = evaluate_policy(example_model, fb)
-        assert np.max(np.abs(pv.table - vf.table)) <= 1e-12
+        for model in (example_model, _tiny_value_model()):
+            vf, am = solve(model)
+            for rule in ("smallest", "largest"):
+                pv = evaluate_policy(model, select_feedback(am, rule))
+                assert np.all(np.abs(pv.table - vf.table) <= 1e-12 * vf.table)
 
     def test_constant_plus_one_hand_values(self, example_model):
         fb = FeedbackPolicy.constant(example_model, [1.0])
