@@ -4,16 +4,27 @@ Everything the solvers touch per inner iteration lives in flat numpy arrays:
 successor indices, admissible control counts, constraint membership, and the
 disturbance pmf/cdf.  The sink occupies the last state row; its single dummy
 control loops back to itself, so closed-loop walks never branch on it.
+
+Expression dynamics compile as whole arrays.  Each coordinate expression is
+evaluated once per stage over the mesh of admissible (state, control slot)
+pairs by disturbance atoms, and once in all when no expression reads ``t``
+and the control lists do not change with the stage.  The successors are
+projected to the grid in one array call.  Unused control slots stay the sink
+and are never evaluated.  When the mesh evaluation fails, the stage is walked
+again point by point in (x, u, w) order, so the error names the first failing
+point as a point-by-point build would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
 from . import expr as _expr
-from .model import ExprDynamics, Model, ModelError, TableDynamics, project_to_grid
+from .dp import TABLE_BYTES_GUARD
+from .model import Model, ModelError, TableDynamics, project_to_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,25 +62,28 @@ def build_tables(model: Model) -> Tables:
     steps = time.steps
     n_atoms = model.noise.n_atoms
 
-    n_ctrl = np.ones((steps, n_total), dtype=np.int64)
-    counts = []
-    for k in range(steps):
-        row = [model.controls.admissible(time.t0 + k, x) for x in range(m)]
-        counts.append(row)
-        for x in range(m):
-            n_ctrl[k, x] = row[x].shape[0]
-    u_max = max(1, int(n_ctrl.max()))
+    rows = _control_rows(model)
+    counts = np.array([[lst.shape[0] for lst in row] for row in rows], dtype=np.int64)
+    u_max = max(1, int(counts.max()))
+    if isinstance(model.dynamics, TableDynamics):
+        u_max = max(u_max, model.dynamics.table.shape[2])
+    nbytes = steps * n_total * u_max * n_atoms * 8
+    if nbytes > TABLE_BYTES_GUARD:
+        raise ModelError(
+            f"transition table needs {nbytes} bytes ({steps} stages x {n_total} states "
+            f"x {u_max} control slots x {n_atoms} atoms x 8 B), over the guard of "
+            f"{TABLE_BYTES_GUARD} bytes"
+        )
 
+    n_ctrl = np.ones((steps, n_total), dtype=np.int64)
+    n_ctrl[:, :m] = counts
     nxt = np.full((steps, n_total, u_max, n_atoms), m, dtype=np.int64)
     if isinstance(model.dynamics, TableDynamics):
         tab = model.dynamics.table
-        if tab.shape[2] > u_max:
-            u_max = tab.shape[2]
-            nxt = np.full((steps, n_total, u_max, n_atoms), m, dtype=np.int64)
         nxt[:, :, : tab.shape[2], :] = tab
         nxt[:, m, :, :] = m  # absorbing sink regardless of stored row
     else:
-        _fill_expr_table(model, nxt, counts)
+        _fill_expr_table(model, nxt, rows, counts)
 
     member = model.constraints.membership_matrix(time, states)
     member[:, m] = False
@@ -87,47 +101,82 @@ def build_tables(model: Model) -> Tables:
     )
 
 
-def _fill_expr_table(model: Model, nxt: np.ndarray, counts: list) -> None:
-    dyn: ExprDynamics = model.dynamics
-    states = model.states
-    noise = model.noise
-    n, p, q = model.dims
-    steps = model.time.steps
-
-    for k in range(steps):
-        t_abs = model.time.t0 + k
-        for x in range(states.n_points):
-            coords = states.points[x]
-            ctrls = counts[k][x]
-            for j in range(ctrls.shape[0]):
-                u_vec = ctrls[j]
-                for i in range(noise.n_atoms):
-                    w_vec = noise.support[i]
-                    bindings = _bindings(t_abs, coords, u_vec, w_vec, n, p, q)
-                    point = np.empty(n)
-                    for c, ast in enumerate(dyn.asts):
-                        try:
-                            point[c] = _expr.evaluate(ast, bindings)
-                        except _expr.EvalError as err:
-                            raise ModelError(
-                                f"dynamics evaluation failed at (t={t_abs}, x={x}, "
-                                f"u={j}, w={i}): {err}"
-                            ) from err
-                    nxt[k, x, j, i] = project_to_grid(states, point)
+def _control_rows(model: Model) -> list[tuple[np.ndarray, ...]]:
+    """Admissible control lists of every state, zero-filled or cut to the
+    control dimension: one row per stage for ``per_stage_state`` controls,
+    otherwise a single row that holds at every stage."""
+    ctl, m, p = model.controls, model.states.n_points, model.controls.dim
+    if ctl.kind == "shared":
+        return [(_fit(ctl.data, p),) * m]
+    if ctl.kind == "per_state":
+        return [tuple(_fit(lst, p) for lst in ctl.data)]
+    time = model.time
+    return [
+        tuple(_fit(ctl.admissible(time.t0 + k, x), p) for x in range(m))
+        for k in range(time.steps)
+    ]
 
 
-def _bindings(t, coords, u_vec, w_vec, n, p, q) -> dict[str, float]:
-    b = {"t": float(t)}
-    for i in range(n):
-        b[f"x{i + 1}"] = float(coords[i])
-    for i in range(p):
-        b[f"u{i + 1}"] = float(u_vec[i]) if i < len(u_vec) else 0.0
-    for i in range(q):
-        b[f"w{i + 1}"] = float(w_vec[i])
-    if n == 1:
-        b["x"] = b["x1"]
-    if p == 1:
-        b["u"] = b["u1"]
-    if q == 1:
-        b["w"] = b["w1"]
+def _fit(lst: np.ndarray, p: int) -> np.ndarray:
+    if lst.shape[1] == p:
+        return lst
+    out = np.zeros((lst.shape[0], p))
+    c = min(p, lst.shape[1])
+    out[:, :c] = lst[:, :c]
+    return out
+
+
+def _fill_expr_table(model: Model, nxt: np.ndarray, rows: list, counts: np.ndarray) -> None:
+    asts = model.dynamics.asts
+    states, noise, time = model.states, model.noise, model.time
+    u_max = nxt.shape[2]
+    once = len(rows) == 1 and not any("t" in _expr.variables(a) for a in asts)
+    w = noise.support[None, :, :]
+    for k in range(1 if once else time.steps):
+        r = 0 if len(rows) == 1 else k
+        xs, js = np.nonzero(np.arange(u_max) < counts[r][:, None])
+        shape = (xs.size, noise.n_atoms)
+        if 0 in shape:
+            continue
+        bindings = _mesh_bindings(
+            float(time.t0 + k),
+            states.points[xs][:, None, :],
+            np.concatenate(rows[r])[:, None, :],
+            w,
+        )
+        try:
+            cols = [np.broadcast_to(_expr.evaluate(a, bindings), shape) for a in asts]
+        except _expr.EvalError as err:
+            _raise_first_failure(asts, bindings, shape, time.t0 + k, xs, js, err)
+        succ = project_to_grid(states, np.stack(cols, axis=-1).reshape(-1, len(asts)))
+        stages = slice(None) if once else k
+        nxt[stages, xs, js, :] = succ.reshape(shape)
+
+
+def _mesh_bindings(t, x, u, w) -> dict:
+    """Variable bindings from coordinate arrays whose last axis is the
+    vector component; ``x``, ``u`` and ``w`` alias a dimension of 1."""
+    b = {"t": t}
+    for name, arr in (("x", x), ("u", u), ("w", w)):
+        for i in range(arr.shape[-1]):
+            b[f"{name}{i + 1}"] = arr[..., i]
+        if arr.shape[-1] == 1:
+            b[name] = b[f"{name}1"]
     return b
+
+
+def _raise_first_failure(asts, bindings, shape, t, xs, js, err) -> NoReturn:
+    """Re-evaluate one stage point by point and raise at its first failure."""
+    mesh = {name: np.broadcast_to(v, shape) for name, v in bindings.items()}
+    for a in range(shape[0]):
+        for i in range(shape[1]):
+            point = {name: float(v[a, i]) for name, v in mesh.items()}
+            for ast in asts:
+                try:
+                    _expr.evaluate(ast, point)
+                except _expr.EvalError as located:
+                    raise ModelError(
+                        f"dynamics evaluation failed at (t={t}, x={xs[a]}, "
+                        f"u={js[a]}, w={i}): {located}"
+                    ) from located
+    raise ModelError(f"dynamics evaluation failed at t={t}: {err}") from err

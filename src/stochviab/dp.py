@@ -36,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ARGMAX_TOL",
     "BRUTE_FORCE_GUARD",
+    "TABLE_BYTES_GUARD",
     "PolicyError",
     "ValueSlice",
     "ValueFunction",
@@ -49,6 +50,8 @@ __all__ = [
 
 ARGMAX_TOL = 1e-12
 BRUTE_FORCE_GUARD = 10**6
+# Largest next_state table, in bytes, that compiling a model may allocate.
+TABLE_BYTES_GUARD = 2**31
 
 
 def _stage_backup(member_t, n_ctrl_t, next_t, probs, v_next):

@@ -17,16 +17,20 @@ Valid names are ``t``, ``x1..xn``, ``u1..up``, ``w1..wq`` for declared
 dimensions (n, p, q), plus the aliases ``x``, ``u``, ``w`` when the matching
 dimension is 1, and the calls ``min(a,b)``, ``max(a,b)``, ``abs(a)``.
 
-Evaluation is plain double-precision arithmetic.  Division by zero, domain
-errors of ``^`` and non-finite intermediate results raise :class:`EvalError`
-rather than producing infinities.
+Evaluation is plain double-precision arithmetic, on floats or elementwise on
+numpy arrays with the same rounding.  Division by zero, domain errors of
+``^`` and non-finite intermediate results raise :class:`EvalError` rather
+than producing infinities.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Union
+
+import numpy as np
 
 __all__ = [
     "Ast",
@@ -43,6 +47,7 @@ __all__ = [
     "evaluate",
     "to_source",
     "variable_names",
+    "variables",
 ]
 
 
@@ -119,6 +124,19 @@ def variable_names(dims: tuple[int, int, int]) -> set[str]:
     if q == 1:
         names.add("w")
     return names
+
+
+def variables(ast: Ast) -> set[str]:
+    """Names of the variables ``ast`` reads."""
+    if isinstance(ast, Var):
+        return {ast.name}
+    if isinstance(ast, Unary):
+        return variables(ast.operand)
+    if isinstance(ast, Binary):
+        return variables(ast.left) | variables(ast.right)
+    if isinstance(ast, Call):
+        return set().union(*(variables(a) for a in ast.args))
+    return set()
 
 
 # --- tokenizer ---
@@ -292,49 +310,74 @@ def parse(source: str, dims: tuple[int, int, int]) -> Ast:
 # --- evaluation ---
 
 
-def _pow(base: float, exponent: float) -> float:
+def _pow(base, exponent):
+    if isinstance(base, np.ndarray) or isinstance(exponent, np.ndarray):
+        # element by element through math.pow: np.power may round differently
+        b, e = np.broadcast_arrays(base, exponent)
+        flat = map(_pow, b.ravel().tolist(), e.ravel().tolist())
+        return np.fromiter(flat, np.float64, count=b.size).reshape(b.shape)
     try:
         return math.pow(base, exponent)
     except (ValueError, OverflowError) as err:
         raise EvalError(f"'^' failed for {base!r} ^ {exponent!r}: {err}") from None
 
 
-def evaluate(ast: Ast, bindings: Mapping[str, float]) -> float:
-    """Evaluate ``ast`` under ``bindings``; pure, bit-reproducible."""
+def _where(take_right, right, left):
+    out = np.where(take_right, right, left)
+    return out if out.ndim else float(out)
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def evaluate(ast: Ast, bindings: Mapping[str, Union[float, np.ndarray]]):
+    """Evaluate ``ast`` under ``bindings``; pure, bit-reproducible.
+
+    Scalar bindings give a ``float``.  Array bindings are evaluated
+    elementwise with numpy broadcasting and give an array (a ``float`` when
+    the result reads no array).  Each element is rounded exactly as the
+    scalar evaluation of that element, and :class:`EvalError` is raised when
+    any element would raise it.
+    """
+    with np.errstate(all="ignore"):  # overflow is reported as non-finite below
+        return _evaluate(ast, bindings)
+
+
+def _evaluate(ast: Ast, bindings):
     if isinstance(ast, Num):
         return ast.value
     if isinstance(ast, Var):
         try:
-            return float(bindings[ast.name])
+            value = bindings[ast.name]
         except KeyError:
             raise EvalError(f"missing binding for variable '{ast.name}'") from None
+        if isinstance(value, np.ndarray):
+            return value.astype(np.float64, copy=False)
+        return float(value)
     if isinstance(ast, Unary):
-        return -evaluate(ast.operand, bindings)
+        return -_evaluate(ast.operand, bindings)
     if isinstance(ast, Binary):
-        left = evaluate(ast.left, bindings)
-        right = evaluate(ast.right, bindings)
-        if ast.op == "+":
-            out = left + right
-        elif ast.op == "-":
-            out = left - right
-        elif ast.op == "*":
-            out = left * right
-        elif ast.op == "/":
-            if right == 0.0:
+        left = _evaluate(ast.left, bindings)
+        right = _evaluate(ast.right, bindings)
+        if ast.op == "/":
+            if np.any(right == 0.0):
                 raise EvalError("division by zero")
             out = left / right
-        else:
+        elif ast.op == "^":
             out = _pow(left, right)
-        if not math.isfinite(out):
+        else:
+            out = _ARITH[ast.op](left, right)
+        if not np.all(np.isfinite(out)):
             raise EvalError(f"non-finite result from '{ast.op}'")
         return out
     if isinstance(ast, Call):
-        vals = [evaluate(a, bindings) for a in ast.args]
+        vals = [_evaluate(a, bindings) for a in ast.args]
         if ast.func == "abs":
             return abs(vals[0])
+        # ties return the first argument, as Python's min and max do
         if ast.func == "min":
-            return min(vals)
-        return max(vals)
+            return _where(vals[1] < vals[0], vals[1], vals[0])
+        return _where(vals[1] > vals[0], vals[1], vals[0])
     raise TypeError(f"not an Ast node: {ast!r}")
 
 

@@ -122,22 +122,41 @@ class StateSpace:
         return best
 
 
-def project_to_grid(states: StateSpace, point: Sequence[float]) -> int:
+# Rows of points projected per chunk, so that each temporary holds at most
+# about this many doubles.
+_PROJECT_CHUNK = 1 << 17
+
+
+def project_to_grid(states: StateSpace, point) -> Union[int, np.ndarray]:
     """Nearest grid index for ``point``, or the sink when outside every cell.
 
     A point is inside some cell when its Euclidean distance to the nearest
     grid point is at most half the minimal grid spacing.  Ties go to the
-    smallest index.
+    smallest index.  An ``(N, dim)`` array of points gives an int64 array of
+    N indices, each equal to the single-point result of its row.
     """
-    p = np.asarray(point, dtype=np.float64).reshape(-1)
-    if p.shape[0] != states.dim:
-        raise ModelError(f"point has dimension {p.shape[0]}, state space has {states.dim}")
-    d2 = np.sum((states.points - p) ** 2, axis=1)
-    i = int(np.argmin(d2))  # argmin returns the first minimum: smallest index
+    pts = np.asarray(point, dtype=np.float64)
+    single = pts.ndim < 2
+    if single:
+        pts = pts.reshape(1, -1)
+    if pts.ndim > 2:
+        raise ModelError(f"expected a point or an (N, dim) array, got shape {pts.shape}")
+    if pts.shape[1] != states.dim:
+        raise ModelError(f"point has dimension {pts.shape[1]}, state space has {states.dim}")
     half = states.min_spacing / 2.0
-    if d2[i] <= half * half:
-        return i
-    return states.sink
+    out = np.empty(pts.shape[0], dtype=np.int64)
+    step = max(1, _PROJECT_CHUNK // states.points.size)
+    for lo in range(0, pts.shape[0], step):
+        chunk = pts[lo : lo + step]
+        diff = np.empty((chunk.shape[0],) + states.points.shape)
+        for a in range(states.dim):  # axis by axis: numpy is slow on a short inner axis
+            np.subtract(states.points[:, a], chunk[:, a, None], out=diff[:, :, a])
+        # np.sum((points - p) ** 2, axis=1) for each row p, in numpy's order
+        d2 = np.sum(diff ** 2, axis=2)
+        i = np.argmin(d2, axis=1)  # the first minimum: smallest index
+        inside = d2[np.arange(i.size), i] <= half * half
+        out[lo : lo + step] = np.where(inside, i, states.sink)
+    return int(out[0]) if single else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -520,7 +539,7 @@ def validate(model: Model) -> list[str]:
     else:
         names = _expr.variable_names(model.dims)
         for i, ast in enumerate(model.dynamics.asts):
-            used = _collect_vars(ast)
+            used = _expr.variables(ast)
             unknown = used - names
             if unknown:
                 out.append(
@@ -545,21 +564,6 @@ def validate(model: Model) -> list[str]:
                 )
 
     return out
-
-
-def _collect_vars(ast: _expr.Ast) -> set[str]:
-    if isinstance(ast, _expr.Var):
-        return {ast.name}
-    if isinstance(ast, _expr.Unary):
-        return _collect_vars(ast.operand)
-    if isinstance(ast, _expr.Binary):
-        return _collect_vars(ast.left) | _collect_vars(ast.right)
-    if isinstance(ast, _expr.Call):
-        names: set[str] = set()
-        for a in ast.args:
-            names |= _collect_vars(a)
-        return names
-    return set()
 
 
 def make_three_state_example(p: float, t0: int = 0, T: int = 40) -> Model:

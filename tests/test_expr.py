@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,3 +137,38 @@ def test_unary_binds_looser_than_power():
     assert evaluate(parse("-2^2", DIMS), {}) == -4.0
     assert evaluate(parse("(-2)^2", DIMS), {}) == 4.0
     assert math.isclose(evaluate(parse("2^-2", DIMS), {}), 0.25)
+
+
+def test_min_max_ties_return_the_first_argument():
+    # the only equal floats that differ are the signed zeros
+    for bindings in ({"x": 0.0, "u": -0.0}, {"x": np.array([0.0]), "u": np.array([-0.0])}):
+        assert not np.signbit(evaluate(parse("min(x, u)", DIMS), bindings)).any()
+        assert np.signbit(evaluate(parse("max(u, x)", DIMS), bindings)).all()
+
+
+_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, 7e200])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_asts, st.lists(_values, min_size=3, max_size=3), st.lists(_values, min_size=2, max_size=2),
+       st.lists(_values, min_size=6, max_size=6), _values)
+def test_array_evaluation_matches_scalar_elementwise(ast, xs, us, ws, t):
+    x, u, w = np.array(xs)[:, None], np.array(us)[None, :], np.array(ws).reshape(3, 2)
+    arrays = {"t": t, "x": x, "x1": x, "u": u, "u1": u, "w": w, "w1": w}
+    want, failed = np.empty((3, 2)), False
+    for i in range(3):
+        for j in range(2):
+            point = {k: float(np.broadcast_to(v, (3, 2))[i, j]) for k, v in arrays.items()}
+            try:
+                value = evaluate(ast, point)
+            except EvalError:
+                failed = True
+                continue
+            assert type(value) is float
+            want[i, j] = value
+    if failed:
+        with pytest.raises(EvalError):
+            evaluate(ast, arrays)
+        return
+    got = np.broadcast_to(evaluate(ast, arrays), (3, 2))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit, signed zeros too
