@@ -2,7 +2,7 @@
 
 Everything the solvers touch per inner iteration lives in flat numpy arrays:
 successor indices, admissible control counts, constraint membership, and the
-disturbance pmf/cdf.  The sink occupies the last state row; its single dummy
+disturbance pmf.  The sink occupies the last state row; its single dummy
 control loops back to itself, so closed-loop walks never branch on it.
 
 Expression dynamics compile as whole arrays.  Each coordinate expression is
@@ -36,7 +36,6 @@ class Tables:
     next_state: np.ndarray  # int64 (steps, n_total, u_max, W)
     member: np.ndarray  # bool (steps + 1, n_total)
     probs: np.ndarray  # float64 (W,)
-    cdf: np.ndarray  # float64 (W,)
 
     @property
     def steps(self) -> int:
@@ -56,15 +55,17 @@ class Tables:
 
 
 def build_tables(model: Model) -> Tables:
-    time, states = model.time, model.states
+    time, states, ctl = model.time, model.states, model.controls
     m = states.n_points
     n_total = m + 1
     steps = time.steps
     n_atoms = model.noise.n_atoms
 
-    rows = _control_rows(model)
-    counts = np.array([[lst.shape[0] for lst in row] for row in rows], dtype=np.int64)
-    u_max = max(1, int(counts.max()))
+    rows = ctl.stage_rows(time)
+    if np.any(rows < 0):
+        raise ModelError(f"no control table row for stage {time.t0 + int(np.argmin(rows))}")
+    counts = ctl.counts[rows]  # broadcasts over the stages
+    u_max = max(1, int(counts.max(initial=0)))
     if isinstance(model.dynamics, TableDynamics):
         u_max = max(u_max, model.dynamics.table.shape[2])
     nbytes = steps * n_total * u_max * n_atoms * 8
@@ -83,12 +84,11 @@ def build_tables(model: Model) -> Tables:
         nxt[:, :, : tab.shape[2], :] = tab
         nxt[:, m, :, :] = m  # absorbing sink regardless of stored row
     else:
-        _fill_expr_table(model, nxt, rows, counts)
+        _fill_expr_table(model, nxt, rows)
 
     member = model.constraints.membership_matrix(time, states)
     member[:, m] = False
 
-    probs = model.noise.probs.astype(np.float64, copy=True)
     return Tables(
         t0=time.t0,
         T=time.T,
@@ -96,52 +96,26 @@ def build_tables(model: Model) -> Tables:
         n_ctrl=n_ctrl,
         next_state=nxt,
         member=member,
-        probs=probs,
-        cdf=np.cumsum(probs),
+        probs=model.noise.probs.astype(np.float64, copy=True),
     )
 
 
-def _control_rows(model: Model) -> list[tuple[np.ndarray, ...]]:
-    """Admissible control lists of every state, zero-filled or cut to the
-    control dimension: one row per stage for ``per_stage_state`` controls,
-    otherwise a single row that holds at every stage."""
-    ctl, m, p = model.controls, model.states.n_points, model.controls.dim
-    if ctl.kind == "shared":
-        return [(_fit(ctl.data, p),) * m]
-    if ctl.kind == "per_state":
-        return [tuple(_fit(lst, p) for lst in ctl.data)]
-    time = model.time
-    return [
-        tuple(_fit(ctl.admissible(time.t0 + k, x), p) for x in range(m))
-        for k in range(time.steps)
-    ]
-
-
-def _fit(lst: np.ndarray, p: int) -> np.ndarray:
-    if lst.shape[1] == p:
-        return lst
-    out = np.zeros((lst.shape[0], p))
-    c = min(p, lst.shape[1])
-    out[:, :c] = lst[:, :c]
-    return out
-
-
-def _fill_expr_table(model: Model, nxt: np.ndarray, rows: list, counts: np.ndarray) -> None:
+def _fill_expr_table(model: Model, nxt: np.ndarray, rows: np.ndarray) -> None:
     asts = model.dynamics.asts
-    states, noise, time = model.states, model.noise, model.time
+    states, noise, time, ctl = model.states, model.noise, model.time, model.controls
     u_max = nxt.shape[2]
-    once = len(rows) == 1 and not any("t" in _expr.variables(a) for a in asts)
+    once = rows.size == 1 and not any("t" in _expr.variables(a) for a in asts)
     w = noise.support[None, :, :]
     for k in range(1 if once else time.steps):
-        r = 0 if len(rows) == 1 else k
-        xs, js = np.nonzero(np.arange(u_max) < counts[r][:, None])
+        r = rows[k] if rows.size > 1 else rows[0]
+        xs, js = np.nonzero(np.arange(u_max) < ctl.counts[r][:, None])
         shape = (xs.size, noise.n_atoms)
         if 0 in shape:
             continue
         bindings = _mesh_bindings(
             float(time.t0 + k),
             states.points[xs][:, None, :],
-            np.concatenate(rows[r])[:, None, :],
+            ctl.vectors[r, xs, js, : ctl.dim][:, None, :],
             w,
         )
         try:

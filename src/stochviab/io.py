@@ -15,7 +15,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .dp import ArgmaxPolicy, ValueFunction
+from .dp import ArgmaxPolicy, ValueFunction, _policy_choice_array
 from .kernel import FeedbackPolicy, KernelSlice
 from .mc import ProbabilityEstimate
 from .model import (
@@ -67,35 +67,51 @@ def _require_keys(obj: dict, where: str, required: set[str], optional: set[str] 
         raise ModelFormatError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
+def _int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelFormatError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _floats(value, where: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise ModelFormatError(f"{where}: expected numbers in equal-length rows ({err})") from None
+
+
 def model_from_dict(doc: dict) -> Model:
     _require_keys(doc, "model", {"time", "states", "controls", "noise", "dynamics", "constraints"})
 
     _require_keys(doc["time"], "time", {"t0", "T"})
-    time = TimeGrid(int(doc["time"]["t0"]), int(doc["time"]["T"]))
+    time = TimeGrid(_int(doc["time"]["t0"], "time.t0"), _int(doc["time"]["T"], "time.T"))
 
     _require_keys(doc["states"], "states", {"dim", "points"})
-    points = np.asarray(doc["states"]["points"], dtype=np.float64)
+    dim = _int(doc["states"]["dim"], "states.dim")
+    points = _floats(doc["states"]["points"], "states.points")
     if points.ndim == 1:
         points = points[:, None]
-    if points.ndim != 2 or points.shape[1] != int(doc["states"]["dim"]):
-        raise ModelFormatError(
-            f"states: points of shape {points.shape} do not match dim {doc['states']['dim']}"
-        )
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ModelFormatError(f"states: points of shape {points.shape} do not match dim {dim}")
     states = StateSpace(points)
 
     _require_keys(doc["controls"], "controls", {"mode", "lists"})
-    cmode = doc["controls"]["mode"]
+    cmode, lists = doc["controls"]["mode"], doc["controls"]["lists"]
     if cmode == "shared":
-        controls = ControlMap.shared(doc["controls"]["lists"], states.n_points)
+        controls = ControlMap.shared(_floats(lists, "controls"), states.n_points)
     elif cmode == "per_state":
-        controls = ControlMap.per_state(doc["controls"]["lists"], states.n_points)
+        if not isinstance(lists, list):
+            raise ModelFormatError("controls: per_state lists must be a list")
+        controls = ControlMap.per_state(
+            [_floats(lst, f"controls list {x}") for x, lst in enumerate(lists)], states.n_points
+        )
     else:
         raise ModelFormatError(f"controls: unknown mode {cmode!r}")
 
     _require_keys(doc["noise"], "noise", {"support", "probs"})
     noise = DisturbanceLaw(
-        np.asarray(doc["noise"]["support"], dtype=np.float64),
-        np.asarray(doc["noise"]["probs"], dtype=np.float64),
+        _floats(doc["noise"]["support"], "noise.support"),
+        _floats(doc["noise"]["probs"], "noise.probs"),
     )
 
     _require_keys(doc["dynamics"], "dynamics", {"mode", "body"})
@@ -105,7 +121,7 @@ def model_from_dict(doc: dict) -> Model:
             doc["dynamics"]["body"], (states.dim, controls.dim, noise.dim)
         )
     elif dmode == "table":
-        u_max = _max_controls(controls, states.n_points, time)
+        u_max = max(1, int(controls.counts.max()))
         dynamics = TableDynamics.from_nested(
             doc["dynamics"]["body"], states.n_points, u_max, noise.n_atoms, time.steps
         )
@@ -114,13 +130,6 @@ def model_from_dict(doc: dict) -> Model:
 
     constraints = _constraints_from_dict(doc["constraints"])
     return Model(time, states, controls, noise, dynamics, constraints)
-
-
-def _max_controls(controls: ControlMap, m: int, time: TimeGrid) -> int:
-    best = 1
-    for x in range(m):
-        best = max(best, controls.admissible(time.t0, x).shape[0])
-    return best
 
 
 def _constraints_from_dict(doc: dict) -> ConstraintSets:
@@ -145,10 +154,12 @@ def _constraints_from_dict(doc: dict) -> ConstraintSets:
 
 
 def model_to_dict(model: Model) -> dict:
-    if model.controls.kind == "shared":
-        controls = {"mode": "shared", "lists": model.controls.data.tolist()}
-    elif model.controls.kind == "per_state":
-        controls = {"mode": "per_state", "lists": [a.tolist() for a in model.controls.data]}
+    ctl = model.controls
+    if ctl.kind == "shared":
+        controls = {"mode": "shared", "lists": ctl.admissible(model.time.t0, 0).tolist()}
+    elif ctl.kind == "per_state":
+        lists = zip(ctl.vectors[0], ctl.counts[0], ctl.widths[0])
+        controls = {"mode": "per_state", "lists": [v[:c, :w].tolist() for v, c, w in lists]}
     else:
         raise ModelFormatError(
             "the model file format stores shared or per_state controls only"
@@ -157,38 +168,28 @@ def model_to_dict(model: Model) -> dict:
     if isinstance(model.dynamics, ExprDynamics):
         dynamics = {"mode": "expr", "body": list(model.dynamics.sources)}
     else:
-        m = model.states.n_points
-        body = []
-        for k in range(model.time.steps):
-            row = []
-            for x in range(m):
-                n_u = model.controls.admissible(model.time.t0 + k, x).shape[0]
-                per_u = []
-                for u in range(n_u):
-                    ints = [
-                        -1 if int(v) == m else int(v)
-                        for v in model.dynamics.table[k, x, u, :]
-                    ]
-                    per_u.append(ints)
-                row.append(per_u)
-            body.append(row)
+        m, tab = model.states.n_points, model.dynamics.table
+        counts = ctl.counts[0].tolist()
+        if max(counts) > tab.shape[2]:
+            raise ModelFormatError(
+                f"dynamics table has {tab.shape[2]} control slots, "
+                f"but up to {max(counts)} controls are admissible"
+            )
+        body = [
+            [per_u[:n] for per_u, n in zip(row, counts)]
+            for row in np.where(tab == m, -1, tab)[:, :m].tolist()
+        ]
         dynamics = {"mode": "table", "body": body}
 
     cons = model.constraints
-    if cons.kind == "set":
-        if cons.stationary is not None:
-            constraints = {"mode": "set", "stationary": list(cons.stationary)}
-        else:
-            constraints = {"mode": "set", "per_stage": [list(p) for p in cons.per_stage]}
-    else:
-        def box(payload):
-            lo, hi = payload
-            return {"lower": lo.tolist(), "upper": hi.tolist()}
 
-        if cons.stationary is not None:
-            constraints = {"mode": "box", "stationary": box(cons.stationary)}
-        else:
-            constraints = {"mode": "box", "per_stage": [box(p) for p in cons.per_stage]}
+    def payload(p):
+        return list(p) if cons.kind == "set" else {"lower": p[0].tolist(), "upper": p[1].tolist()}
+
+    if cons.stationary is not None:
+        constraints = {"mode": cons.kind, "stationary": payload(cons.stationary)}
+    else:
+        constraints = {"mode": cons.kind, "per_stage": [payload(p) for p in cons.per_stage]}
 
     return {
         "time": {"t0": model.time.t0, "T": model.time.T},
@@ -205,11 +206,18 @@ def model_to_dict(model: Model) -> dict:
 
 def load_model(path: PathLike) -> Model:
     text = Path(path).read_text(encoding="utf-8")
+
+    def non_finite(name: str):
+        raise ModelFormatError(f"{path}: {name} is not a JSON number; numbers must be finite")
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=non_finite)
     except json.JSONDecodeError as err:
         raise ModelFormatError(f"{path}: not valid JSON: {err}") from None
-    return model_from_dict(doc)
+    try:
+        return model_from_dict(doc)
+    except ModelFormatError as err:
+        raise ModelFormatError(f"{path}: {err}") from None
 
 
 def save_model(model: Model, path: PathLike) -> None:
@@ -275,33 +283,29 @@ def read_value_csv(path: PathLike) -> ValueFunction:
 # --- policy / kernel / trajectory CSV ---
 
 
-def _control_rows(model: Model, k: int, x: int) -> np.ndarray:
-    return model.controls.admissible(model.time.t0 + k, x)
-
-
 def write_argmax_csv(model: Model, argmax: ArgmaxPolicy, path: PathLike) -> None:
     """One row per maximizing control: t, state, slot, control coordinates."""
-    dim = model.controls.dim
-    lines = [",".join(["t", "state_index", "control_index", *_coord_header(dim, "u")])]
-    steps = argmax.mask.shape[0]
-    for k in range(steps):
-        for x in range(model.states.n_points):
-            ctrls = _control_rows(model, k, x)
-            for j in np.nonzero(argmax.mask[k, x])[0]:
-                coords = [_fmt(c) for c in ctrls[j]]
-                lines.append(",".join([str(argmax.t0 + k), str(x), str(int(j)), *coords]))
+    ctl = model.controls
+    lines = [",".join(["t", "state_index", "control_index", *_coord_header(ctl.dim, "u")])]
+    ks, xs, js = np.nonzero(argmax.mask[:, : model.states.n_points])
+    rows = np.broadcast_to(ctl.stage_rows(model.time), model.time.steps)
+    coords = ctl.vectors[rows[ks], xs, js, : ctl.dim]
+    for k, x, j, u in zip(ks.tolist(), xs.tolist(), js.tolist(), coords.tolist()):
+        lines.append(",".join([str(argmax.t0 + k), str(x), str(j), *map(_fmt, u)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_policy_csv(model: Model, policy: FeedbackPolicy, path: PathLike) -> None:
     """One row per (stage, non-sink state) with the selected control."""
-    dim = model.controls.dim
-    lines = [",".join(["t", "state_index", "control_index", *_coord_header(dim, "u")])]
-    for k in range(model.time.steps):
-        for x in range(model.states.n_points):
-            j = int(policy.choice[k, x])
-            coords = [_fmt(c) for c in _control_rows(model, k, x)[j]]
-            lines.append(",".join([str(policy.t0 + k), str(x), str(j), *coords]))
+    ctl, m = model.controls, model.states.n_points
+    lines = [",".join(["t", "state_index", "control_index", *_coord_header(ctl.dim, "u")])]
+    choice = _policy_choice_array(model, policy)[:, :m]
+    rows = ctl.stage_rows(model.time)[:, None]  # broadcasts over the stages
+    coords = ctl.vectors[rows, np.arange(m), choice, : ctl.dim]
+    for k, (slots, us) in enumerate(zip(choice.tolist(), coords.tolist())):
+        t = str(policy.t0 + k)
+        for x, (j, u) in enumerate(zip(slots, us)):
+            lines.append(",".join([t, str(x), str(j), *map(_fmt, u)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

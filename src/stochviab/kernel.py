@@ -11,7 +11,7 @@ on the finite maximizer sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -75,34 +75,26 @@ class FeedbackPolicy:
         return cls(tab.t0, tab.T, arr.copy())
 
     @classmethod
-    def from_function(cls, model: Model, fn: Callable[[int, int], int]) -> "FeedbackPolicy":
-        """Materialize ``fn(t, x) -> control slot`` over all stages and states."""
-        tab = model.tables
-        choice = np.zeros((tab.steps, tab.n_states + 1), dtype=np.int64)
-        for k in range(tab.steps):
-            for x in range(tab.n_states):
-                choice[k, x] = int(fn(tab.t0 + k, x))
-        return cls(tab.t0, tab.T, choice)
-
-    @classmethod
     def constant(cls, model: Model, control: Sequence[float]) -> "FeedbackPolicy":
         """The policy applying one fixed control vector everywhere.
 
         Fails where that vector is not in the admissible list.
         """
         want = np.asarray(control, dtype=np.float64).reshape(-1)
-        tab = model.tables
-
-        def find(t: int, x: int) -> int:
-            lst = model.controls.admissible(t, x)
-            hits = np.nonzero(np.all(lst == want, axis=1))[0]
-            if hits.size == 0:
-                raise PolicyError(
-                    f"control {want.tolist()} not admissible at (t={t}, x={x})"
-                )
-            return int(hits[0])
-
-        return cls.from_function(model, find)
+        tab, ctl = model.tables, model.controls
+        slots = np.arange(ctl.vectors.shape[2])
+        hits = np.all(ctl.vectors[..., : ctl.dim] == want, axis=-1)
+        hits &= slots < ctl.counts[..., None]
+        hits = hits[ctl.stage_rows(model.time)]  # one row broadcasts over the stages
+        missing = np.argwhere(~hits.any(axis=-1))
+        if missing.size:
+            k, x = map(int, missing[0])
+            raise PolicyError(
+                f"control {want.tolist()} not admissible at (t={tab.t0 + k}, x={x})"
+            )
+        choice = np.zeros((tab.steps, tab.n_states + 1), dtype=np.int64)
+        choice[:, : tab.n_states] = np.argmax(hits, axis=-1)
+        return cls(tab.t0, tab.T, choice)
 
 
 def select_feedback(argmax: ArgmaxPolicy, tie_break: TieBreak = "smallest"
@@ -116,26 +108,19 @@ def select_feedback(argmax: ArgmaxPolicy, tie_break: TieBreak = "smallest"
     the first admissible control is used so that simulation never blocks;
     the achieved probability there is 0 under any choice.
     """
-    steps, n_total, _ = argmax.mask.shape
-    choice = np.zeros((steps, n_total), dtype=np.int64)
-    prefs: Sequence[int] | None = None
-    if not isinstance(tie_break, str):
-        prefs = [int(j) for j in tie_break]
-    elif tie_break not in ("smallest", "largest"):
+    mask = argmax.mask
+    rule = tie_break if isinstance(tie_break, str) else None  # None: a preference list
+    if rule not in ("smallest", "largest", None):
         raise ModelError(f"unknown tie_break rule {tie_break!r}")
 
-    for k in range(steps):
-        for x in range(n_total):
-            slots = np.nonzero(argmax.mask[k, x])[0]
-            if slots.size == 0:
-                choice[k, x] = 0
-            elif prefs is not None:
-                pick = next((j for j in prefs if argmax.mask[k, x, j]), None)
-                choice[k, x] = int(slots[0]) if pick is None else pick
-            elif tie_break == "largest":
-                choice[k, x] = int(slots[-1])
-            else:
-                choice[k, x] = int(slots[0])
+    if rule == "largest":
+        choice = mask.shape[2] - 1 - np.argmax(mask[..., ::-1], axis=-1)
+    else:
+        choice = np.argmax(mask, axis=-1)  # the smallest maximizer
+    if rule is None:
+        for j in reversed([int(j) for j in tie_break]):  # the first preferred maximizer wins
+            choice = np.where(mask[..., j], j, choice)
+    choice = np.where(mask.any(axis=-1), choice, 0).astype(np.int64)
     return FeedbackPolicy(argmax.t0, argmax.T, choice)
 
 

@@ -113,7 +113,7 @@ def _walk(model: Model, policy: FeedbackPolicy, x0: int, seeds: np.ndarray,
     paths when ``record`` is set; without it nothing is kept per stage.
     """
     choice = _policy_choice_array(model, policy)
-    tab = model.tables
+    tab, cdf = model.tables, model.noise.cdf
     n = seeds.shape[0]
     x = np.full(n, x0, dtype=np.int64)
     ok = np.full(n, bool(tab.member[0, x0]))
@@ -123,7 +123,7 @@ def _walk(model: Model, policy: FeedbackPolicy, x0: int, seeds: np.ndarray,
         draws = np.empty((n, tab.steps), dtype=np.int64)
         states[:, 0] = x0
     for k in range(tab.steps):
-        d = _draws(tab.cdf, seeds, k)
+        d = _draws(cdf, seeds, k)
         slot = choice[k, x]
         x = tab.next_state[k, x, slot, d]
         ok &= tab.member[k + 1, x]

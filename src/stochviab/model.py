@@ -15,9 +15,9 @@ instead of raising so that a flawed model file can be inspected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -167,37 +167,50 @@ class ControlMap:
     (one list per state, stationary in time) or ``"per_stage_state"``
     (full table ``data[t - t0][x]``).  The sink always gets a singleton
     dummy control so closed-loop recursions never block there.
+
+    The lists are stored once, at construction, as one zero-padded array:
+    ``vectors[r, x, j]`` is control ``j`` of state ``x`` in row ``r``, with
+    ``counts[r, x]`` controls of ``widths[r, x]`` coordinates each.  There is
+    one row per stage for ``per_stage_state`` controls and a single row
+    otherwise; ``shared`` controls are a broadcast view of their one list.
+    ``vectors[..., :dim]`` zero-fills a list narrower than ``dim`` and cuts a
+    wider one.
     """
 
     kind: str
-    data: object
+    data: InitVar[object]
     n_states: int
     t0: int = 0
+    vectors: np.ndarray = field(init=False)  # float64 (R, n_states, u_max, w_max)
+    counts: np.ndarray = field(init=False)  # int64 (R, n_states)
+    widths: np.ndarray = field(init=False)  # int64 (R, n_states)
 
-    def __post_init__(self):
-        if self.kind == "shared":
-            arr = _as_vector_list(self.data, "controls")
-            object.__setattr__(self, "data", arr)
-        elif self.kind == "per_state":
-            lists = [_as_vector_list(entry, "controls") for entry in self.data]
-            if len(lists) != self.n_states:
-                raise ModelError(
-                    f"per_state controls: {len(lists)} lists for {self.n_states} states"
-                )
-            object.__setattr__(self, "data", tuple(lists))
-        elif self.kind == "per_stage_state":
-            table = []
-            for row in self.data:
-                entries = [_as_vector_list(entry, "controls") for entry in row]
-                if len(entries) != self.n_states:
-                    raise ModelError(
-                        f"per_stage_state controls: row of {len(entries)} lists "
-                        f"for {self.n_states} states"
-                    )
-                table.append(tuple(entries))
-            object.__setattr__(self, "data", tuple(table))
-        else:
+    def __post_init__(self, data):
+        m = self.n_states
+        if self.kind not in ("shared", "per_state", "per_stage_state"):
             raise ModelError(f"unknown ControlMap kind {self.kind!r}")
+        if self.kind == "shared":
+            rows = [[data]]  # one state, broadcast to every state below
+        else:
+            rows = [list(data)] if self.kind == "per_state" else [list(row) for row in data]
+            for row in rows:
+                if len(row) != m:
+                    raise ModelError(f"{self.kind} controls: {len(row)} lists for {m} states")
+        rows = [[_as_vector_list(entry, "controls") for entry in row] for row in rows]
+        shapes = np.array([[a.shape for a in row] for row in rows], dtype=np.int64)
+        shapes = shapes.reshape(len(rows), 1 if self.kind == "shared" else m, 2)
+        counts, widths = shapes[..., 0], shapes[..., 1]
+        u_max, w_max = counts.max(initial=0), max(1, widths.max(initial=0))
+        vectors = np.zeros(shapes.shape[:2] + (u_max, w_max))
+        for r, row in enumerate(rows):
+            for x, a in enumerate(row):
+                vectors[r, x, : a.shape[0], : a.shape[1]] = a
+        if self.kind == "shared":
+            vectors = np.broadcast_to(vectors, (1, m) + vectors.shape[2:])
+            counts, widths = (np.broadcast_to(a, (1, m)) for a in (counts, widths))
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "widths", widths)
 
     @classmethod
     def shared(cls, controls, n_states: int) -> "ControlMap":
@@ -213,19 +226,18 @@ class ControlMap:
 
     @cached_property
     def dim(self) -> int:
-        for lst in self._all_lists():
-            if lst.size:
-                return lst.shape[1]
-        return 1
+        """Width of the first non-empty list in (row, state) order, else 1."""
+        sized = np.flatnonzero(self.counts * self.widths)
+        return int(self.widths.flat[sized[0]]) if sized.size else 1
 
-    def _all_lists(self) -> Iterable[np.ndarray]:
-        if self.kind == "shared":
-            yield self.data
-        elif self.kind == "per_state":
-            yield from self.data
-        else:
-            for row in self.data:
-                yield from row
+    def stage_rows(self, time: TimeGrid) -> np.ndarray:
+        """Rows of ``vectors`` in force at stages t0..T-1, with -1 where a
+        ``per_stage_state`` table has no row for the stage.  The stationary
+        kinds give the single entry ``[0]``, which broadcasts over the stages."""
+        if self.kind != "per_stage_state":
+            return np.zeros(1, dtype=np.int64)
+        r = np.arange(time.t0, time.T) - self.t0
+        return np.where((r >= 0) & (r < self.counts.shape[0]), r, -1)
 
     def admissible(self, t: int, x: int) -> np.ndarray:
         """Ordered (k, p) array of admissible control vectors at (t, x)."""
@@ -233,14 +245,12 @@ class ControlMap:
             return np.zeros((1, self.dim))
         if not (0 <= x < self.n_states):
             raise ModelError(f"state index {x} out of range")
-        if self.kind == "shared":
-            return self.data
-        if self.kind == "per_state":
-            return self.data[x]
-        row = self.data[t - self.t0] if 0 <= t - self.t0 < len(self.data) else None
-        if row is None:
-            raise ModelError(f"no control table row for stage {t}")
-        return row[x]
+        r = 0
+        if self.kind == "per_stage_state":
+            r = t - self.t0
+            if not (0 <= r < self.counts.shape[0]):
+                raise ModelError(f"no control table row for stage {t}")
+        return self.vectors[r, x, : self.counts[r, x], : self.widths[r, x]]
 
 
 def _as_vector_list(entry, what: str) -> np.ndarray:
@@ -389,27 +399,22 @@ class ConstraintSets:
                 self, "per_stage", tuple(norm(self.kind, p) for p in self.per_stage)
             )
 
-    def payload(self, stage_idx: int):
-        if self.stationary is not None:
-            return self.stationary
-        if not (0 <= stage_idx < len(self.per_stage)):
-            raise ModelError(f"no constraint payload for stage index {stage_idx}")
-        return self.per_stage[stage_idx]
-
     def membership_matrix(self, time: TimeGrid, states: StateSpace) -> np.ndarray:
         """Bool matrix (steps + 1, n_total); the sink column is always False."""
-        out = np.zeros((time.steps + 1, states.n_total), dtype=bool)
-        for k in range(time.steps + 1):
-            payload = self.payload(k)
-            if self.kind == "set":
-                idx = [i for i in payload if 0 <= i < states.n_points]
-                out[k, idx] = True
-            else:
-                lower, upper = payload
-                inside = np.all(
-                    (states.points >= lower) & (states.points <= upper), axis=1
-                )
-                out[k, : states.n_points] = inside
+        payloads = self.per_stage if self.stationary is None else (self.stationary,)
+        rows = np.array([self._member_row(p, states) for p in payloads])
+        # a stationary row is computed once and repeated over the stages
+        return np.broadcast_to(rows, (time.steps + 1, states.n_total)).copy()
+
+    def _member_row(self, payload, states: StateSpace) -> np.ndarray:
+        out = np.zeros(states.n_total, dtype=bool)
+        if self.kind == "set":
+            out[[i for i in payload if 0 <= i < states.n_points]] = True
+        else:
+            lower, upper = payload
+            out[: states.n_points] = np.all(
+                (states.points >= lower) & (states.points <= upper), axis=1
+            )
         return out
 
 
@@ -481,21 +486,21 @@ class Model:
 
         return build_tables(self)
 
-    def constraint_member(self, t: int, x: int) -> bool:
-        k = self.time.stage_index(t)
-        return bool(self.tables.member[k, x])
-
 
 def validate(model: Model) -> list[str]:
     """Every invariant violation found; an empty list means all solvers may run."""
     out: list[str] = []
-    m = model.states.n_points
+    time, m = model.time, model.states.n_points
 
     pts = model.states.points
     if np.unique(pts, axis=0).shape[0] != m:
         out.append("StateSpace: grid points are not pairwise distinct")
+    if not np.all(np.isfinite(pts)):
+        out.append("StateSpace: grid points must be finite")
 
     probs = model.noise.probs
+    if not np.all(np.isfinite(probs)):
+        out.append("DisturbanceLaw: probabilities must be finite")
     if np.any(probs < 0) or np.any(probs > 1):
         out.append("DisturbanceLaw: probabilities must lie in [0, 1]")
     total = float(np.sum(probs))
@@ -504,38 +509,45 @@ def validate(model: Model) -> list[str]:
             f"DisturbanceLaw: probabilities sum to {total!r}, "
             "expected 1 within 1e-12 (normalization)"
         )
+    if not np.all(np.isfinite(model.noise.support)):
+        out.append("DisturbanceLaw: support atoms must be finite")
 
-    dims_p = model.controls.dim
-    for t in range(model.time.t0, model.time.T):
+    ctl = model.controls
+    if not np.all(np.isfinite(ctl.vectors)):
+        out.append("ControlMap: admissible control entries must be finite")
+    rows = ctl.stage_rows(time)
+    stage_row = np.broadcast_to(rows, time.steps)
+    empty = ctl.counts == 0
+    narrow = ~empty & (ctl.widths != ctl.dim)
+    faulty = np.append(np.any(empty | narrow, axis=1), True)  # row -1 (none) is a fault
+    for k in _stages(faulty[rows], time.steps):
+        t, r = time.t0 + k, stage_row[k]
         for x in range(m):
-            try:
-                lst = model.controls.admissible(t, x)
-            except ModelError as err:
-                out.append(f"ControlMap: {err}")
-                continue
-            if lst.shape[0] == 0:
+            if r < 0:
+                out.append(f"ControlMap: no control table row for stage {t}")
+            elif empty[r, x]:
                 out.append(
                     f"ControlMap: empty admissible control list at (t={t}, x={x}); "
                     "a non-empty list is required"
                 )
-            elif lst.shape[1] != dims_p:
+            elif narrow[r, x]:
                 out.append(
-                    f"ControlMap: control dimension {lst.shape[1]} at (t={t}, x={x}) "
-                    f"differs from {dims_p}"
+                    f"ControlMap: control dimension {ctl.widths[r, x]} at (t={t}, x={x}) "
+                    f"differs from {ctl.dim}"
                 )
 
     if isinstance(model.dynamics, TableDynamics):
         tab = model.dynamics.table
         if tab.shape[2] and not np.all(tab[:, m, :, :] == m):
             out.append("Dynamics: sink row is not absorbing (all transitions must stay at sink)")
-        for t in range(model.time.t0, model.time.T):
-            for x in range(m):
-                need = model.controls.admissible(t, x).shape[0]
-                if need > tab.shape[2]:
-                    out.append(
-                        f"Dynamics: table has {tab.shape[2]} control slots at "
-                        f"(t={t}, x={x}) but {need} controls are admissible"
-                    )
+        # row -1 (none) needs no slot; the table already holds every stage
+        need = np.vstack([ctl.counts, np.zeros((1, m), dtype=np.int64)])[rows]
+        need = np.broadcast_to(need, (time.steps, m))
+        for k, x in np.argwhere(need > tab.shape[2]):
+            out.append(
+                f"Dynamics: table has {tab.shape[2]} control slots at "
+                f"(t={time.t0 + k}, x={x}) but {need[k, x]} controls are admissible"
+            )
     else:
         names = _expr.variable_names(model.dims)
         for i, ast in enumerate(model.dynamics.asts):
@@ -546,23 +558,42 @@ def validate(model: Model) -> list[str]:
                     f"Dynamics: expression {i} uses undeclared variables {sorted(unknown)}"
                 )
 
-    if model.constraints.kind == "box":
-        for k in range(model.time.steps + 1):
-            lo, hi = model.constraints.payload(k)
-            if lo.shape[0] != model.states.dim:
-                out.append(
-                    f"ConstraintSets: box at stage index {k} has dimension "
-                    f"{lo.shape[0]}, states have {model.states.dim}"
-                )
-    else:
-        for k in range(model.time.steps + 1):
-            bad = [i for i in model.constraints.payload(k) if not (0 <= i < m)]
-            if bad:
-                out.append(
-                    f"ConstraintSets: stage index {k} references invalid state "
-                    f"indices {bad} (the sink is never a member)"
-                )
+    cons = model.constraints
+    if cons.stationary is None:
+        for k, payload in enumerate(cons.per_stage):
+            out.extend(_payload_faults(model, k, payload))
+    elif _payload_faults(model, 0, cons.stationary):  # checked once, reported per stage
+        for k in range(time.steps + 1):
+            out.extend(_payload_faults(model, k, cons.stationary))
+    return out
 
+
+def _stages(flags: np.ndarray, steps: int):
+    """Stage indices whose flag is set; a single flag holds at every stage."""
+    if flags.size == 1:
+        return range(steps) if flags[0] else range(0)
+    return np.flatnonzero(flags).tolist()
+
+
+def _payload_faults(model: Model, k: int, payload) -> list[str]:
+    """Diagnostics of the constraint payload at stage index ``k``."""
+    if model.constraints.kind == "set":
+        bad = [i for i in payload if not (0 <= i < model.states.n_points)]
+        if bad:
+            return [
+                f"ConstraintSets: stage index {k} references invalid state "
+                f"indices {bad} (the sink is never a member)"
+            ]
+        return []
+    lo, hi = payload
+    out = []
+    if lo.shape[0] != model.states.dim:
+        out.append(
+            f"ConstraintSets: box at stage index {k} has dimension "
+            f"{lo.shape[0]}, states have {model.states.dim}"
+        )
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        out.append(f"ConstraintSets: box at stage index {k} has non-finite bounds")
     return out
 
 

@@ -75,6 +75,30 @@ def test_solve_diagnostics_on_invalid_model(model_path, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        (("noise", "probs"), "[0.01, NaN, 0.01]", "NaN is not a JSON number"),
+        (("noise", "probs"), "[0.01, 1e999, 0.01]", "probabilities must be finite"),
+        (("controls", "lists"), "[[1.0], [1.0, 2.0]]", "controls: expected numbers"),
+        (("states", "points"), '[[-1.0], ["zero"], [1.0]]', "states.points: expected numbers"),
+        (("time", "t0"), "0.5", "time.t0: expected an integer"),
+    ],
+)
+def test_solve_rejects_malformed_numbers(model_path, tmp_path, capsys, field, value, message):
+    doc = json.loads(model_path.read_text())
+    doc[field[0]][field[1]] = "@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"@"', value))
+    rc = main(["solve", "--model", str(bad), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_solve_missing_file_is_io_error(tmp_path, capsys):
     rc = main(["solve", "--model", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")])

@@ -1,8 +1,11 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
+from conftest import random_model
 from stochviab.dp import solve
 from stochviab.io import (
     ModelFormatError,
@@ -95,6 +98,32 @@ class TestModelJson:
         path = tmp_path / "nope.json"
         path.write_text("{ not json")
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_non_finite_literals_rejected(self, tmp_path, example_model):
+        path = tmp_path / "nan.json"
+        save_model(example_model, path)
+        for literal in ("NaN", "Infinity", "-Infinity"):
+            path.write_text(path.read_text().replace("0.98", literal, 1))
+            with pytest.raises(ModelFormatError, match=re.escape(f"{path}: {literal} is not")):
+                load_model(path)
+            save_model(example_model, path)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            (("controls", "lists"), [[1.0], [1.0, 2.0]], "controls: expected numbers"),
+            (("states", "points"), [[-1.0], ["zero"], [1.0]], "states.points: expected numbers"),
+            (("time", "t0"), 0.5, "time.t0: expected an integer, got 0.5"),
+            (("time", "T"), "40", "time.T: expected an integer, got '40'"),
+        ],
+    )
+    def test_malformed_fields_rejected(self, tmp_path, example_model, field, value, message):
+        doc = model_to_dict(example_model)
+        doc[field[0]][field[1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="^" + re.escape(f"{path}: {message}")):
             load_model(path)
 
     def test_per_stage_constraints_round_trip(self, tmp_path):
@@ -200,3 +229,58 @@ def test_trajectory_csv_sink_rows_have_empty_coords(tmp_path, example_model):
 def test_format_estimate():
     est = ProbabilityEstimate(0.5, 100, 0.25, 0.75, 7)
     assert format_estimate(est) == "0.5 100 0.25 0.75 7"
+
+
+def ragged_table_model() -> Model:
+    """per_state lists of 3, 1 and 2 controls with table dynamics and ties."""
+    nested = [
+        [[[1, 2], [1, 2], [2, 2]], [[1, 0]], [[1, 1], [1, 1]]],
+        [[[0, 0], [1, 2], [-1, 2]], [[2, 2]], [[1, 0], [2, 2]]],
+        [[[1, 1], [2, 0], [0, -1]], [[0, 1]], [[1, 2], [-1, 0]]],
+    ]
+    return Model(
+        TimeGrid(1, 4),
+        StateSpace(np.array([[0.0], [0.5], [1.0]])),
+        ControlMap.per_state([[[-1.0], [0.0], [1.0]], [[0.5]], [[-0.25], [0.25]]], 3),
+        DisturbanceLaw(np.array([[0.0], [1.0]]), np.array([0.625, 0.375])),
+        TableDynamics.from_nested(nested, 3, 3, 2, 3),
+        ConstraintSets("set", per_stage=((0, 1, 2), (0, 2), (1, 2), (0, 1, 2))),
+    )
+
+
+def _output_digests(model: Model, tmp_path) -> dict[str, str]:
+    _, am = solve(model)
+    paths = {"argmax": tmp_path / "argmax.csv"}
+    write_argmax_csv(model, am, paths["argmax"])
+    for rule in ("smallest", "largest"):
+        paths[rule] = tmp_path / f"policy-{rule}.csv"
+        write_policy_csv(model, select_feedback(am, rule), paths[rule])
+    return {k: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for k, p in paths.items()}
+
+
+class TestPinnedBytes:
+    """SHA-256 prefixes of the files written for ragged control lists."""
+
+    def test_ragged_per_state_table_model(self, tmp_path):
+        model = ragged_table_model()
+        save_model(model, tmp_path / "model.json")
+        assert hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest()[:16] == (
+            "97c67eb2e96cef08"
+        )
+        assert _output_digests(model, tmp_path) == {
+            "argmax": "f7b0779b2d0a7621",
+            "smallest": "dc35029604684fde",
+            "largest": "a93c7f1f677ef25d",
+        }
+
+    @pytest.mark.parametrize(
+        "seed,want",
+        [
+            (0, ("a47d5b712ebfedd0", "a6031b5e93fa77e9", "2b88b7c738e681eb")),
+            (3, ("bc01a0d58f5eb1be", "1994272347f99a23", "e37541be647c5a7e")),
+            (8, ("c0506f255190001a", "56c8d3e80a50f239", "56c8d3e80a50f239")),
+        ],
+    )
+    def test_random_per_stage_state_models(self, tmp_path, seed, want):
+        got = _output_digests(random_model(seed), tmp_path)
+        assert (got["argmax"], got["smallest"], got["largest"]) == want
