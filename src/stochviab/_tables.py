@@ -1,9 +1,13 @@
-"""Dense index tables compiled from a model for the array kernels.
+"""Index tables compiled from a model for the array kernels.
 
 Everything the solvers touch per inner iteration lives in flat numpy arrays:
 successor indices, admissible control counts, constraint membership, and the
 disturbance pmf.  The sink occupies the last state row; its single dummy
 control loops back to itself, so closed-loop walks never branch on it.
+
+The tables are read-only, with one row per stage.  A stationary part
+(``n_ctrl``, ``member``, or ``next_state`` compiled once, below) is stored
+once and every stage reads it through an ``np.broadcast_to`` view.
 
 Expression dynamics compile as whole arrays.  Each coordinate expression is
 evaluated once per stage over the mesh of admissible (state, control slot)
@@ -64,7 +68,7 @@ def build_tables(model: Model) -> Tables:
     rows = ctl.stage_rows(time)
     if np.any(rows < 0):
         raise ModelError(f"no control table row for stage {time.t0 + int(np.argmin(rows))}")
-    counts = ctl.counts[rows]  # broadcasts over the stages
+    counts = ctl.counts[rows]  # one row, or one per stage
     u_max = max(1, int(counts.max(initial=0)))
     if isinstance(model.dynamics, TableDynamics):
         u_max = max(u_max, model.dynamics.table.shape[2])
@@ -76,37 +80,33 @@ def build_tables(model: Model) -> Tables:
             f"{TABLE_BYTES_GUARD} bytes"
         )
 
-    n_ctrl = np.ones((steps, n_total), dtype=np.int64)
-    n_ctrl[:, :m] = counts
-    nxt = np.full((steps, n_total, u_max, n_atoms), m, dtype=np.int64)
+    n_ctrl = np.pad(counts, [(0, 0), (0, 1)], constant_values=1)  # the sink's dummy control
     if isinstance(model.dynamics, TableDynamics):
-        tab = model.dynamics.table
-        nxt[:, :, : tab.shape[2], :] = tab
+        tab = model.dynamics.table  # unused control slots go to the sink
+        nxt = np.pad(tab, [(0, 0), (0, 0), (0, u_max - tab.shape[2]), (0, 0)], constant_values=m)
         nxt[:, m, :, :] = m  # absorbing sink regardless of stored row
     else:
-        _fill_expr_table(model, nxt, rows)
-
-    member = model.constraints.membership_matrix(time, states)
-    member[:, m] = False
+        nxt = _expr_table(model, rows, u_max)
 
     return Tables(
         t0=time.t0,
         T=time.T,
         n_states=m,
-        n_ctrl=n_ctrl,
-        next_state=nxt,
-        member=member,
-        probs=model.noise.probs.astype(np.float64, copy=True),
+        n_ctrl=np.broadcast_to(n_ctrl, (steps, n_total)),
+        next_state=np.broadcast_to(nxt, (steps,) + nxt.shape[1:]),
+        member=model.constraints.membership_matrix(time, states),
+        probs=np.broadcast_to(model.noise.probs.astype(np.float64), (n_atoms,)),  # a read-only copy
     )
 
 
-def _fill_expr_table(model: Model, nxt: np.ndarray, rows: np.ndarray) -> None:
+def _expr_table(model: Model, rows: np.ndarray, u_max: int) -> np.ndarray:
+    """Successors of expression dynamics: one slab per stage, or one in all."""
     asts = model.dynamics.asts
     states, noise, time, ctl = model.states, model.noise, model.time, model.controls
-    u_max = nxt.shape[2]
     once = rows.size == 1 and not any("t" in _expr.variables(a) for a in asts)
-    w = noise.support[None, :, :]
-    for k in range(1 if once else time.steps):
+    slabs = 1 if once else time.steps
+    nxt = np.full((slabs, states.n_total, u_max, noise.n_atoms), states.sink, dtype=np.int64)
+    for k in range(slabs):
         r = rows[k] if rows.size > 1 else rows[0]
         xs, js = np.nonzero(np.arange(u_max) < ctl.counts[r][:, None])
         shape = (xs.size, noise.n_atoms)
@@ -116,15 +116,15 @@ def _fill_expr_table(model: Model, nxt: np.ndarray, rows: np.ndarray) -> None:
             float(time.t0 + k),
             states.points[xs][:, None, :],
             ctl.vectors[r, xs, js, : ctl.dim][:, None, :],
-            w,
+            noise.support[None, :, :],
         )
         try:
             cols = [np.broadcast_to(_expr.evaluate(a, bindings), shape) for a in asts]
         except _expr.EvalError as err:
             _raise_first_failure(asts, bindings, shape, time.t0 + k, xs, js, err)
         succ = project_to_grid(states, np.stack(cols, axis=-1).reshape(-1, len(asts)))
-        stages = slice(None) if once else k
-        nxt[stages, xs, js, :] = succ.reshape(shape)
+        nxt[k, xs, js, :] = succ.reshape(shape)
+    return nxt
 
 
 def _mesh_bindings(t, x, u, w) -> dict:

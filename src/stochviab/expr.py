@@ -13,6 +13,11 @@ Grammar (EBNF, whitespace insignificant between tokens)::
 Precedence from loose to tight: "+ -", "* /", unary "-", "^".  Exponentiation
 binds tighter than unary minus, so ``-2^2`` is ``-(2^2)``.
 
+Nesting is capped at ``MAX_DEPTH`` levels, so that no input can exhaust the
+stack of the parser or of the tree walks.  A level opens at each "(", each
+call, each unary "-", each "^" and each further operand of a "+ -" or
+"* /" chain, whose tree grows one level deeper per operand.
+
 Valid names are ``t``, ``x1..xn``, ``u1..up``, ``w1..wq`` for declared
 dimensions (n, p, q), plus the aliases ``x``, ``u``, ``w`` when the matching
 dimension is 1, and the calls ``min(a,b)``, ``max(a,b)``, ``abs(a)``.
@@ -39,6 +44,7 @@ __all__ = [
     "Unary",
     "Binary",
     "Call",
+    "MAX_DEPTH",
     "ExprError",
     "ExprSyntaxError",
     "UnknownVariableError",
@@ -108,6 +114,8 @@ class Call:
 Ast = Union[Num, Var, Unary, Binary, Call]
 
 _FUNCTIONS = {"min": 2, "max": 2, "abs": 1}
+
+MAX_DEPTH = 100
 
 
 def variable_names(dims: tuple[int, int, int]) -> set[str]:
@@ -208,6 +216,15 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.allowed = allowed
+        self.level = 0  # nesting levels open at the current token
+
+    def enter(self, tok: _Token) -> _Token:
+        """Open one nesting level at ``tok``."""
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
+                                  tok.offset)
+        return tok
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -224,33 +241,38 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self) -> Ast:
-        node = self.parse_term()
+        level, node = self.level, self.parse_term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+            op = self.enter(self.advance()).text
             node = Binary(op, node, self.parse_term())
+        self.level = level
         return node
 
     def parse_term(self) -> Ast:
-        node = self.parse_unary()
+        level, node = self.level, self.parse_unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+            op = self.enter(self.advance()).text
             node = Binary(op, node, self.parse_unary())
+        self.level = level
         return node
 
     def parse_unary(self) -> Ast:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Unary("-", self.parse_unary())
+            self.enter(self.advance())
+            node = Unary("-", self.parse_unary())
+            self.level -= 1
+            return node
         return self.parse_power()
 
     def parse_power(self) -> Ast:
         node = self.parse_atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
-            self.advance()
+            self.enter(self.advance())
             # exponent admits unary minus: 2^-3
-            return Binary("^", node, self.parse_unary())
+            node = Binary("^", node, self.parse_unary())
+            self.level -= 1
         return node
 
     def parse_atom(self) -> Ast:
@@ -269,9 +291,10 @@ class _Parser:
                 raise UnknownVariableError(tok.text, tok.offset)
             return Var(tok.text)
         if tok.kind == "lparen":
-            self.advance()
+            self.enter(self.advance())
             node = self.parse_expr()
             self.expect("rparen", "')'")
+            self.level -= 1
             return node
         raise ExprSyntaxError("expected a number, name or '('", tok.offset)
 
@@ -279,12 +302,13 @@ class _Parser:
         arity = _FUNCTIONS.get(name_tok.text)
         if arity is None:
             raise ExprSyntaxError(f"unknown function '{name_tok.text}'", name_tok.offset)
-        self.expect("lparen", "'('")
+        self.enter(self.expect("lparen", "'('"))
         args = [self.parse_expr()]
         while self.peek().kind == "comma":
             self.advance()
             args.append(self.parse_expr())
         self.expect("rparen", "')'")
+        self.level -= 1
         if len(args) != arity:
             raise ExprSyntaxError(
                 f"'{name_tok.text}' takes {arity} argument(s), got {len(args)}",
@@ -296,7 +320,8 @@ class _Parser:
 def parse(source: str, dims: tuple[int, int, int]) -> Ast:
     """Parse ``source`` against state/control/noise dimensions ``dims = (n, p, q)``.
 
-    Raises :class:`ExprSyntaxError` with the byte offset of the problem, or
+    Raises :class:`ExprSyntaxError` with the byte offset of the problem (the
+    token that opens level ``MAX_DEPTH + 1`` of a too deeply nested input), or
     :class:`UnknownVariableError` for undeclared names.
     """
     parser = _Parser(_tokenize(source), variable_names(dims))

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .dp import ArgmaxPolicy, ValueFunction, _policy_choice_array
+from .expr import ExprError, parse as parse_expr
 from .kernel import FeedbackPolicy, KernelSlice
 from .mc import ProbabilityEstimate
 from .model import (
@@ -117,9 +118,18 @@ def model_from_dict(doc: dict) -> Model:
     _require_keys(doc["dynamics"], "dynamics", {"mode", "body"})
     dmode = doc["dynamics"]["mode"]
     if dmode == "expr":
-        dynamics = ExprDynamics.parse(
-            doc["dynamics"]["body"], (states.dim, controls.dim, noise.dim)
-        )
+        body = doc["dynamics"]["body"]
+        if not isinstance(body, list):
+            raise ModelFormatError("dynamics.body: expected a list of expressions")
+        sources = tuple(str(source) for source in body)
+        dims = (states.dim, controls.dim, noise.dim)
+        asts = []
+        for i, source in enumerate(sources):
+            try:
+                asts.append(parse_expr(source, dims))
+            except ExprError as err:
+                raise ModelFormatError(f"dynamics.body[{i}]: {err}") from None
+        dynamics = ExprDynamics(sources, tuple(asts))
     elif dmode == "table":
         u_max = max(1, int(controls.counts.max()))
         dynamics = TableDynamics.from_nested(
@@ -142,15 +152,23 @@ def _constraints_from_dict(doc: dict) -> ConstraintSets:
     if has_stat == has_per:
         raise ModelFormatError("constraints: exactly one of stationary/per_stage required")
 
-    def to_payload(entry):
+    def to_payload(entry, where: str):
         if mode == "set":
-            return [int(i) for i in entry]
-        _require_keys(entry, "constraints box", {"lower", "upper"})
-        return (entry["lower"], entry["upper"])
+            if not isinstance(entry, list):
+                raise ModelFormatError(f"{where}: expected a list of state indices")
+            return [_int(i, f"{where}[{j}]") for j, i in enumerate(entry)]
+        _require_keys(entry, where, {"lower", "upper"})
+        return (_floats(entry["lower"], f"{where}.lower"),
+                _floats(entry["upper"], f"{where}.upper"))
 
     if has_stat:
-        return ConstraintSets(mode, stationary=to_payload(doc["stationary"]))
-    return ConstraintSets(mode, per_stage=tuple(to_payload(e) for e in doc["per_stage"]))
+        payload = to_payload(doc["stationary"], "constraints.stationary")
+        return ConstraintSets(mode, stationary=payload)
+    per_stage = doc["per_stage"]
+    if not isinstance(per_stage, list):
+        raise ModelFormatError("constraints.per_stage: expected a list")
+    return ConstraintSets(mode, per_stage=tuple(
+        to_payload(e, f"constraints.per_stage[{k}]") for k, e in enumerate(per_stage)))
 
 
 def model_to_dict(model: Model) -> dict:
@@ -216,7 +234,7 @@ def load_model(path: PathLike) -> Model:
         raise ModelFormatError(f"{path}: not valid JSON: {err}") from None
     try:
         return model_from_dict(doc)
-    except ModelFormatError as err:
+    except ModelError as err:  # schema and constructor errors alike name the file
         raise ModelFormatError(f"{path}: {err}") from None
 
 
@@ -254,29 +272,37 @@ def read_value_csv(path: PathLike) -> ValueFunction:
         raise ModelFormatError(f"{path}: unexpected value header {lines[0]!r}")
     dim = len(header) - 3
 
-    rows = []
+    rows = {}  # (t, state_index) -> (coordinates, value)
     for i, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
         if len(parts) != len(header):
             raise ModelFormatError(f"{path}: line {i}: {len(parts)} fields, expected {len(header)}")
-        rows.append((int(parts[0]), int(parts[1]),
-                     [float(c) for c in parts[2:2 + dim]], float(parts[-1])))
+        try:
+            t, x = int(parts[0]), int(parts[1])
+            coords, value = [float(c) for c in parts[2:2 + dim]], float(parts[-1])
+        except ValueError:
+            raise ModelFormatError(f"{path}: line {i}: malformed number in {ln!r}") from None
+        if x < 0:
+            raise ModelFormatError(f"{path}: line {i}: negative state_index {x}")
+        if (t, x) in rows:
+            raise ModelFormatError(f"{path}: line {i}: second row for (t={t}, state_index={x})")
+        rows[t, x] = coords, value
+    if not rows:
+        raise ModelFormatError(f"{path}: no value rows")
 
-    stages = sorted({r[0] for r in rows})
-    m = max(r[1] for r in rows) + 1
+    stages = sorted({t for t, _ in rows})
+    m = max(x for _, x in rows) + 1
     t0, T = stages[0], stages[-1]
     if stages != list(range(t0, T + 1)):
         raise ModelFormatError(f"{path}: stages are not contiguous")
+    if len(rows) != len(stages) * m:  # the keys are distinct, so none is missing
+        raise ModelFormatError(f"{path}: missing (stage, state) rows")
 
     points = np.zeros((m, dim))
     table = np.zeros((T - t0 + 1, m + 1))
-    seen = np.zeros((T - t0 + 1, m), dtype=bool)
-    for t, x, coords, value in rows:
+    for (t, x), (coords, value) in rows.items():
         points[x] = coords
         table[t - t0, x] = value
-        seen[t - t0, x] = True
-    if not seen.all():
-        raise ModelFormatError(f"{path}: missing (stage, state) rows")
     return ValueFunction(t0, T, points, table)
 
 

@@ -253,6 +253,11 @@ class ControlMap:
         return self.vectors[r, x, : self.counts[r, x], : self.widths[r, x]]
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer: floats, strings and bools are not."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def _as_vector_list(entry, what: str) -> np.ndarray:
     arr = np.asarray(entry, dtype=np.float64)
     if arr.ndim == 1:
@@ -339,7 +344,11 @@ class TableDynamics:
                             f"{len(per_w)} disturbance entries, expected {n_atoms}"
                         )
                     for w, nxt in enumerate(per_w):
-                        nxt = int(nxt)
+                        if not _is_int(nxt):
+                            raise ModelError(
+                                f"dynamics table entry {nxt!r} at (t={t}, x={x}, u={u}, "
+                                f"w={w}) is not an integer"
+                            )
                         if nxt == -1:
                             nxt = sink
                         if not (0 <= nxt <= sink):
@@ -400,11 +409,11 @@ class ConstraintSets:
             )
 
     def membership_matrix(self, time: TimeGrid, states: StateSpace) -> np.ndarray:
-        """Bool matrix (steps + 1, n_total); the sink column is always False."""
+        """Read-only bool matrix (steps + 1, n_total); the sink column is always False."""
         payloads = self.per_stage if self.stationary is None else (self.stationary,)
         rows = np.array([self._member_row(p, states) for p in payloads])
-        # a stationary row is computed once and repeated over the stages
-        return np.broadcast_to(rows, (time.steps + 1, states.n_total)).copy()
+        # a stationary row is computed once and broadcast over the stages
+        return np.broadcast_to(rows, (time.steps + 1, states.n_total))
 
     def _member_row(self, payload, states: StateSpace) -> np.ndarray:
         out = np.zeros(states.n_total, dtype=bool)
@@ -420,6 +429,9 @@ class ConstraintSets:
 
 def _normalize_constraint_payload(kind: str, payload):
     if kind == "set":
+        bad = [i for i in payload if not _is_int(i)]
+        if bad:
+            raise ModelError(f"set constraint: state index {bad[0]!r} is not an integer")
         return tuple(sorted({int(i) for i in payload}))
     lower, upper = payload
     lo = np.asarray(lower, dtype=np.float64).reshape(-1)

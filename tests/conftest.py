@@ -13,6 +13,7 @@ from stochviab.model import (
     ConstraintSets,
     ControlMap,
     DisturbanceLaw,
+    ExprDynamics,
     Model,
     StateSpace,
     TableDynamics,
@@ -76,6 +77,22 @@ def random_model(seed: int, deterministic: bool = False) -> Model:
         noise=DisturbanceLaw(np.array(support), np.array(probs)),
         dynamics=TableDynamics.from_nested(nested, m, u_max, n_atoms, steps),
         constraints=ConstraintSets("set", per_stage=tuple(per_stage)),
+    )
+
+
+def walk_model(n: int, T: int) -> Model:
+    """Time-invariant walk ``x + u + w`` on ``n`` evenly spaced points of
+    [0, 1], spacing h: shared controls {-h, 0, h}, disturbance atoms
+    {-2h, ..., 2h} with probabilities (0.05, 0.2, 0.5, 0.2, 0.05), and the
+    stationary box [0.2, 0.8]."""
+    h = 1.0 / (n - 1)
+    return Model(
+        time=TimeGrid(0, T),
+        states=StateSpace(np.linspace(0.0, 1.0, n)[:, None]),
+        controls=ControlMap.shared([[-h], [0.0], [h]], n),
+        noise=DisturbanceLaw(np.arange(-2, 3)[:, None] * h, [0.05, 0.2, 0.5, 0.2, 0.05]),
+        dynamics=ExprDynamics.parse(["x + u + w"], (1, 1, 1)),
+        constraints=ConstraintSets("box", stationary=([0.2], [0.8])),
     )
 
 

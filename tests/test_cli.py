@@ -83,6 +83,25 @@ def test_solve_diagnostics_on_invalid_model(model_path, tmp_path, capsys):
         (("controls", "lists"), "[[1.0], [1.0, 2.0]]", "controls: expected numbers"),
         (("states", "points"), '[[-1.0], ["zero"], [1.0]]', "states.points: expected numbers"),
         (("time", "t0"), "0.5", "time.t0: expected an integer"),
+        (("time", "T"), "-1", "TimeGrid requires t0 < T, got t0=0, T=-1"),
+        (("noise", "probs"), "[0.5, 0.5]", "noise: 3 support atoms but 2 probabilities"),
+        # the later duplicate "mode" key wins, so the constraint becomes a box
+        (("constraints", "stationary"), '{"lower": [-1.0], "upper": [1.0, 1.0]}, "mode": "box"',
+         "box constraint: lower/upper must have equal length"),
+        (("constraints", "stationary"), "[0, 1.5, 2]",
+         "constraints.stationary[1]: expected an integer, got 1.5"),
+        (("dynamics", "body"), '["x + + "]',
+         "dynamics.body[0]: expected a number, name or '(' (offset 4)"),
+        (("dynamics", "body"), '["x + y"]', "dynamics.body[0]: unknown variable 'y' (offset 4)"),
+        pytest.param(("dynamics", "body"), '["' + "(" * 300 + "x" + ")" * 300 + '"]',
+                     "dynamics.body[0]: expression nested deeper than 100 levels (offset 100)",
+                     id="300-parentheses"),
+        pytest.param(("dynamics", "body"), '["' + "-" * 3000 + 'x"]',
+                     "dynamics.body[0]: expression nested deeper than 100 levels (offset 100)",
+                     id="3000-unary-minus"),
+        pytest.param(("dynamics", "body"), '["x' + "+0" * 2999 + '"]',
+                     "dynamics.body[0]: expression nested deeper than 100 levels (offset 201)",
+                     id="3000-term-chain"),
     ],
 )
 def test_solve_rejects_malformed_numbers(model_path, tmp_path, capsys, field, value, message):

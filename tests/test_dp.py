@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_model, random_policy
+from conftest import random_model, random_policy, walk_model
 from stochviab.closed_form import matrix_value
 from stochviab.dp import (
+    ARGMAX_TOL,
     ValueSlice,
     bellman_step,
     brute_force_value,
@@ -163,6 +164,17 @@ class TestEvaluatePolicy:
             for rule in ("smallest", "largest"):
                 pv = evaluate_policy(model, select_feedback(am, rule))
                 assert np.all(np.abs(pv.table - vf.table) <= 1e-12 * vf.table)
+
+    def test_argmax_selection_loss_grows_with_the_horizon(self):
+        """The argmax sets admit a relative gap of ARGMAX_TOL per stage, so a
+        selection may fall short of V by up to steps * ARGMAX_TOL; here both
+        tie-breaks lose about 1.3e-11, more than one stage's tolerance."""
+        model = walk_model(101, 200)
+        vf, am = solve(model)
+        bound = model.time.steps * ARGMAX_TOL * vf.table
+        for rule in ("smallest", "largest"):
+            pv = evaluate_policy(model, select_feedback(am, rule))
+            assert np.all(np.abs(pv.table - vf.table) <= bound)
 
     def test_constant_plus_one_hand_values(self, example_model):
         fb = FeedbackPolicy.constant(example_model, [1.0])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochviab.expr import (
+    MAX_DEPTH,
     Binary,
     Call,
     EvalError,
@@ -67,12 +68,33 @@ def test_indexed_names_and_aliases():
         ("1..2", 1),
         ("x @ u", 2),
         ("", 0),
+        # nesting past MAX_DEPTH fails at the token that opens level 101
+        pytest.param("(" * 300 + "x" + ")" * 300, 100, id="300-parentheses"),
+        pytest.param("-" * 3000 + "x", 100, id="3000-unary-minus"),
+        pytest.param("x" + "+0" * 2999, 201, id="3000-term-chain"),
+        pytest.param("2^" * 200 + "2", 201, id="200-powers"),
+        pytest.param("abs(" * 150 + "x" + ")" * 150, 403, id="150-calls"),
     ],
 )
 def test_syntax_error_offsets(src, offset):
     with pytest.raises(ExprSyntaxError) as err:
         parse(src, DIMS)
     assert err.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "src,value",
+    [
+        ("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, 2.0),
+        ("-" * MAX_DEPTH + "x", 2.0),
+        ("x" + "+1" * MAX_DEPTH, 102.0),
+        ("abs(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, 2.0),
+    ],
+)
+def test_nesting_up_to_the_cap_parses_and_evaluates(src, value):
+    ast = parse(src, DIMS)
+    assert evaluate(ast, {"x": 2.0}) == value
+    assert parse(to_source(ast), DIMS) == ast
 
 
 def test_unknown_variable_carries_name():

@@ -126,6 +126,30 @@ class TestModelJson:
         with pytest.raises(ModelFormatError, match="^" + re.escape(f"{path}: {message}")):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "keys,literal,message",
+        [
+            (("dynamics", "body", 0, 0, 0, 0), "2.7",
+             "dynamics table entry 2.7 at (t=0, x=0, u=0, w=0) is not an integer"),
+            (("dynamics", "body", 1, 1, 0, 1), "1e999",
+             "dynamics table entry inf at (t=1, x=1, u=0, w=1) is not an integer"),
+            (("constraints", "per_stage", 1, 0), "1.5",
+             "constraints.per_stage[1][0]: expected an integer, got 1.5"),
+            (("constraints", "per_stage", 2, 1), '"a"',
+             "constraints.per_stage[2][1]: expected an integer, got 'a'"),
+        ],
+    )
+    def test_integer_entries_read_strictly(self, tmp_path, keys, literal, message):
+        doc = model_to_dict(table_model())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = "@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        with pytest.raises(ModelFormatError, match="^" + re.escape(f"{path}: {message}")):
+            load_model(path)
+
     def test_per_stage_constraints_round_trip(self, tmp_path):
         model = table_model()
         path = tmp_path / "m.json"
@@ -153,6 +177,24 @@ class TestValueCsv:
         assert lines[1].startswith("0,0,-1,")
         assert lines[2].startswith("0,1,0,")
         assert len(lines) == 1 + 41 * 3
+
+    @pytest.mark.parametrize(
+        "line,text,message",
+        [
+            (3, "0,1,0,zero", "line 3: malformed number in '0,1,0,zero'"),
+            (2, "0,-1,-1,0.5", "line 2: negative state_index -1"),
+            (4, "0,1,0,0.5", "line 4: second row for (t=0, state_index=1)"),
+        ],
+    )
+    def test_malformed_rows_rejected(self, tmp_path, example_model, line, text, message):
+        vf, _ = solve(example_model)
+        path = tmp_path / "value.csv"
+        write_value_csv(vf, path)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match="^" + re.escape(f"{path}: {message}")):
+            read_value_csv(path)
 
     def test_missing_rows_detected(self, tmp_path, example_model):
         vf, _ = solve(example_model)

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -151,6 +152,13 @@ def test_model_rejects_inconsistent_shapes():
         )
     with pytest.raises(ModelError):
         DisturbanceLaw(np.array([[0.0], [1.0]]), np.array([1.0]))  # length mismatch
+
+
+@pytest.mark.parametrize("index", [1.5, "a", True, np.float64(1.0)])
+def test_set_constraint_indices_must_be_integers(index):
+    with pytest.raises(ModelError, match=f"state index {re.escape(repr(index))} is not an integer"):
+        ConstraintSets("set", stationary=(0, index))
+    assert ConstraintSets("set", stationary=(np.int64(1), 0)).stationary == (0, 1)
 
 
 def test_expr_dynamics_dimension_check():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_model, walk_model
 from stochviab import expr
 from stochviab.dp import TABLE_BYTES_GUARD
 from stochviab.model import (
@@ -254,3 +255,29 @@ def test_table_size_guard_fails_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_tables_are_read_only(example_model):
+    for model in (example_model, walk_model(11, 4), random_model(3)):
+        tab = model.tables
+        for a in (tab.n_ctrl, tab.next_state, tab.member, tab.probs):
+            assert not a.flags.writeable
+
+
+def test_time_invariant_parts_are_stored_once():
+    tab = walk_model(11, 50).tables
+    for a in (tab.n_ctrl, tab.next_state, tab.member):
+        assert np.shares_memory(a[0], a[-1])
+
+
+def test_long_time_invariant_horizon_builds_in_little_memory():
+    model = walk_model(101, 10_000)
+    tracemalloc.start()
+    try:
+        tab = model.tables
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tab.next_state.shape == (10_000, 102, 3, 5)
+    assert tab.next_state.nbytes == 10_000 * 102 * 3 * 5 * 8  # the logical size
+    assert peak < 16 << 20  # one dense copy per stage would take 122 MB
