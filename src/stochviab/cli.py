@@ -69,7 +69,7 @@ def cmd_value(args) -> int:
         raise ModelError("--time is required")
     k = vf.stage_index(args.time)
     if args.x0 is not None:
-        print(io._fmt(vf.table[k, args.x0]))
+        print(io._fmt(vf.table[k, mc._check_x0(vf.n_states, args.x0)]))
         return 0
     for x in range(vf.n_states):
         print(f"{x} {io._fmt(vf.table[k, x])}")
@@ -120,17 +120,9 @@ def _write_plot_data(model: Model, states: np.ndarray, path: str) -> None:
     Sink stages are left empty so plotting tools show the path leaving the
     domain.
     """
-    m = model.states.n_points
-    n, cols = states.shape
-    header = ",".join(["t", *[f"x_sample{s}" for s in range(n)]])
-    lines = [header]
-    for k in range(cols):
-        row = [str(model.time.t0 + k)]
-        for s in range(n):
-            x = int(states[s, k])
-            row.append("" if x == m else io._fmt(model.states.points[x, 0]))
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    first = np.append(io._cells(model.states.points[:, 0]), "")[states]  # the sink's is ""
+    io._write_csv(path, ["t", *(f"x_sample{s}" for s in range(len(states)))],
+                  [io._cells(model.time.t0 + np.arange(states.shape[1])), *first])
 
 
 def cmd_estimate(args) -> int:

@@ -10,6 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -55,6 +56,27 @@ class ModelFormatError(ModelError):
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
+
+
+def _cells(values) -> np.ndarray:
+    """The CSV text of each entry, as an object array of the same shape:
+    ``.17g`` for doubles, decimal for integers and flags.  Each distinct entry
+    is formatted once; doubles are keyed on their 64-bit pattern, because
+    ``-0.0 == 0.0`` but they print ``-0`` and ``0``.
+    """
+    a = np.asarray(values)
+    floats = a.dtype.kind == "f"
+    keys = np.ascontiguousarray(a, np.float64).view(np.int64) if floats else a.astype(np.int64)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    text = [_fmt(v) for v in uniq.view(np.float64)] if floats else list(map(str, uniq.tolist()))
+    # numpy 1.x returns the inverse flat, numpy 2.x in the shape of ``keys``
+    return np.array(text, dtype=object)[inverse.reshape(a.shape)]
+
+
+def _write_csv(path: PathLike, header: Sequence[str], columns: Sequence) -> None:
+    """The header line, then one line per row of the equal-length text ``columns``."""
+    lines = map(",".join, zip(*columns))
+    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
 
 
 def _require_keys(obj: dict, where: str, required: set[str], optional: set[str] = frozenset()):
@@ -252,14 +274,11 @@ def _coord_header(dim: int, prefix: str = "x") -> list[str]:
 
 def write_value_csv(vf: ValueFunction, path: PathLike) -> None:
     """One row per (stage, non-sink state); the sink always carries value 0."""
-    dim = vf.points.shape[1]
-    lines = [",".join(["t", "state_index", *_coord_header(dim), "value"])]
-    for k in range(vf.table.shape[0]):
-        t = vf.t0 + k
-        for x in range(vf.n_states):
-            coords = [_fmt(c) for c in vf.points[x]]
-            lines.append(",".join([str(t), str(x), *coords, _fmt(vf.table[k, x])]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    m = vf.n_states
+    k, x = np.divmod(np.arange(vf.table.shape[0] * m), m)
+    _write_csv(path, ["t", "state_index", *_coord_header(vf.points.shape[1]), "value"],
+               [_cells(vf.t0 + k), _cells(x), *_cells(vf.points)[x].T,
+                _cells(vf.table[:, :m]).ravel()])
 
 
 def read_value_csv(path: PathLike) -> ValueFunction:
@@ -312,27 +331,22 @@ def read_value_csv(path: PathLike) -> ValueFunction:
 def write_argmax_csv(model: Model, argmax: ArgmaxPolicy, path: PathLike) -> None:
     """One row per maximizing control: t, state, slot, control coordinates."""
     ctl = model.controls
-    lines = [",".join(["t", "state_index", "control_index", *_coord_header(ctl.dim, "u")])]
     ks, xs, js = np.nonzero(argmax.mask[:, : model.states.n_points])
     rows = np.broadcast_to(ctl.stage_rows(model.time), model.time.steps)
     coords = ctl.vectors[rows[ks], xs, js, : ctl.dim]
-    for k, x, j, u in zip(ks.tolist(), xs.tolist(), js.tolist(), coords.tolist()):
-        lines.append(",".join([str(argmax.t0 + k), str(x), str(j), *map(_fmt, u)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, ["t", "state_index", "control_index", *_coord_header(ctl.dim, "u")],
+               [_cells(argmax.t0 + ks), _cells(xs), _cells(js), *_cells(coords).T])
 
 
 def write_policy_csv(model: Model, policy: FeedbackPolicy, path: PathLike) -> None:
     """One row per (stage, non-sink state) with the selected control."""
     ctl, m = model.controls, model.states.n_points
-    lines = [",".join(["t", "state_index", "control_index", *_coord_header(ctl.dim, "u")])]
     choice = _policy_choice_array(model, policy)[:, :m]
     rows = ctl.stage_rows(model.time)[:, None]  # broadcasts over the stages
-    coords = ctl.vectors[rows, np.arange(m), choice, : ctl.dim]
-    for k, (slots, us) in enumerate(zip(choice.tolist(), coords.tolist())):
-        t = str(policy.t0 + k)
-        for x, (j, u) in enumerate(zip(slots, us)):
-            lines.append(",".join([t, str(x), str(j), *map(_fmt, u)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    coords = ctl.vectors[rows, np.arange(m), choice, : ctl.dim].reshape(-1, ctl.dim)
+    k, x = np.divmod(np.arange(choice.size), m)
+    _write_csv(path, ["t", "state_index", "control_index", *_coord_header(ctl.dim, "u")],
+               [_cells(policy.t0 + k), _cells(x), _cells(choice).ravel(), *_cells(coords).T])
 
 
 def write_kernel_csv(slices: Iterable[KernelSlice], points: np.ndarray,
@@ -340,12 +354,13 @@ def write_kernel_csv(slices: Iterable[KernelSlice], points: np.ndarray,
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
-    lines = [",".join(["t", "beta", "state_index", *_coord_header(pts.shape[1])])]
-    for sl in slices:
-        for x in sl.members:
-            coords = [_fmt(c) for c in pts[x]]
-            lines.append(",".join([str(sl.t), _fmt(sl.beta), str(x), *coords]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    slices = list(slices)
+    sizes = [len(sl.members) for sl in slices]
+    xs = np.fromiter(chain.from_iterable(sl.members for sl in slices), np.int64)
+    _write_csv(path, ["t", "beta", "state_index", *_coord_header(pts.shape[1])],
+               [np.repeat(_cells([sl.t for sl in slices]), sizes),
+                np.repeat(_cells([sl.beta for sl in slices]), sizes),
+                _cells(xs), *_cells(pts)[xs].T])
 
 
 def write_trajectories_csv(model: Model, states: np.ndarray, controls: np.ndarray,
@@ -355,21 +370,14 @@ def write_trajectories_csv(model: Model, states: np.ndarray, controls: np.ndarra
     Sink rows leave the coordinate cells empty; terminal rows leave the
     control cell empty (no control acts at stage T).
     """
-    m = model.states.n_points
-    dim = model.states.dim
-    t0 = model.time.t0
-    steps = model.time.steps
-    header = ",".join(["sample", "t", "state_index", *_coord_header(dim), "control_index", "success"])
-    chunks = [header]
-    empty_coords = [""] * dim
-    for s in range(states.shape[0]):
-        flag = str(int(success[s]))
-        for k in range(steps + 1):
-            x = int(states[s, k])
-            coords = empty_coords if x == m else [_fmt(c) for c in model.states.points[x]]
-            ctrl = "" if k == steps else str(int(controls[s, k]))
-            chunks.append(",".join([str(s), str(t0 + k), str(x), *coords, ctrl, flag]))
-    Path(path).write_text("\n".join(chunks) + "\n", encoding="utf-8")
+    dim, steps = model.states.dim, model.time.steps
+    s, k = np.divmod(np.arange(states.shape[0] * (steps + 1)), steps + 1)
+    xs = states[:, : steps + 1].ravel()
+    coords = np.vstack([_cells(model.states.points), np.full((1, dim), "", object)])
+    ctrl = np.hstack([_cells(controls[:, :steps]), np.full((len(states), 1), "", object)])
+    _write_csv(path, ["sample", "t", "state_index", *_coord_header(dim), "control_index", "success"],
+               [_cells(s), _cells(model.time.t0 + k), _cells(xs), *coords[xs].T,
+                ctrl.ravel(), _cells(success)[s]])
 
 
 def format_estimate(est: ProbabilityEstimate) -> str:

@@ -91,8 +91,8 @@ def sample_scenario(noise: DisturbanceLaw, n_steps: int, seed: int) -> Scenario:
     return Scenario(draws.astype(np.int64))
 
 
-def _check_x0(model: Model, x0: int) -> int:
-    m = model.states.n_points
+def _check_x0(m: int, x0: int) -> int:
+    """``x0`` as an int, if it names one of the ``m`` non-sink states."""
     if not (0 <= int(x0) < m):
         raise ModelError(f"x0 must be a non-sink state index in 0..{m - 1}, got {x0}")
     return int(x0)
@@ -136,7 +136,7 @@ def _walk(model: Model, policy: FeedbackPolicy, x0: int, seeds: np.ndarray,
 
 def simulate(model: Model, policy: FeedbackPolicy, x0: int, seed: int) -> Trajectory:
     """One closed-loop trajectory under ``policy`` from state index ``x0``."""
-    x0 = _check_x0(model, x0)
+    x0 = _check_x0(model.states.n_points, x0)
     seeds = np.array([seed & _rng.MASK64], dtype=np.uint64)
     states, controls, draws, ok = _walk(model, policy, x0, seeds, record=True)
     return Trajectory(states[0], controls[0], Scenario(draws[0]), bool(ok[0]))
@@ -150,14 +150,14 @@ def simulate_batch(model: Model, policy: FeedbackPolicy, x0: int, n: int,
     sample; sample ``i`` reproduces ``simulate`` run with
     ``derive_seed(base_seed, i)``.
     """
-    x0 = _check_x0(model, x0)
+    x0 = _check_x0(model.states.n_points, x0)
     return _walk(model, policy, x0, _child_seeds(base_seed, n), record=True)
 
 
 def estimate_probability(model: Model, policy: FeedbackPolicy, x0: int, n: int,
                          base_seed: int) -> ProbabilityEstimate:
     """Monte Carlo estimate of the closed-loop success probability."""
-    x0 = _check_x0(model, x0)
+    x0 = _check_x0(model.states.n_points, x0)
     ok = _walk(model, policy, x0, _child_seeds(base_seed, n), record=False)
     successes = int(np.count_nonzero(ok))
     lo, hi = wilson_interval(successes, n)

@@ -212,6 +212,9 @@ class ControlMap:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "widths", widths)
 
+    def _repr_pretty_(self, p, cycle) -> None:
+        p.text(repr(self))  # pretty-printers would print every init field, ``data`` too
+
     @classmethod
     def shared(cls, controls, n_states: int) -> "ControlMap":
         return cls("shared", controls, n_states)
@@ -324,20 +327,32 @@ class TableDynamics:
         """
         sink = n_states
         table = np.full((steps, n_states + 1, u_max, n_atoms), sink, dtype=np.int64)
+
+        def not_list(value, where: str, items: str) -> ModelError:
+            return ModelError(f"dynamics table{where}: expected a list of {items}, got {value!r}")
+
+        if not isinstance(nested, (list, tuple)):
+            raise not_list(nested, "", "stages")
         if len(nested) != steps:
             raise ModelError(f"dynamics table: {len(nested)} stages, expected {steps}")
         for t, row in enumerate(nested):
+            if not isinstance(row, (list, tuple)):
+                raise not_list(row, f" stage {t}", "states")
             if len(row) != n_states:
                 raise ModelError(
                     f"dynamics table stage {t}: {len(row)} states, expected {n_states}"
                 )
             for x, per_u in enumerate(row):
+                if not isinstance(per_u, (list, tuple)):
+                    raise not_list(per_u, f" at (t={t}, x={x})", "control rows")
                 if len(per_u) > u_max:
                     raise ModelError(
                         f"dynamics table at (t={t}, x={x}): {len(per_u)} control rows "
                         f"exceed u_max={u_max}"
                     )
                 for u, per_w in enumerate(per_u):
+                    if not isinstance(per_w, (list, tuple)):
+                        raise not_list(per_w, f" at (t={t}, x={x}, u={u})", "disturbance entries")
                     if len(per_w) != n_atoms:
                         raise ModelError(
                             f"dynamics table at (t={t}, x={x}, u={u}): "

@@ -96,6 +96,19 @@ def walk_model(n: int, T: int) -> Model:
     )
 
 
+def signed_zero_model() -> Model:
+    """Grid point, control and box bound ``-0.0`` beside ``0.0``: a valid
+    model whose CSV files print both ``-0`` and ``0``."""
+    return Model(
+        time=TimeGrid(0, 3),
+        states=StateSpace(np.array([[-0.0], [0.5], [1.0]])),
+        controls=ControlMap.shared([[-0.0], [0.0], [0.5]], 3),
+        noise=DisturbanceLaw([[0.0], [0.5]], [0.75, 0.25]),
+        dynamics=ExprDynamics.parse(["x + u + w"], (1, 1, 1)),
+        constraints=ConstraintSets("box", stationary=([-0.0], [1.0])),
+    )
+
+
 def random_policy(model: Model, seed: int) -> FeedbackPolicy:
     """A uniformly random admissible feedback for ``model``."""
     rng = random.Random(seed)

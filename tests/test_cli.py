@@ -1,12 +1,14 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import signed_zero_model
 from stochviab.cli import main
 from stochviab.dp import solve
-from stochviab.io import load_model, read_value_csv
+from stochviab.io import load_model, read_value_csv, save_model
 from stochviab.kernel import kernel_slice
 
 
@@ -93,6 +95,9 @@ def test_solve_diagnostics_on_invalid_model(model_path, tmp_path, capsys):
         (("dynamics", "body"), '["x + + "]',
          "dynamics.body[0]: expected a number, name or '(' (offset 4)"),
         (("dynamics", "body"), '["x + y"]', "dynamics.body[0]: unknown variable 'y' (offset 4)"),
+        # the later duplicate "mode" key wins, so the body is read as a table
+        (("dynamics", "body"), '5, "mode": "table"',
+         "dynamics table: expected a list of stages, got 5"),
         pytest.param(("dynamics", "body"), '["' + "(" * 300 + "x" + ")" * 300 + '"]',
                      "dynamics.body[0]: expression nested deeper than 100 levels (offset 100)",
                      id="300-parentheses"),
@@ -174,6 +179,20 @@ def test_value_query(model_path, capsys):
     assert capsys.readouterr().out == "1\n"
 
 
+@pytest.mark.parametrize("x0", [-4, -1, 3, 99])
+@pytest.mark.parametrize("source", ["--values", "--model"])
+def test_value_rejects_x0_outside_the_states(model_path, tmp_path, capsys, source, x0):
+    path = model_path
+    if source == "--values":
+        assert main(["solve", "--model", str(model_path), "--out", str(tmp_path / "s")]) == 0
+        path = tmp_path / "s" / "value.csv"
+    capsys.readouterr()
+    rc = main(["value", source, str(path), "--time", "0", "--x0", str(x0)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: x0 must be a non-sink state index in 0..2, got {x0}\n"
+
+
 def test_policy_export(model_path, tmp_path):
     out = tmp_path / "policy.csv"
     assert main(["policy", "--model", str(model_path), "--out", str(out)]) == 0
@@ -197,6 +216,26 @@ def test_simulate_nine_paths(model_path, tmp_path, capsys):
     plot_lines = plot.read_text().splitlines()
     assert plot_lines[0] == "t," + ",".join(f"x_sample{i}" for i in range(9))
     assert len(plot_lines) == 1 + 41
+
+
+@pytest.mark.parametrize(
+    "name,x0,want",
+    [
+        ("example", 1, ("2bff96fcf5b4f3be", "e1a08ab81cc44e36")),
+        ("signed-zero", 0, ("adc5cf5fa0ec9827", "27f6bc6e0392ddd6")),
+    ],
+)
+def test_simulate_file_bytes_pinned(model_path, tmp_path, capsys, name, x0, want):
+    if name == "signed-zero":
+        model_path = tmp_path / "signed-zero.json"
+        save_model(signed_zero_model(), model_path)
+    out, plot = tmp_path / "traj.csv", tmp_path / "plot.csv"
+    assert main(["simulate", "--model", str(model_path), "--x0", str(x0),
+                 "--samples", "12", "--seed", "7",
+                 "--out", str(out), "--plot-data", str(plot)]) == 0
+    capsys.readouterr()
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in (out, plot))
+    assert got == want
 
 
 def test_simulate_rejects_sink_start(model_path, capsys):

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import random_model, signed_zero_model
+from stochviab.cli import _write_plot_data
 from stochviab.dp import solve
 from stochviab.io import (
     ModelFormatError,
@@ -137,6 +138,13 @@ class TestModelJson:
              "constraints.per_stage[1][0]: expected an integer, got 1.5"),
             (("constraints", "per_stage", 2, 1), '"a"',
              "constraints.per_stage[2][1]: expected an integer, got 'a'"),
+            (("dynamics", "body"), "5", "dynamics table: expected a list of stages, got 5"),
+            (("dynamics", "body", 1), "5",
+             "dynamics table stage 1: expected a list of states, got 5"),
+            (("dynamics", "body", 0, 1), "5",
+             "dynamics table at (t=0, x=1): expected a list of control rows, got 5"),
+            (("dynamics", "body", 1, 0, 0), "5",
+             "dynamics table at (t=1, x=0, u=0): expected a list of disturbance entries, got 5"),
         ],
     )
     def test_integer_entries_read_strictly(self, tmp_path, keys, literal, message):
@@ -326,3 +334,60 @@ class TestPinnedBytes:
     def test_random_per_stage_state_models(self, tmp_path, seed, want):
         got = _output_digests(random_model(seed), tmp_path)
         assert (got["argmax"], got["smallest"], got["largest"]) == want
+
+
+def _writer_digests(model: Model, tmp_path) -> dict[str, str]:
+    """Digests of the value, kernel (every stage, beta 0.5), trajectory and
+    plot-data files, for 12 paths from state 0 under the default feedback."""
+    vf, am = solve(model)
+    paths = {k: tmp_path / f"{k}.csv" for k in ("value", "kernel", "trajectories", "plot")}
+    write_value_csv(vf, paths["value"])
+    slices = [kernel_slice(vf, t, 0.5) for t in range(vf.t0, vf.T + 1)]
+    write_kernel_csv(slices, vf.points, paths["kernel"])
+    states, controls, _, success = simulate_batch(model, select_feedback(am), 0, 12, 5)
+    write_trajectories_csv(model, states, controls, success, paths["trajectories"])
+    _write_plot_data(model, states, str(paths["plot"]))
+    return {k: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for k, p in paths.items()}
+
+
+PINNED_MODELS = {
+    "ragged": ragged_table_model,
+    "random-0": lambda: random_model(0),
+    "random-3": lambda: random_model(3),
+    "random-8": lambda: random_model(8),
+    "signed-zero": signed_zero_model,
+}
+
+
+class TestPinnedWriterBytes:
+    """SHA-256 prefixes of the value, kernel, trajectory and plot-data files."""
+
+    @pytest.mark.parametrize(
+        "name,want",
+        [
+            ("ragged",
+             ("3d06ac667fdaee79", "c8cb7ca2010986e2", "418402cb501082d0", "d5bacaddbb2407e9")),
+            ("random-0",
+             ("eea344e52bfa2943", "582cb26ced313781", "0e61b0750c1e0975", "43d3b79bb9305bfc")),
+            ("random-3",
+             ("720b5fb42dbd15d3", "7d0138b34ee80bbb", "530e76bb76332727", "4988fe43652d69c9")),
+            ("random-8",
+             ("951975558670281d", "6d79a7e3554c8624", "4fcd1cfb6ed6e6d6", "4ed5e392bbb119ad")),
+            ("signed-zero",
+             ("1088de8d45fd55b8", "a380e9fe1409f5b5", "0eb3f27c0fb1b439", "d2943c02f8d6883e")),
+        ],
+    )
+    def test_writer_bytes(self, tmp_path, name, want):
+        got = _writer_digests(PINNED_MODELS[name](), tmp_path)
+        assert (got["value"], got["kernel"], got["trajectories"], got["plot"]) == want
+
+    def test_signed_zero_model_argmax_and_policy(self, tmp_path):
+        """The argmax file lists the controls -0.0 and 0.0 in one column."""
+        assert _output_digests(signed_zero_model(), tmp_path) == {
+            "argmax": "7e42910b7f0785eb",
+            "smallest": "ba83a790938f7f70",
+            "largest": "6d4866056d662ff9",
+        }
+        controls = {ln.rsplit(",", 1)[1]
+                    for ln in (tmp_path / "argmax.csv").read_text().splitlines()[1:]}
+        assert {"-0", "0"} <= controls

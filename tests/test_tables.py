@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.vendor.pretty import pretty
 
 from conftest import random_model, walk_model
-from stochviab import expr
+from stochviab import expr, make_three_state_example
 from stochviab.dp import TABLE_BYTES_GUARD
 from stochviab.model import (
     ConstraintSets,
@@ -178,6 +179,12 @@ def test_array_build_matches_point_by_point_build(model):
     assert np.array_equal(model.tables.n_ctrl, n_ctrl)
     assert model.tables.next_state.dtype == nxt.dtype
     assert np.array_equal(model.tables.next_state, nxt)
+
+
+def test_a_falsifying_model_can_be_printed():
+    """hypothesis prints a failing example with ``pretty``, which reads every
+    init field; ``ControlMap.data`` is init-only."""
+    assert "ControlMap(kind='shared'" in pretty(make_three_state_example(0.01))
 
 
 @settings(max_examples=200, deadline=None)
