@@ -18,7 +18,7 @@ import numpy as np
 from . import closed_form, io, kernel as kern, mc
 from .dp import solve
 from .kernel import select_feedback
-from .model import InvalidModelError, Model, ModelError, make_three_state_example
+from .model import InvalidModelError, Model, ModelError, _check_x0, make_three_state_example
 
 
 def _solve_file(path: str) -> tuple:
@@ -69,7 +69,7 @@ def cmd_value(args) -> int:
         raise ModelError("--time is required")
     k = vf.stage_index(args.time)
     if args.x0 is not None:
-        print(io._fmt(vf.table[k, mc._check_x0(vf.n_states, args.x0)]))
+        print(io._fmt(vf.table[k, _check_x0(vf.n_states, args.x0)]))
         return 0
     for x in range(vf.n_states):
         print(f"{x} {io._fmt(vf.table[k, x])}")

@@ -9,11 +9,12 @@ started at x.  It satisfies the recursion
     V(t, x) = 1_{A(t)}(x) * max_u  sum_i probs[i] * V(t+1, f(t, x, u, w_i))
 
 with the maximum over the admissible controls at (t, x).  The sink carries
-value 0 at every stage.  Controls whose stage expectation q satisfies
-``q >= best - ARGMAX_TOL * best`` (ties, or a relative gap of at most
-``ARGMAX_TOL`` below the stage maximum ``best``) all count as maximizers.
-Any selection from those sets (see :mod:`stochviab.kernel`) may lose that
-relative gap at every stage, so it achieves V within a relative
+value 0 at every stage.  Policy evaluation is the same backup over the
+policy's single control at each (t, x).  Controls whose stage expectation q
+satisfies ``q >= best - ARGMAX_TOL * best`` (ties, or a relative gap of at
+most ``ARGMAX_TOL`` below the stage maximum ``best``) all count as
+maximizers.  Any selection from those sets (see :mod:`stochviab.kernel`) may
+lose that relative gap at every stage, so it achieves V within a relative
 ``steps * ARGMAX_TOL`` (up to rounding), values close to 0 included.  On a
 200-stage walk both tie-breaks fall short of V by a relative 1.3e-11.
 
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import InvalidModelError, Model, ModelError, validate
+from .model import InvalidModelError, Model, ModelError, _check_x0, validate
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import FeedbackPolicy
@@ -75,16 +76,6 @@ def _stage_backup(member_t, n_ctrl_t, next_t, probs, v_next):
     values = np.where(member_t, np.minimum(best[:, 0], 1.0), 0.0)
     mask = member_t[:, None] & (q >= best - ARGMAX_TOL * best)
     return values, mask
-
-
-def _policy_backup(member_t, next_t, choice_t, probs, v_next):
-    """One policy-evaluation stage: expectation under the fixed control slot."""
-    n_total, _, n_atoms = next_t.shape
-    succ = next_t[np.arange(n_total), choice_t, :]
-    acc = np.zeros(n_total)
-    for i in range(n_atoms):
-        acc += probs[i] * v_next[succ[:, i]]
-    return np.where(member_t, np.minimum(acc, 1.0), 0.0)
 
 
 class PolicyError(ValueError):
@@ -188,26 +179,35 @@ def bellman_step(model: Model, t: int, next_slice: ValueSlice
     return ValueSlice(t, values), argmax
 
 
+def _backward(model: Model, policy: "FeedbackPolicy | None" = None):
+    """V from V(T, .) back to t0 and the argmax mask, one ``_stage_backup`` per stage.
+
+    With ``policy`` the only admissible control is the policy's (count 1).
+    """
+    _require_valid(model)  # before the tables are read, so every violation is listed
+    tab = model.tables
+    n_ctrl, width, successors = tab.n_ctrl, tab.u_max, tab.next_state.__getitem__
+    if policy is not None:
+        choice = _policy_choice_array(model, policy)
+        rows = np.arange(tab.n_states + 1)
+        n_ctrl, width = np.broadcast_to(np.int64(1), choice.shape), 1
+        successors = lambda k: tab.next_state[k][rows, choice[k], None]
+
+    table = np.zeros((tab.steps + 1, tab.n_states + 1))
+    table[tab.steps] = terminal_slice(model).values
+    mask = np.zeros(n_ctrl.shape + (width,), dtype=bool)
+    for k in range(tab.steps - 1, -1, -1):
+        table[k], mask[k] = _stage_backup(
+            tab.member[k], n_ctrl[k], successors(k), tab.probs, table[k + 1]
+        )
+    return ValueFunction(tab.t0, tab.T, model.states.points.copy(), table), mask
+
+
 def solve(model: Model) -> tuple[ValueFunction, ArgmaxPolicy]:
     """Full backward induction; O(steps * states * controls * disturbances)."""
-    _require_valid(model)
+    vf, mask = _backward(model)
     tab = model.tables
-    steps = tab.steps
-    n_total = tab.n_states + 1
-
-    table = np.zeros((steps + 1, n_total))
-    table[steps] = tab.member[steps].astype(np.float64)
-    mask = np.zeros((steps, n_total, tab.u_max), dtype=bool)
-    for k in range(steps - 1, -1, -1):
-        values, stage_mask = _stage_backup(
-            tab.member[k], tab.n_ctrl[k], tab.next_state[k], tab.probs, table[k + 1]
-        )
-        table[k] = values
-        mask[k] = stage_mask
-
-    vf = ValueFunction(tab.t0, tab.T, model.states.points.copy(), table)
-    am = ArgmaxPolicy(tab.t0, tab.T, mask, tab.n_ctrl)
-    return vf, am
+    return vf, ArgmaxPolicy(tab.t0, tab.T, mask, tab.n_ctrl)
 
 
 def _policy_choice_array(model: Model, policy: "FeedbackPolicy") -> np.ndarray:
@@ -236,18 +236,7 @@ def evaluate_policy(model: Model, policy: "FeedbackPolicy") -> ValueFunction:
     (t0, x0) is exactly the probability that the closed-loop path from x0
     satisfies every constraint through stage T.
     """
-    _require_valid(model)
-    choice = _policy_choice_array(model, policy)
-    tab = model.tables
-    steps = tab.steps
-
-    table = np.zeros((steps + 1, tab.n_states + 1))
-    table[steps] = tab.member[steps].astype(np.float64)
-    for k in range(steps - 1, -1, -1):
-        table[k] = _policy_backup(
-            tab.member[k], tab.next_state[k], choice[k], tab.probs, table[k + 1]
-        )
-    return ValueFunction(tab.t0, tab.T, model.states.points.copy(), table)
+    return _backward(model, policy)[0]
 
 
 def brute_force_value(model: Model, x0: int) -> float:
@@ -261,8 +250,7 @@ def brute_force_value(model: Model, x0: int) -> float:
     _require_valid(model)
     tab = model.tables
     m = tab.n_states
-    if not (0 <= x0 < m):
-        raise ModelError(f"x0 must be a non-sink state index in 0..{m - 1}, got {x0}")
+    x0 = _check_x0(m, x0)
     steps = tab.steps
 
     radices = [int(tab.n_ctrl[k, x]) for k in range(steps) for x in range(m)]

@@ -10,6 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -291,7 +292,8 @@ def read_value_csv(path: PathLike) -> ValueFunction:
         raise ModelFormatError(f"{path}: unexpected value header {lines[0]!r}")
     dim = len(header) - 3
 
-    rows = {}  # (t, state_index) -> (coordinates, value)
+    rows = {}  # (t, state_index) -> value
+    coords_of = {}  # state_index -> coordinates, the same at every stage
     for i, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
         if len(parts) != len(header):
@@ -301,11 +303,19 @@ def read_value_csv(path: PathLike) -> ValueFunction:
             coords, value = [float(c) for c in parts[2:2 + dim]], float(parts[-1])
         except ValueError:
             raise ModelFormatError(f"{path}: line {i}: malformed number in {ln!r}") from None
+        if not (math.isfinite(value) and all(map(math.isfinite, coords))):
+            raise ModelFormatError(f"{path}: line {i}: non-finite number in {ln!r}")
+        if not 0.0 <= value <= 1.0:
+            raise ModelFormatError(
+                f"{path}: line {i}: value {parts[-1]} is not a probability in [0, 1]")
         if x < 0:
             raise ModelFormatError(f"{path}: line {i}: negative state_index {x}")
         if (t, x) in rows:
             raise ModelFormatError(f"{path}: line {i}: second row for (t={t}, state_index={x})")
-        rows[t, x] = coords, value
+        if coords_of.setdefault(x, coords) != coords:
+            raise ModelFormatError(
+                f"{path}: line {i}: coordinates of state_index {x} differ from an earlier row")
+        rows[t, x] = value
     if not rows:
         raise ModelFormatError(f"{path}: no value rows")
 
@@ -317,10 +327,9 @@ def read_value_csv(path: PathLike) -> ValueFunction:
     if len(rows) != len(stages) * m:  # the keys are distinct, so none is missing
         raise ModelFormatError(f"{path}: missing (stage, state) rows")
 
-    points = np.zeros((m, dim))
+    points = np.array([coords_of[x] for x in range(m)])
     table = np.zeros((T - t0 + 1, m + 1))
-    for (t, x), (coords, value) in rows.items():
-        points[x] = coords
+    for (t, x), value in rows.items():
         table[t - t0, x] = value
     return ValueFunction(t0, T, points, table)
 

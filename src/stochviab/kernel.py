@@ -118,7 +118,11 @@ def select_feedback(argmax: ArgmaxPolicy, tie_break: TieBreak = "smallest"
     else:
         choice = np.argmax(mask, axis=-1)  # the smallest maximizer
     if rule is None:
-        for j in reversed([int(j) for j in tie_break]):  # the first preferred maximizer wins
+        prefs = [int(j) for j in tie_break]
+        for j in prefs:
+            if not 0 <= j < mask.shape[2]:
+                raise ModelError(f"preference slot {j} outside 0..{mask.shape[2] - 1}")
+        for j in reversed(prefs):  # the first preferred maximizer wins
             choice = np.where(mask[..., j], j, choice)
     choice = np.where(mask.any(axis=-1), choice, 0).astype(np.int64)
     return FeedbackPolicy(argmax.t0, argmax.T, choice)

@@ -19,7 +19,7 @@ import numpy as np
 from . import _rng
 from .dp import _policy_choice_array
 from .kernel import FeedbackPolicy
-from .model import DisturbanceLaw, Model, ModelError
+from .model import DisturbanceLaw, Model, ModelError, _check_x0
 
 __all__ = [
     "Scenario",
@@ -89,13 +89,6 @@ def sample_scenario(noise: DisturbanceLaw, n_steps: int, seed: int) -> Scenario:
         raise ModelError(f"n_steps must be non-negative, got {n_steps}")
     draws = _draws(noise.cdf, seed & _rng.MASK64, np.arange(n_steps))
     return Scenario(draws.astype(np.int64))
-
-
-def _check_x0(m: int, x0: int) -> int:
-    """``x0`` as an int, if it names one of the ``m`` non-sink states."""
-    if not (0 <= int(x0) < m):
-        raise ModelError(f"x0 must be a non-sink state index in 0..{m - 1}, got {x0}")
-    return int(x0)
 
 
 def _child_seeds(base_seed: int, n: int) -> np.ndarray:

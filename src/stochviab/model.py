@@ -106,11 +106,6 @@ class StateSpace:
     def n_total(self) -> int:
         return self.n_points + 1
 
-    def coords(self, x: int) -> np.ndarray:
-        if not (0 <= x < self.n_points):
-            raise ModelError(f"state index {x} out of range (sink has no coordinates)")
-        return self.points[x]
-
     @cached_property
     def min_spacing(self) -> float:
         """Smallest gap between distinct coordinate values over all axes."""
@@ -120,6 +115,13 @@ class StateSpace:
             if vals.size >= 2:
                 best = min(best, float(np.min(np.diff(vals))))
         return best
+
+
+def _check_x0(m: int, x0: int) -> int:
+    """``x0`` as an int, if it names one of the ``m`` non-sink states."""
+    if not (0 <= int(x0) < m):
+        raise ModelError(f"x0 must be a non-sink state index in 0..{m - 1}, got {x0}")
+    return int(x0)
 
 
 # Rows of points projected per chunk, so that each temporary holds at most

@@ -24,6 +24,7 @@ from stochviab.model import (
     TableDynamics,
     TimeGrid,
     make_three_state_example,
+    validate,
 )
 
 
@@ -192,6 +193,44 @@ class TestEvaluatePolicy:
             for j in range(5):
                 pv = evaluate_policy(model, random_policy(model, 100 * seed + j))
                 assert np.all(pv.table <= vf.table + 1e-12)
+
+    def test_evaluation_is_the_backup_over_the_policy_control(self, example_model):
+        """Solving the model whose only admissible control at each (stage,
+        state) is the policy's gives the evaluation table, bit for bit."""
+        for model in (example_model, *(random_model(seed) for seed in range(40))):
+            tab, ctl = model.tables, model.controls
+            m, rows = tab.n_states, ctl.stage_rows(model.time)  # one row if stationary
+            _, am = solve(model)
+            for rule in ("smallest", "largest"):
+                policy = select_feedback(am, rule)
+                choice = policy.choice
+                vectors = [[[ctl.vectors[rows[k % rows.size], x, choice[k, x], : ctl.dim]]
+                            for x in range(m)] for k in range(tab.steps)]
+                table = np.stack([tab.next_state[k][np.arange(m + 1), choice[k], None]
+                                  for k in range(tab.steps)])
+                restricted = Model(
+                    model.time, model.states,
+                    ControlMap.per_stage_state(vectors, m, model.time.t0),
+                    model.noise, TableDynamics(table), model.constraints,
+                )
+                assert np.array_equal(solve(restricted)[0].table,
+                                      evaluate_policy(model, policy).table)
+
+    def test_invalid_model_listed_before_tables_are_built(self):
+        """A per_stage_state table with one row for three stages: both
+        backward inductions list every violation, not the table build's."""
+        base = make_three_state_example(0.01, 0, 3)
+        bad = Model(
+            base.time, base.states,
+            ControlMap.per_stage_state([[[[-1.0], [1.0]]] * 3], 3, 0),
+            base.noise, base.dynamics, base.constraints,
+        )
+        policy = FeedbackPolicy(0, 3, np.zeros((3, 4), dtype=np.int64))
+        for run in (lambda: solve(bad), lambda: evaluate_policy(bad, policy)):
+            with pytest.raises(InvalidModelError) as err:
+                run()
+            assert len(err.value.violations) == 6
+            assert err.value.violations == validate(bad)
 
     def test_inadmissible_policy_rejected(self, example_model):
         tab = example_model.tables

@@ -192,6 +192,10 @@ class TestValueCsv:
             (3, "0,1,0,zero", "line 3: malformed number in '0,1,0,zero'"),
             (2, "0,-1,-1,0.5", "line 2: negative state_index -1"),
             (4, "0,1,0,0.5", "line 4: second row for (t=0, state_index=1)"),
+            (5, "1,0,-0.5,0.5", "line 5: coordinates of state_index 0 differ from an earlier row"),
+            (3, "0,1,0,nan", "line 3: non-finite number in '0,1,0,nan'"),
+            (3, "0,1,inf,0.5", "line 3: non-finite number in '0,1,inf,0.5'"),
+            (3, "0,1,0,1.5", "line 3: value 1.5 is not a probability in [0, 1]"),
         ],
     )
     def test_malformed_rows_rejected(self, tmp_path, example_model, line, text, message):

@@ -85,10 +85,12 @@ class TestSelectFeedback:
         assert largest.choose(0, 0) == 1 and prefer.choose(0, 0) == 1
         assert largest.choose(0, 2) == 0 and prefer.choose(0, 2) == 0
 
-    def test_unknown_rule_rejected(self, example_model):
+    @pytest.mark.parametrize("rule", ["alphabetical", [-1], [5]],
+                             ids=["alphabetical", "slot-minus-1", "slot-5"])
+    def test_unknown_rule_rejected(self, example_model, rule):
         _, am = solve(example_model)
         with pytest.raises(ModelError):
-            select_feedback(am, "alphabetical")
+            select_feedback(am, rule)
 
     def test_unique_maximizers_tie_break_independent(self):
         for seed in range(8):
