@@ -1,5 +1,9 @@
 """Index tables compiled from a model for the array kernels.
 
+Only a valid model compiles: ``build_tables`` raises :class:`InvalidModelError`
+with :func:`validate`'s violations before anything is allocated, and
+``Model.tables`` caches the result, so a model is validated once.
+
 Everything the solvers touch per inner iteration lives in flat numpy arrays:
 successor indices, admissible control counts, constraint membership, and the
 disturbance pmf.  The sink occupies the last state row; its single dummy
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import expr as _expr
 from .dp import TABLE_BYTES_GUARD
-from .model import Model, ModelError, TableDynamics, project_to_grid
+from .model import InvalidModelError, Model, ModelError, TableDynamics, project_to_grid, validate
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +63,9 @@ class Tables:
 
 
 def build_tables(model: Model) -> Tables:
+    violations = validate(model)
+    if violations:
+        raise InvalidModelError(violations)
     time, states, ctl = model.time, model.states, model.controls
     m = states.n_points
     n_total = m + 1
@@ -66,12 +73,10 @@ def build_tables(model: Model) -> Tables:
     n_atoms = model.noise.n_atoms
 
     rows = ctl.stage_rows(time)
-    if np.any(rows < 0):
-        raise ModelError(f"no control table row for stage {time.t0 + int(np.argmin(rows))}")
     counts = ctl.counts[rows]  # one row, or one per stage
-    u_max = max(1, int(counts.max(initial=0)))
-    if isinstance(model.dynamics, TableDynamics):
-        u_max = max(u_max, model.dynamics.table.shape[2])
+    table = isinstance(model.dynamics, TableDynamics)
+    # valid: every state has a control, and a table has a slot for each
+    u_max = model.dynamics.table.shape[2] if table else int(counts.max())
     nbytes = steps * n_total * u_max * n_atoms * 8
     if nbytes > TABLE_BYTES_GUARD:
         raise ModelError(
@@ -81,10 +86,8 @@ def build_tables(model: Model) -> Tables:
         )
 
     n_ctrl = np.pad(counts, [(0, 0), (0, 1)], constant_values=1)  # the sink's dummy control
-    if isinstance(model.dynamics, TableDynamics):
-        tab = model.dynamics.table  # unused control slots go to the sink
-        nxt = np.pad(tab, [(0, 0), (0, 0), (0, u_max - tab.shape[2]), (0, 0)], constant_values=m)
-        nxt[:, m, :, :] = m  # absorbing sink regardless of stored row
+    if table:
+        nxt = model.dynamics.table.copy()  # slots past a state's count are masked by n_ctrl
     else:
         nxt = _expr_table(model, rows, u_max)
 
@@ -110,8 +113,6 @@ def _expr_table(model: Model, rows: np.ndarray, u_max: int) -> np.ndarray:
         r = rows[k] if rows.size > 1 else rows[0]
         xs, js = np.nonzero(np.arange(u_max) < ctl.counts[r][:, None])
         shape = (xs.size, noise.n_atoms)
-        if 0 in shape:
-            continue
         bindings = _mesh_bindings(
             float(time.t0 + k),
             states.points[xs][:, None, :],

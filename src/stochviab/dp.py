@@ -22,6 +22,9 @@ lose that relative gap at every stage, so it achieves V within a relative
 law (one control slot per stage and non-sink state), scores each with the
 plain policy-evaluation recursion, and returns the best score.  It shares no
 code with the stage kernels.
+
+Every function here reads ``model.tables``, which compiles only a valid
+model: each raises :class:`~stochviab.model.InvalidModelError` on any other.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import InvalidModelError, Model, ModelError, _check_x0, validate
+from .model import Model, ModelError, _check_x0
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import FeedbackPolicy
@@ -143,12 +146,6 @@ class ArgmaxPolicy:
         return tuple(int(j) for j in np.nonzero(row)[0])
 
 
-def _require_valid(model: Model) -> None:
-    violations = validate(model)
-    if violations:
-        raise InvalidModelError(violations)
-
-
 def terminal_slice(model: Model) -> ValueSlice:
     """V(T, .): the indicator of the target set; 0 at the sink."""
     tab = model.tables
@@ -184,7 +181,6 @@ def _backward(model: Model, policy: "FeedbackPolicy | None" = None):
 
     With ``policy`` the only admissible control is the policy's (count 1).
     """
-    _require_valid(model)  # before the tables are read, so every violation is listed
     tab = model.tables
     n_ctrl, width, successors = tab.n_ctrl, tab.u_max, tab.next_state.__getitem__
     if policy is not None:
@@ -210,14 +206,23 @@ def solve(model: Model) -> tuple[ValueFunction, ArgmaxPolicy]:
     return vf, ArgmaxPolicy(tab.t0, tab.T, mask, tab.n_ctrl)
 
 
+def _check_stages(model: Model, policy, shape: tuple) -> None:
+    """Raise ``PolicyError`` unless ``policy`` spans the model's stages and its
+    table's ``shape`` is the model's ``(steps, n_total)``."""
+    time, want = model.time, (model.time.steps, model.states.n_total)
+    if (policy.t0, policy.T) != (time.t0, time.T):
+        raise PolicyError(
+            f"policy stages [{policy.t0}, {policy.T}] differ from the model's [{time.t0}, {time.T}]"
+        )
+    if shape != want:
+        raise PolicyError(f"policy table shape {shape} does not match model {want}")
+
+
 def _policy_choice_array(model: Model, policy: "FeedbackPolicy") -> np.ndarray:
     """Validated (steps, n_total) slot array for ``policy`` on ``model``."""
     tab = model.tables
     choice = np.asarray(policy.choice, dtype=np.int64)
-    if choice.shape != tab.n_ctrl.shape:
-        raise PolicyError(
-            f"policy table shape {choice.shape} does not match model {tab.n_ctrl.shape}"
-        )
+    _check_stages(model, policy, choice.shape)
     bad = (choice < 0) | (choice >= tab.n_ctrl)
     if np.any(bad):
         k, x = map(int, np.argwhere(bad)[0])
@@ -247,7 +252,6 @@ def brute_force_value(model: Model, x0: int) -> float:
     candidates at once), and returns the maximum at (t0, x0).  Guarded to
     ``BRUTE_FORCE_GUARD`` candidate policies.
     """
-    _require_valid(model)
     tab = model.tables
     m = tab.n_states
     x0 = _check_x0(m, x0)

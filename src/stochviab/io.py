@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .dp import ArgmaxPolicy, ValueFunction, _policy_choice_array
+from .dp import ArgmaxPolicy, ValueFunction, _check_stages, _policy_choice_array
 from .expr import ExprError, parse as parse_expr
 from .kernel import FeedbackPolicy, KernelSlice
 from .mc import ProbabilityEstimate
@@ -339,6 +339,7 @@ def read_value_csv(path: PathLike) -> ValueFunction:
 
 def write_argmax_csv(model: Model, argmax: ArgmaxPolicy, path: PathLike) -> None:
     """One row per maximizing control: t, state, slot, control coordinates."""
+    _check_stages(model, argmax, argmax.mask.shape[:2])
     ctl = model.controls
     ks, xs, js = np.nonzero(argmax.mask[:, : model.states.n_points])
     rows = np.broadcast_to(ctl.stage_rows(model.time), model.time.steps)

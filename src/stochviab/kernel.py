@@ -15,8 +15,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .dp import ArgmaxPolicy, PolicyError, ValueFunction, evaluate_policy
-from .model import Model, ModelError
+from .dp import ArgmaxPolicy, PolicyError, ValueFunction, _policy_choice_array, evaluate_policy
+from .model import Model, ModelError, _is_int
 
 __all__ = [
     "KernelSlice",
@@ -66,13 +66,10 @@ class FeedbackPolicy:
 
     @classmethod
     def from_array(cls, model: Model, choice: np.ndarray) -> "FeedbackPolicy":
-        tab = model.tables
-        arr = np.asarray(choice, dtype=np.int64)
-        if arr.shape != (tab.steps, tab.n_states + 1):
-            raise PolicyError(
-                f"choice shape {arr.shape}, expected {(tab.steps, tab.n_states + 1)}"
-            )
-        return cls(tab.t0, tab.T, arr.copy())
+        """The policy of a ``(steps, n_total)`` slot array; each slot must be admissible."""
+        policy = cls(model.time.t0, model.time.T, np.array(choice, dtype=np.int64))
+        _policy_choice_array(model, policy)  # raises PolicyError
+        return policy
 
     @classmethod
     def constant(cls, model: Model, control: Sequence[float]) -> "FeedbackPolicy":
@@ -118,10 +115,12 @@ def select_feedback(argmax: ArgmaxPolicy, tie_break: TieBreak = "smallest"
     else:
         choice = np.argmax(mask, axis=-1)  # the smallest maximizer
     if rule is None:
-        prefs = [int(j) for j in tie_break]
+        prefs = list(tie_break)
         for j in prefs:
-            if not 0 <= j < mask.shape[2]:
-                raise ModelError(f"preference slot {j} outside 0..{mask.shape[2] - 1}")
+            if not (_is_int(j) and 0 <= j < mask.shape[2]):
+                raise ModelError(
+                    f"preference slot {j} must be an integer in 0..{mask.shape[2] - 1}"
+                )
         for j in reversed(prefs):  # the first preferred maximizer wins
             choice = np.where(mask[..., j], j, choice)
     choice = np.where(mask.any(axis=-1), choice, 0).astype(np.int64)

@@ -46,7 +46,7 @@ class ModelError(ValueError):
 
 
 class InvalidModelError(ModelError):
-    """Raised by solvers when :func:`validate` reports violations."""
+    """Raised when a model with violations is compiled; ``violations`` lists them."""
 
     def __init__(self, violations: list[str]):
         super().__init__("invalid model: " + "; ".join(violations))
@@ -118,8 +118,8 @@ class StateSpace:
 
 
 def _check_x0(m: int, x0: int) -> int:
-    """``x0`` as an int, if it names one of the ``m`` non-sink states."""
-    if not (0 <= int(x0) < m):
+    """``x0`` as an int, if it is an integer naming one of the ``m`` non-sink states."""
+    if not (_is_int(x0) and 0 <= x0 < m):
         raise ModelError(f"x0 must be a non-sink state index in 0..{m - 1}, got {x0}")
     return int(x0)
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_model, random_policy, walk_model
+from stochviab import _tables
 from stochviab.closed_form import matrix_value
 from stochviab.dp import (
     ARGMAX_TOL,
+    PolicyError,
     ValueSlice,
     bellman_step,
     brute_force_value,
@@ -13,6 +15,7 @@ from stochviab.dp import (
     terminal_slice,
 )
 from stochviab.kernel import FeedbackPolicy, select_feedback
+from stochviab.mc import estimate_probability, simulate
 from stochviab.model import (
     ConstraintSets,
     ControlMap,
@@ -231,6 +234,45 @@ class TestEvaluatePolicy:
                 run()
             assert len(err.value.violations) == 6
             assert err.value.violations == validate(bad)
+
+    def test_every_reader_of_the_tables_is_gated(self):
+        """Compiling the tables is the one gate: each consumer of an invalid
+        model raises, not only the backward inductions."""
+        base = make_three_state_example(0.01, 0, 5)
+        bad = Model(
+            base.time, base.states, base.controls,
+            DisturbanceLaw(base.noise.support, np.array([0.25, 0.25, 0.25])),
+            base.dynamics, base.constraints,
+        )
+        policy = FeedbackPolicy.constant(base, [1.0])
+        for run in (
+            lambda: estimate_probability(bad, policy, 1, 10000, 3),
+            lambda: simulate(bad, policy, 1, 3),
+            lambda: FeedbackPolicy.constant(bad, [1.0]),
+            lambda: terminal_slice(bad),
+            lambda: bellman_step(bad, 4, terminal_slice(base)),
+        ):
+            with pytest.raises(InvalidModelError) as err:
+                run()
+            assert err.value.violations == validate(bad)
+
+    def test_one_model_is_validated_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_tables, "validate", lambda model: calls.append(model) or [])
+        model = make_three_state_example(0.1, 0, 3)
+        _, am = solve(model)
+        policy = select_feedback(am)
+        evaluate_policy(model, policy)
+        estimate_probability(model, policy, 1, 100, 0)
+        brute_force_value(model, 1)
+        assert calls == [model]
+
+    def test_policy_stages_must_match_the_model(self):
+        model = make_three_state_example(0.01, 0, 5)
+        policy = select_feedback(solve(model)[1])
+        stages = r"policy stages \[7, 12\] differ from the model's \[0, 5\]"
+        with pytest.raises(PolicyError, match=stages):
+            evaluate_policy(model, FeedbackPolicy(7, 12, policy.choice))
 
     def test_inadmissible_policy_rejected(self, example_model):
         tab = example_model.tables

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_model, signed_zero_model
 from stochviab.cli import _write_plot_data
-from stochviab.dp import solve
+from stochviab.dp import ArgmaxPolicy, PolicyError, solve
 from stochviab.io import (
     ModelFormatError,
     format_estimate,
@@ -22,7 +22,7 @@ from stochviab.io import (
     write_trajectories_csv,
     write_value_csv,
 )
-from stochviab.kernel import kernel_slice, select_feedback
+from stochviab.kernel import FeedbackPolicy, kernel_slice, select_feedback
 from stochviab.mc import ProbabilityEstimate, simulate_batch
 from stochviab.model import (
     ConstraintSets,
@@ -235,6 +235,20 @@ def test_policy_and_argmax_csv(tmp_path, example_model):
     assert alines[0] == "t,state_index,control_index,u1"
     # per stage: one maximizer at each boundary, two at the center
     assert len(alines) == 1 + 40 * 4
+
+
+def test_policy_and_argmax_csv_reject_other_stages(tmp_path):
+    model = make_three_state_example(0.01, 0, 5)
+    _, am = solve(model)
+    fb = select_feedback(am)
+    stages = r"policy stages \[7, 12\] differ from the model's \[0, 5\]"
+    with pytest.raises(PolicyError, match=stages):
+        write_policy_csv(model, FeedbackPolicy(7, 12, fb.choice), tmp_path / "p.csv")
+    with pytest.raises(PolicyError, match=stages):
+        write_argmax_csv(model, ArgmaxPolicy(7, 12, am.mask, am.counts), tmp_path / "a.csv")
+    with pytest.raises(PolicyError, match=r"shape \(4, 4\) does not match model \(5, 4\)"):
+        write_argmax_csv(model, ArgmaxPolicy(0, 5, am.mask[:4], am.counts[:4]), tmp_path / "a.csv")
+    assert not list(tmp_path.iterdir())
 
 
 def test_kernel_csv(tmp_path, example_model):

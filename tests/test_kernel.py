@@ -85,8 +85,9 @@ class TestSelectFeedback:
         assert largest.choose(0, 0) == 1 and prefer.choose(0, 0) == 1
         assert largest.choose(0, 2) == 0 and prefer.choose(0, 2) == 0
 
-    @pytest.mark.parametrize("rule", ["alphabetical", [-1], [5]],
-                             ids=["alphabetical", "slot-minus-1", "slot-5"])
+    @pytest.mark.parametrize("rule", ["alphabetical", [-1], [5], [1.7], [True]],
+                             ids=["alphabetical", "slot-minus-1", "slot-5", "slot-1.7",
+                                  "slot-True"])
     def test_unknown_rule_rejected(self, example_model, rule):
         _, am = solve(example_model)
         with pytest.raises(ModelError):
@@ -165,6 +166,12 @@ class TestFeedbackPolicy:
     def test_from_array_shape_check(self, example_model):
         with pytest.raises(PolicyError):
             FeedbackPolicy.from_array(example_model, np.zeros((2, 2), dtype=np.int64))
+
+    def test_from_array_rejects_inadmissible_slots(self, example_model):
+        with pytest.raises(PolicyError, match="inadmissible control slot 2 at"):
+            FeedbackPolicy.from_array(example_model, np.full((40, 4), 2))
+        ok = np.zeros((40, 4), dtype=np.int64)
+        assert np.array_equal(FeedbackPolicy.from_array(example_model, ok).choice, ok)
 
     def test_choose_bounds(self, example_model):
         _, am = solve(example_model)

@@ -107,7 +107,7 @@ class TestSimulate:
     def test_x0_must_be_non_sink(self, example_model):
         _, am = solve(example_model)
         fb = select_feedback(am)
-        for bad in (-1, 3, 99):
+        for bad in (-1, 3, 99, 1.9, True):
             with pytest.raises(ModelError):
                 simulate(example_model, fb, bad, seed=0)
 

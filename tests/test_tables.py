@@ -24,11 +24,13 @@ from stochviab.model import (
     ControlMap,
     DisturbanceLaw,
     ExprDynamics,
+    InvalidModelError,
     Model,
     ModelError,
     StateSpace,
     TimeGrid,
     project_to_grid,
+    validate,
 )
 
 
@@ -133,7 +135,7 @@ def expr_models(draw):
     t0 = draw(st.integers(-1, 1))
     steps = draw(st.integers(1, 3))
 
-    def control_list():  # ragged lengths; some vectors shorter than p (zero-filled)
+    def control_list():  # ragged lengths; vectors shorter than p make the model invalid
         return _vectors(draw, draw(st.integers(1, 3)), draw(st.integers(1, p)))
 
     kind = draw(st.sampled_from(["shared", "per_state", "per_stage_state"]))
@@ -168,6 +170,12 @@ def expr_models(draw):
 @settings(max_examples=300, deadline=None)
 @given(expr_models())
 def test_array_build_matches_point_by_point_build(model):
+    violations = validate(model)
+    if violations:  # only a valid model compiles
+        with pytest.raises(InvalidModelError) as got:
+            model.tables
+        assert got.value.violations == violations
+        return
     try:
         want = reference_tables(model)
     except ModelError as err:
