@@ -4,11 +4,11 @@ Grammar (EBNF, whitespace insignificant between tokens)::
 
     expr    = term   { ("+" | "-") term } ;
     term    = unary  { ("*" | "/") unary } ;
-    unary   = "-" unary | power ;
-    power   = atom [ "^" unary ] ;            (* right associative *)
+    unary   = "-" unary | atom [ "^" unary ] ;   (* "^" right associative *)
     atom    = NUMBER | NAME | NAME "(" expr { "," expr } ")" | "(" expr ")" ;
     NUMBER  = digits [ "." digits ] [ ("e"|"E") ["+"|"-"] digits ] ;
-    NAME    = letter { letter | digit } ;
+    digits  = ("0".."9") { "0".."9" } ;     (* ASCII digits only *)
+    NAME    = (letter | "_") { letter | digit | "_" } ;   (* Unicode letters, digits *)
 
 Precedence from loose to tight: "+ -", "* /", unary "-", "^".  Exponentiation
 binds tighter than unary minus, so ``-2^2`` is ``-(2^2)``.
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -62,7 +63,7 @@ class ExprError(ValueError):
 
 
 class ExprSyntaxError(ExprError):
-    """Malformed source text; ``offset`` is the byte offset of the problem."""
+    """Malformed source text; ``offset`` is the character offset of the problem."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
@@ -115,6 +116,9 @@ Ast = Union[Num, Var, Unary, Binary, Call]
 
 _FUNCTIONS = {"min": 2, "max": 2, "abs": 1}
 
+# Left-associative binary operator chains, loose to tight; "^" binds tighter.
+_CHAINS = (("+", "-"), ("*", "/"))
+
 MAX_DEPTH = 100
 
 
@@ -149,12 +153,13 @@ def variables(ast: Ast) -> set[str]:
 
 # --- tokenizer ---
 
-_OPS = "+-*/^"
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+_NAME = re.compile(r"\w+")  # \w is exactly str.isalnum() or "_"
 
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # "num", "name", "op", "lparen", "rparen", "comma", "eof"
+    kind: str  # "num", "name", "op", "eof"
     text: str
     offset: int
 
@@ -162,49 +167,22 @@ class _Token:
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
-    n = len(source)
-    while i < n:
+    while i < len(source):
         c = source[i]
         if c in " \t\r\n":
             i += 1
             continue
-        if c in _OPS:
-            tokens.append(_Token("op", c, i))
-            i += 1
-        elif c == "(":
-            tokens.append(_Token("lparen", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(_Token("rparen", c, i))
-            i += 1
-        elif c == ",":
-            tokens.append(_Token("comma", c, i))
-            i += 1
-        elif c.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdigit():
-                i += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdigit():
-                    i = j
-                    while i < n and source[i].isdigit():
-                        i += 1
-            tokens.append(_Token("num", source[start:i], start))
+        if c in "+-*/^(),":
+            kind, end = "op", i + 1
+        elif "0" <= c <= "9":
+            kind, end = "num", _NUMBER.match(source, i).end()
         elif c.isalpha() or c == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            tokens.append(_Token("name", source[start:i], start))
+            kind, end = "name", _NAME.match(source, i).end()
         else:
             raise ExprSyntaxError(f"unexpected character '{c}'", i)
-    tokens.append(_Token("eof", "", n))
+        tokens.append(_Token(kind, source[i:end], i))
+        i = end
+    tokens.append(_Token("eof", "", len(source)))
     return tokens
 
 
@@ -218,97 +196,85 @@ class _Parser:
         self.allowed = allowed
         self.level = 0  # nesting levels open at the current token
 
-    def enter(self, tok: _Token) -> _Token:
-        """Open one nesting level at ``tok``."""
-        self.level += 1
-        if self.level > MAX_DEPTH:
-            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
-                                  tok.offset)
-        return tok
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def at(self, *ops: str) -> bool:
+        """Whether the current token is one of the operators ``ops``."""
+        tok = self.tokens[self.pos]
+        return tok.kind == "op" and tok.text in ops
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(f"expected {what}", tok.offset)
-        return self.advance()
+    def enter(self) -> str:
+        """Take the current token and open one nesting level at it."""
+        tok = self.advance()
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
+                                  tok.offset)
+        return tok.text
 
-    def parse_expr(self) -> Ast:
-        level, node = self.level, self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.enter(self.advance()).text
-            node = Binary(op, node, self.parse_term())
-        self.level = level
-        return node
+    def close(self) -> None:
+        """Take the ')' that closes the innermost level."""
+        if not self.at(")"):
+            raise ExprSyntaxError("expected ')'", self.tokens[self.pos].offset)
+        self.pos += 1
+        self.level -= 1
 
-    def parse_term(self) -> Ast:
-        level, node = self.level, self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.enter(self.advance()).text
-            node = Binary(op, node, self.parse_unary())
+    def parse_chain(self, k: int = 0) -> Ast:
+        """A chain of ``_CHAINS[k]`` operators; each further operand opens a
+        level, since the tree grows one deeper, and the chain's end closes them."""
+        if k == len(_CHAINS):
+            return self.parse_unary()
+        level, node = self.level, self.parse_chain(k + 1)
+        while self.at(*_CHAINS[k]):
+            node = Binary(self.enter(), node, self.parse_chain(k + 1))
         self.level = level
         return node
 
     def parse_unary(self) -> Ast:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.enter(self.advance())
-            node = Unary("-", self.parse_unary())
-            self.level -= 1
-            return node
-        return self.parse_power()
-
-    def parse_power(self) -> Ast:
-        node = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.enter(self.advance())
-            # exponent admits unary minus: 2^-3
-            node = Binary("^", node, self.parse_unary())
-            self.level -= 1
+        if self.at("-"):
+            node = Unary(self.enter(), self.parse_unary())
+        else:
+            node = self.parse_atom()
+            if not self.at("^"):
+                return node
+            # the exponent admits unary minus: 2^-3
+            node = Binary(self.enter(), node, self.parse_unary())
+        self.level -= 1
         return node
 
     def parse_atom(self) -> Ast:
-        tok = self.peek()
+        if self.at("("):
+            self.enter()
+            node = self.parse_chain()
+            self.close()
+            return node
+        tok = self.advance()
         if tok.kind == "num":
-            self.advance()
             value = float(tok.text)
             if not math.isfinite(value):
                 raise ExprSyntaxError("numeric literal overflows a double", tok.offset)
             return Num(value)
         if tok.kind == "name":
-            self.advance()
-            if self.peek().kind == "lparen":
+            if self.at("("):
                 return self.parse_call(tok)
             if tok.text not in self.allowed:
                 raise UnknownVariableError(tok.text, tok.offset)
             return Var(tok.text)
-        if tok.kind == "lparen":
-            self.enter(self.advance())
-            node = self.parse_expr()
-            self.expect("rparen", "')'")
-            self.level -= 1
-            return node
         raise ExprSyntaxError("expected a number, name or '('", tok.offset)
 
     def parse_call(self, name_tok: _Token) -> Ast:
         arity = _FUNCTIONS.get(name_tok.text)
         if arity is None:
             raise ExprSyntaxError(f"unknown function '{name_tok.text}'", name_tok.offset)
-        self.enter(self.expect("lparen", "'('"))
-        args = [self.parse_expr()]
-        while self.peek().kind == "comma":
+        self.enter()
+        args = [self.parse_chain()]
+        while self.at(","):
             self.advance()
-            args.append(self.parse_expr())
-        self.expect("rparen", "')'")
-        self.level -= 1
+            args.append(self.parse_chain())
+        self.close()
         if len(args) != arity:
             raise ExprSyntaxError(
                 f"'{name_tok.text}' takes {arity} argument(s), got {len(args)}",
@@ -320,13 +286,13 @@ class _Parser:
 def parse(source: str, dims: tuple[int, int, int]) -> Ast:
     """Parse ``source`` against state/control/noise dimensions ``dims = (n, p, q)``.
 
-    Raises :class:`ExprSyntaxError` with the byte offset of the problem (the
+    Raises :class:`ExprSyntaxError` with the character offset of the problem (the
     token that opens level ``MAX_DEPTH + 1`` of a too deeply nested input), or
     :class:`UnknownVariableError` for undeclared names.
     """
     parser = _Parser(_tokenize(source), variable_names(dims))
-    node = parser.parse_expr()
-    tok = parser.peek()
+    node = parser.parse_chain()
+    tok = parser.advance()
     if tok.kind != "eof":
         raise ExprSyntaxError("unexpected trailing input", tok.offset)
     return node
@@ -408,16 +374,14 @@ def _evaluate(ast: Ast, bindings):
 
 # --- printing ---
 
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+# Chain k of _CHAINS binds at level k + 1, below unary "-", "^" and atoms.
+_PREC_UNARY, _PREC_POW, _PREC_ATOM = len(_CHAINS) + 1, len(_CHAINS) + 2, len(_CHAINS) + 3
+_CHAIN_PREC = {op: k for k, ops in enumerate(_CHAINS, 1) for op in ops}
 
 
 def _prec(node: Ast) -> int:
     if isinstance(node, Binary):
-        if node.op in "+-":
-            return _PREC_ADD
-        if node.op in "*/":
-            return _PREC_MUL
-        return _PREC_POW
+        return _CHAIN_PREC.get(node.op, _PREC_POW)
     if isinstance(node, Unary):
         return _PREC_UNARY
     return _PREC_ATOM
@@ -447,7 +411,7 @@ def to_source(ast: Ast) -> str:
             left = _wrap(to_source(ast.left), _prec(ast.left) <= _PREC_POW)
             right = _wrap(to_source(ast.right), _prec(ast.right) < _PREC_UNARY)
             return f"{left} ^ {right}"
-        level = _PREC_ADD if ast.op in "+-" else _PREC_MUL
+        level = _prec(ast)
         left = _wrap(to_source(ast.left), _prec(ast.left) < level)
         right = _wrap(to_source(ast.right), _prec(ast.right) <= level)
         return f"{left} {ast.op} {right}"

@@ -255,6 +255,8 @@ def load_model(path: PathLike) -> Model:
         doc = json.loads(text, parse_constant=non_finite)
     except json.JSONDecodeError as err:
         raise ModelFormatError(f"{path}: not valid JSON: {err}") from None
+    except RecursionError:
+        raise ModelFormatError(f"{path}: JSON nested too deeply to read") from None
     try:
         return model_from_dict(doc)
     except ModelError as err:  # schema and constructor errors alike name the file

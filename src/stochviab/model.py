@@ -496,6 +496,11 @@ class Model:
                     f"expr dynamics: {len(self.dynamics.sources)} expressions for "
                     f"state dimension {self.states.dim}"
                 )
+            if len(self.dynamics.asts) != len(self.dynamics.sources):
+                raise ModelError(
+                    f"expr dynamics: {len(self.dynamics.asts)} parsed expressions for "
+                    f"{len(self.dynamics.sources)} sources; build them with ExprDynamics.parse"
+                )
         if self.constraints.per_stage is not None:
             want = self.time.steps + 1
             if len(self.constraints.per_stage) != want:
@@ -545,13 +550,14 @@ def validate(model: Model) -> list[str]:
     if not np.all(np.isfinite(ctl.vectors)):
         out.append("ControlMap: admissible control entries must be finite")
     rows = ctl.stage_rows(time)
-    stage_row = np.broadcast_to(rows, time.steps)
     empty = ctl.counts == 0
     narrow = ~empty & (ctl.widths != ctl.dim)
-    faulty = np.append(np.any(empty | narrow, axis=1), True)  # row -1 (none) is a fault
-    for k in _stages(faulty[rows], time.steps):
-        t, r = time.t0 + k, stage_row[k]
-        for x in range(m):
+    # row -1, a stage with no control table row, is a fault at every state
+    fault = np.vstack([empty | narrow, np.ones((1, m), dtype=bool)])[rows]
+    if fault.any():  # only the faulty (stage, state) pairs are visited
+        stage_row = np.broadcast_to(rows, time.steps)
+        for k, x in np.argwhere(np.broadcast_to(fault, (time.steps, m))).tolist():
+            t, r = time.t0 + k, stage_row[k]
             if r < 0:
                 out.append(f"ControlMap: no control table row for stage {t}")
             elif empty[r, x]:
@@ -559,7 +565,7 @@ def validate(model: Model) -> list[str]:
                     f"ControlMap: empty admissible control list at (t={t}, x={x}); "
                     "a non-empty list is required"
                 )
-            elif narrow[r, x]:
+            else:
                 out.append(
                     f"ControlMap: control dimension {ctl.widths[r, x]} at (t={t}, x={x}) "
                     f"differs from {ctl.dim}"
@@ -590,39 +596,33 @@ def validate(model: Model) -> list[str]:
     cons = model.constraints
     if cons.stationary is None:
         for k, payload in enumerate(cons.per_stage):
-            out.extend(_payload_faults(model, k, payload))
-    elif _payload_faults(model, 0, cons.stationary):  # checked once, reported per stage
-        for k in range(time.steps + 1):
-            out.extend(_payload_faults(model, k, cons.stationary))
+            out.extend(f"{head} {k} {tail}" for head, tail in _payload_faults(model, payload))
+    else:  # found once, reported at every stage
+        faults = _payload_faults(model, cons.stationary)
+        for k in range(time.steps + 1) if faults else ():
+            out.extend(f"{head} {k} {tail}" for head, tail in faults)
     return out
 
 
-def _stages(flags: np.ndarray, steps: int):
-    """Stage indices whose flag is set; a single flag holds at every stage."""
-    if flags.size == 1:
-        return range(steps) if flags[0] else range(0)
-    return np.flatnonzero(flags).tolist()
-
-
-def _payload_faults(model: Model, k: int, payload) -> list[str]:
-    """Diagnostics of the constraint payload at stage index ``k``."""
+def _payload_faults(model: Model, payload) -> list[tuple[str, str]]:
+    """Diagnostics of one constraint payload, each split around its stage index."""
     if model.constraints.kind == "set":
         bad = [i for i in payload if not (0 <= i < model.states.n_points)]
         if bad:
-            return [
-                f"ConstraintSets: stage index {k} references invalid state "
-                f"indices {bad} (the sink is never a member)"
-            ]
+            return [(
+                "ConstraintSets: stage index",
+                f"references invalid state indices {bad} (the sink is never a member)",
+            )]
         return []
     lo, hi = payload
     out = []
     if lo.shape[0] != model.states.dim:
-        out.append(
-            f"ConstraintSets: box at stage index {k} has dimension "
-            f"{lo.shape[0]}, states have {model.states.dim}"
-        )
+        out.append((
+            "ConstraintSets: box at stage index",
+            f"has dimension {lo.shape[0]}, states have {model.states.dim}",
+        ))
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        out.append(f"ConstraintSets: box at stage index {k} has non-finite bounds")
+        out.append(("ConstraintSets: box at stage index", "has non-finite bounds"))
     return out
 
 

@@ -107,6 +107,11 @@ def test_solve_diagnostics_on_invalid_model(model_path, tmp_path, capsys):
         pytest.param(("dynamics", "body"), '["x' + "+0" * 2999 + '"]',
                      "dynamics.body[0]: expression nested deeper than 100 levels (offset 201)",
                      id="3000-term-chain"),
+        # a non-ASCII digit is no digit of a number
+        (("dynamics", "body"), '["x + u + w + \\u00b2"]',
+         "dynamics.body[0]: unexpected character '²' (offset 12)"),
+        pytest.param(("dynamics", "body"), "[" * 200000 + "]" * 200000,
+                     "JSON nested too deeply to read", id="200000-nested-lists"),
     ],
 )
 def test_solve_rejects_malformed_numbers(model_path, tmp_path, capsys, field, value, message):

@@ -68,6 +68,10 @@ def test_indexed_names_and_aliases():
         ("1..2", 1),
         ("x @ u", 2),
         ("", 0),
+        # numbers are ASCII digits: other digits start no token
+        ("x + ²", 4),
+        ("x + ١", 4),
+        ("1²", 1),
         # nesting past MAX_DEPTH fails at the token that opens level 101
         pytest.param("(" * 300 + "x" + ")" * 300, 100, id="300-parentheses"),
         pytest.param("-" * 3000 + "x", 100, id="3000-unary-minus"),
@@ -80,6 +84,8 @@ def test_syntax_error_offsets(src, offset):
     with pytest.raises(ExprSyntaxError) as err:
         parse(src, DIMS)
     assert err.value.offset == offset
+    if not src.isascii():
+        assert str(err.value) == f"unexpected character '{src[offset]}' (offset {offset})"
 
 
 @pytest.mark.parametrize(

@@ -145,6 +145,17 @@ class TestModelJson:
              "dynamics table at (t=0, x=1): expected a list of control rows, got 5"),
             (("dynamics", "body", 1, 0, 0), "5",
              "dynamics table at (t=1, x=0, u=0): expected a list of disturbance entries, got 5"),
+            (("dynamics", "body"), "[[[[1, 0]], [[0, -1]]]]",
+             "dynamics table: 1 stages, expected 2"),
+            (("dynamics", "body", 1), "[[[0, 0]]]",
+             "dynamics table stage 1: 1 states, expected 2"),
+            (("dynamics", "body", 0, 1), "[[0, -1], [0, 0]]",
+             "dynamics table at (t=0, x=1): 2 control rows exceed u_max=1"),
+            (("dynamics", "body", 1, 0, 0), "[0]",
+             "dynamics table at (t=1, x=0, u=0): 1 disturbance entries, expected 2"),
+            # the later duplicate "mode" key wins
+            (("controls", "lists"), '5, "mode": "per_state"',
+             "controls: per_state lists must be a list"),
         ],
     )
     def test_integer_entries_read_strictly(self, tmp_path, keys, literal, message):
@@ -157,6 +168,11 @@ class TestModelJson:
         path.write_text(json.dumps(doc).replace('"@"', literal))
         with pytest.raises(ModelFormatError, match="^" + re.escape(f"{path}: {message}")):
             load_model(path)
+
+    def test_per_state_model_round_trip(self, tmp_path):
+        save_model(ragged_table_model(), tmp_path / "a.json")
+        save_model(load_model(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
 
     def test_per_stage_constraints_round_trip(self, tmp_path):
         model = table_model()
@@ -196,6 +212,12 @@ class TestValueCsv:
             (3, "0,1,0,nan", "line 3: non-finite number in '0,1,0,nan'"),
             (3, "0,1,inf,0.5", "line 3: non-finite number in '0,1,inf,0.5'"),
             (3, "0,1,0,1.5", "line 3: value 1.5 is not a probability in [0, 1]"),
+            (1, "t,x,x1,value", "unexpected value header 't,x,x1,value'"),
+            (3, "0,1,0", "line 3: 3 fields, expected 4"),
+            (124, "42,2,1,0.5", "stages are not contiguous"),
+            # line None replaces the whole file
+            (None, "", "empty value file"),
+            (None, "t,state_index,x1,value", "no value rows"),
         ],
     )
     def test_malformed_rows_rejected(self, tmp_path, example_model, line, text, message):
@@ -203,7 +225,10 @@ class TestValueCsv:
         path = tmp_path / "value.csv"
         write_value_csv(vf, path)
         lines = path.read_text().splitlines()
-        lines[line - 1] = text
+        if line is None:
+            lines = [text]
+        else:
+            lines[line - 1] = text
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelFormatError, match="^" + re.escape(f"{path}: {message}")):
             read_value_csv(path)

@@ -152,6 +152,8 @@ def test_model_rejects_inconsistent_shapes():
         )
     with pytest.raises(ModelError):
         DisturbanceLaw(np.array([[0.0], [1.0]]), np.array([1.0]))  # length mismatch
+    with pytest.raises(ModelError, match="0 parsed expressions for 1 sources"):
+        Model(m.time, m.states, m.controls, m.noise, ExprDynamics(("x + u + w",)), m.constraints)
 
 
 @pytest.mark.parametrize("index", [1.5, "a", True, np.float64(1.0)])
@@ -243,6 +245,12 @@ class TestValidateDiagnostics:
         with pytest.raises(ModelError, match="no control table row for stage 1"):
             model.tables
 
+    def test_repeated_grid_points(self):
+        m = make_three_state_example(0.1, 0, 2)
+        model = Model(m.time, StateSpace(np.array([[-1.0], [0.0], [-1.0]])), m.controls,
+                      m.noise, m.dynamics, m.constraints)
+        assert validate(model) == ["StateSpace: grid points are not pairwise distinct"]
+
     def test_table_with_too_few_slots(self):
         table = np.zeros((2, 3, 1, 2), dtype=np.int64)
         table[:, 2] = 2
@@ -315,3 +323,41 @@ def test_stationary_constraints_over_a_million_stages():
     assert time.perf_counter() - start < 1.0
     assert tab.member.shape == (10**6 + 1, 2)
     assert tab.member[:, 0].all() and not tab.member[:, 1].any()
+
+
+def _wide_model(T: int, controls: ControlMap, constraints: ConstraintSets) -> Model:
+    """1000 states on a line, expression dynamics and ``T`` stages."""
+    return Model(
+        TimeGrid(0, T),
+        StateSpace(np.arange(1000.0)),
+        controls,
+        DisturbanceLaw([[0.0]], [1.0]),
+        ExprDynamics.parse(["x + u + w"], (1, 1, 1)),
+        constraints,
+    )
+
+
+def test_one_control_fault_over_ten_thousand_stages():
+    lists = [[[0.0]]] * 1000
+    lists[7] = []
+    model = _wide_model(10**4, ControlMap.per_state(lists, 1000),
+                        ConstraintSets("set", stationary=range(1000)))
+    start = time.perf_counter()
+    out = validate(model)
+    assert time.perf_counter() - start < 1.0
+    assert len(out) == 10**4
+    assert out[-1] == ("ControlMap: empty admissible control list at (t=9999, x=7); "
+                       "a non-empty list is required")
+
+
+def test_one_stationary_constraint_fault_over_ten_thousand_stages():
+    model = _wide_model(10**4, ControlMap.shared([[0.0]], 1000),
+                        ConstraintSets("set", stationary=range(1001)))
+    start = time.perf_counter()
+    out = validate(model)
+    assert time.perf_counter() - start < 1.0
+    assert out == [
+        f"ConstraintSets: stage index {k} references invalid state indices [1000] "
+        "(the sink is never a member)"
+        for k in range(10**4 + 1)
+    ]
