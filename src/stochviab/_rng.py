@@ -8,6 +8,12 @@ applied to ``seed + (counter + 1) * GOLDEN`` modulo 2**64.
 This module is the only place the SplitMix64 constants and mixing live.  The
 plain Python integer versions (``mix64``, ``derive_seed``) are the reference;
 the numpy uint64 versions vectorize the same arithmetic and agree bit for bit.
+
+It also holds the one inverse cdf.  A word ``z`` stands for the uniform
+``(z >> 11) * 2**-53`` in [0, 1), but no float is formed: ``cdf_thresholds``
+turns a cdf into uint64 thresholds once, and ``inverse_cdf`` counts the
+thresholds at or below each word, which is exactly the atom the cdf search on
+that uniform finds.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ MIX_B = 0x94D049BB133111EB
 # Domain separation between scenario streams and per-sample seed derivation.
 SAMPLE_SALT = 0x5851F42D4C957F2D
 
-_INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
+_TWO_53 = 9007199254740992.0  # 2**53
 
 
 def mix64(z: int) -> int:
@@ -74,12 +80,40 @@ def stream_array(seed, counter) -> np.ndarray:
     return _mix64_array(np.add(seed, np.multiply(counter + _U1, _UGOLDEN)))
 
 
-def uniform_array(seed, counter) -> np.ndarray:
-    """``stream_array`` mapped to floats in [0, 1) by its top 53 bits."""
-    return (stream_array(seed, counter) >> _U11).astype(np.float64) * _INV_2_53
+def derive_seed_array(base_seed: int, start: int, stop: int) -> np.ndarray:
+    """Vectorized ``derive_seed`` for indices start..stop-1 (uint64 output):
+    the salted stream of ``base_seed`` over those counters."""
+    return stream_array((base_seed ^ SAMPLE_SALT) & MASK64, np.arange(start, stop))
 
 
-def derive_seed_array(base_seed: int, n: int) -> np.ndarray:
-    """Vectorized ``derive_seed`` for indices 0..n-1 (uint64 output): the
-    salted stream of ``base_seed`` over counters 0..n-1."""
-    return stream_array((base_seed ^ SAMPLE_SALT) & MASK64, np.arange(n))
+# --- inverse cdf on raw stream words ---
+
+# Above this many thresholds a binary search beats one comparison pass each.
+_SEARCH_FROM = 16
+
+
+def cdf_thresholds(cdf: np.ndarray) -> np.ndarray:
+    """Sorted uint64 thresholds of a non-decreasing ``cdf`` over W atoms: the
+    atom of a stream word ``z`` is the number of thresholds ``t <= z``.
+
+    This is the inverse cdf of the uniform ``u = (z >> 11) * 2**-53`` in
+    [0, 1): the number of entries ``c <= u``, clipped to ``W - 1``.  ``u`` is
+    an exact multiple of 2**-53 and ``c * 2**53`` is exact, so ``c <= u``
+    holds exactly when ``ceil(c * 2**53) <= z >> 11``, that is when
+    ``z >= ceil(c * 2**53) << 11``.  The last entry only matters through the
+    clip, so it is left out, and so are entries with ``ceil(c * 2**53) >=
+    2**53``, which no ``u`` reaches.
+    """
+    scaled = np.ceil(np.asarray(cdf, dtype=np.float64)[:-1] * _TWO_53)
+    scaled = np.maximum(scaled[scaled < _TWO_53], 0.0)  # entries below 0 pass every word
+    return scaled.astype(np.uint64) << _U11
+
+
+def inverse_cdf(thresholds: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Atom indices of the stream ``words`` under ``cdf_thresholds``."""
+    if thresholds.shape[0] > _SEARCH_FROM:
+        return np.searchsorted(thresholds, words, side="right")
+    index = np.zeros(words.shape, dtype=np.intp)
+    for t in thresholds:
+        index += words >= t
+    return index

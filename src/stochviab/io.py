@@ -144,15 +144,16 @@ def model_from_dict(doc: dict) -> Model:
         body = doc["dynamics"]["body"]
         if not isinstance(body, list):
             raise ModelFormatError("dynamics.body: expected a list of expressions")
-        sources = tuple(str(source) for source in body)
         dims = (states.dim, controls.dim, noise.dim)
         asts = []
-        for i, source in enumerate(sources):
+        for i, source in enumerate(body):
+            if not isinstance(source, str):
+                raise ModelFormatError(f"dynamics.body[{i}]: expected a string")
             try:
                 asts.append(parse_expr(source, dims))
             except ExprError as err:
                 raise ModelFormatError(f"dynamics.body[{i}]: {err}") from None
-        dynamics = ExprDynamics(sources, tuple(asts))
+        dynamics = ExprDynamics(tuple(body), tuple(asts))
     elif dmode == "table":
         u_max = max(1, int(controls.counts.max()))
         dynamics = TableDynamics.from_nested(

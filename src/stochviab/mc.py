@@ -7,10 +7,19 @@ derived from ``(base_seed, i)``.  Estimates are therefore order-independent,
 parallelizable, and reproducible bit for bit.  The terminal-stage disturbance
 never enters the dynamics or the success criterion, so scenarios store one
 draw per transition only.
+
+A draw is the integer inverse cdf of :func:`stochviab._rng.cdf_thresholds`:
+the raw stream word is compared with integer thresholds made once from the
+law's cdf, which picks the same atom as the cdf search on the word's 53-bit
+uniform without converting it to a float.  ``sample_scenario`` and the
+closed-loop walk share it.  The walk takes the samples in blocks of
+``_BLOCK`` and reads each successor with one gather from the stage's flat
+successor slab.
 """
 
 from __future__ import annotations
 
+import functools
 import statistics
 from dataclasses import dataclass
 
@@ -31,6 +40,10 @@ __all__ = [
     "estimate_probability",
     "wilson_interval",
 ]
+
+# Samples walked together through every stage: small enough that a block's
+# state and temporaries stay in cache.
+_BLOCK = 1 << 14
 
 Z95 = statistics.NormalDist().inv_cdf(0.975)
 
@@ -77,61 +90,70 @@ def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, floa
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _draws(cdf: np.ndarray, seed, counter) -> np.ndarray:
-    """Inverse-cdf disturbance indices of stream words ``(seed, counter)``."""
-    u = _rng.uniform_array(seed, counter)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)
-
-
 def sample_scenario(noise: DisturbanceLaw, n_steps: int, seed: int) -> Scenario:
     """Independent inverse-cdf draws from the marginal, one per transition."""
     if n_steps < 0:
         raise ModelError(f"n_steps must be non-negative, got {n_steps}")
-    draws = _draws(noise.cdf, seed & _rng.MASK64, np.arange(n_steps))
+    words = _rng.stream_array(seed & _rng.MASK64, np.arange(n_steps))
+    draws = _rng.inverse_cdf(_rng.cdf_thresholds(noise.cdf), words)
     return Scenario(draws.astype(np.int64))
 
 
-def _child_seeds(base_seed: int, n: int) -> np.ndarray:
+def _child_seeds(base_seed: int, n: int):
+    """``seeds_of`` for ``_walk``: the derived seeds of samples start..stop-1."""
     if n < 1:
         raise ModelError(f"need n >= 1 samples, got {n}")
-    return _rng.derive_seed_array(base_seed, n)
+    return functools.partial(_rng.derive_seed_array, base_seed)
 
 
-def _walk(model: Model, policy: FeedbackPolicy, x0: int, seeds: np.ndarray,
+def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
           record: bool):
-    """Closed-loop walks from ``x0``, one per seed, advanced together one
-    stage at a time; the draw of stage ``k`` is word ``k`` of the seed's stream.
+    """Closed-loop walks of ``n`` samples from ``x0``; ``seeds_of(start, stop)``
+    gives the stream seeds of samples start..stop-1, and the draw of stage
+    ``k`` is word ``k`` of a sample's stream.
 
-    Returns the success flags, preceded by the ``(states, controls, draws)``
-    paths when ``record`` is set; without it nothing is kept per stage.
+    The samples go in blocks of ``_BLOCK``, each advanced through every stage
+    before the next block starts, so the block state stays in cache.  Returns
+    the ``(states, controls, draws, success)`` paths when ``record`` is set,
+    and otherwise the number of successes, keeping nothing beyond one block.
     """
     choice = _policy_choice_array(model, policy)
-    tab, cdf = model.tables, model.noise.cdf
-    n = seeds.shape[0]
-    x = np.full(n, x0, dtype=np.int64)
-    ok = np.full(n, bool(tab.member[0, x0]))
+    tab = model.tables
+    thresholds = _rng.cdf_thresholds(model.noise.cdf)
+    n_atoms, stride = tab.n_atoms, tab.u_max * tab.n_atoms
     if record:
         states = np.empty((n, tab.steps + 1), dtype=np.int64)
         controls = np.empty((n, tab.steps), dtype=np.int64)
         draws = np.empty((n, tab.steps), dtype=np.int64)
+        success = np.empty(n, dtype=bool)
         states[:, 0] = x0
-    for k in range(tab.steps):
-        d = _draws(cdf, seeds, k)
-        slot = choice[k, x]
-        x = tab.next_state[k, x, slot, d]
-        ok &= tab.member[k + 1, x]
+    successes = 0
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        seeds = seeds_of(start, stop)
+        x = np.full(stop - start, x0, dtype=np.int64)
+        ok = np.full(stop - start, bool(tab.member[0, x0]))
+        for k in range(tab.steps):
+            d = _rng.inverse_cdf(thresholds, _rng.stream_array(seeds, k))
+            slot = choice[k].take(x)
+            x = tab.next_state[k].reshape(-1).take(x * stride + slot * n_atoms + d)
+            ok &= tab.member[k + 1].take(x)
+            if record:
+                states[start:stop, k + 1] = x
+                controls[start:stop, k] = slot
+                draws[start:stop, k] = d
         if record:
-            states[:, k + 1] = x
-            controls[:, k] = slot
-            draws[:, k] = d
-    return (states, controls, draws, ok) if record else ok
+            success[start:stop] = ok
+        successes += int(np.count_nonzero(ok))
+    return (states, controls, draws, success) if record else successes
 
 
 def simulate(model: Model, policy: FeedbackPolicy, x0: int, seed: int) -> Trajectory:
     """One closed-loop trajectory under ``policy`` from state index ``x0``."""
     x0 = _check_x0(model.states.n_points, x0)
     seeds = np.array([seed & _rng.MASK64], dtype=np.uint64)
-    states, controls, draws, ok = _walk(model, policy, x0, seeds, record=True)
+    states, controls, draws, ok = _walk(model, policy, x0, 1, lambda start, stop: seeds,
+                                        record=True)
     return Trajectory(states[0], controls[0], Scenario(draws[0]), bool(ok[0]))
 
 
@@ -144,14 +166,13 @@ def simulate_batch(model: Model, policy: FeedbackPolicy, x0: int, n: int,
     ``derive_seed(base_seed, i)``.
     """
     x0 = _check_x0(model.states.n_points, x0)
-    return _walk(model, policy, x0, _child_seeds(base_seed, n), record=True)
+    return _walk(model, policy, x0, n, _child_seeds(base_seed, n), record=True)
 
 
 def estimate_probability(model: Model, policy: FeedbackPolicy, x0: int, n: int,
                          base_seed: int) -> ProbabilityEstimate:
     """Monte Carlo estimate of the closed-loop success probability."""
     x0 = _check_x0(model.states.n_points, x0)
-    ok = _walk(model, policy, x0, _child_seeds(base_seed, n), record=False)
-    successes = int(np.count_nonzero(ok))
+    successes = _walk(model, policy, x0, n, _child_seeds(base_seed, n), record=False)
     lo, hi = wilson_interval(successes, n)
     return ProbabilityEstimate(successes / n, n, lo, hi, int(base_seed))

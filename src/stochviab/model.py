@@ -501,6 +501,16 @@ class Model:
                     f"expr dynamics: {len(self.dynamics.asts)} parsed expressions for "
                     f"{len(self.dynamics.sources)} sources; build them with ExprDynamics.parse"
                 )
+            for i, (source, ast) in enumerate(zip(self.dynamics.sources, self.dynamics.asts)):
+                try:
+                    same = ast == _expr.parse(source, self.dims)
+                except _expr.ExprError as err:
+                    raise ModelError(f"expr dynamics: expression {i}: {err}") from None
+                if not same:
+                    raise ModelError(
+                        f"expr dynamics: expression {i} is not the parse of its source "
+                        f"{source!r}; build them with ExprDynamics.parse"
+                    )
         if self.constraints.per_stage is not None:
             want = self.time.steps + 1
             if len(self.constraints.per_stage) != want:
@@ -583,15 +593,6 @@ def validate(model: Model) -> list[str]:
                 f"Dynamics: table has {tab.shape[2]} control slots at "
                 f"(t={time.t0 + k}, x={x}) but {need[k, x]} controls are admissible"
             )
-    else:
-        names = _expr.variable_names(model.dims)
-        for i, ast in enumerate(model.dynamics.asts):
-            used = _expr.variables(ast)
-            unknown = used - names
-            if unknown:
-                out.append(
-                    f"Dynamics: expression {i} uses undeclared variables {sorted(unknown)}"
-                )
 
     cons = model.constraints
     if cons.stationary is None:

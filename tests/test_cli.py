@@ -112,6 +112,13 @@ def test_solve_diagnostics_on_invalid_model(model_path, tmp_path, capsys):
          "dynamics.body[0]: unexpected character '²' (offset 12)"),
         pytest.param(("dynamics", "body"), "[" * 200000 + "]" * 200000,
                      "JSON nested too deeply to read", id="200000-nested-lists"),
+        # an expression is a JSON string, never read through str()
+        pytest.param(("dynamics", "body"), "[5]", "dynamics.body[0]: expected a string",
+                     id="body-number"),
+        pytest.param(("dynamics", "body"), "[true]", "dynamics.body[0]: expected a string",
+                     id="body-true"),
+        pytest.param(("dynamics", "body"), "[null]", "dynamics.body[0]: expected a string",
+                     id="body-null"),
     ],
 )
 def test_solve_rejects_malformed_numbers(model_path, tmp_path, capsys, field, value, message):

@@ -117,6 +117,9 @@ class TestModelJson:
             (("states", "points"), [[-1.0], ["zero"], [1.0]], "states.points: expected numbers"),
             (("time", "t0"), 0.5, "time.t0: expected an integer, got 0.5"),
             (("time", "T"), "40", "time.T: expected an integer, got '40'"),
+            (("dynamics", "body"), [5], "dynamics.body[0]: expected a string"),
+            (("dynamics", "body"), [True], "dynamics.body[0]: expected a string"),
+            (("dynamics", "body"), [None], "dynamics.body[0]: expected a string"),
         ],
     )
     def test_malformed_fields_rejected(self, tmp_path, example_model, field, value, message):

@@ -1,10 +1,13 @@
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_model, random_policy
-from stochviab._rng import derive_seed, stream_array
+from stochviab import _rng, mc
+from stochviab._rng import cdf_thresholds, derive_seed, inverse_cdf, stream_array
 from stochviab.dp import evaluate_policy, solve
 from stochviab.kernel import FeedbackPolicy, kernel_slice, select_feedback
 from stochviab.mc import (
@@ -52,6 +55,50 @@ class TestSampleScenario:
         sc = sample_scenario(example_model.noise, example_model.time.steps, 5)
         assert sc.draws.shape == (40,)
         assert np.all((0 <= sc.draws) & (sc.draws < 3))
+
+
+def _float_inverse_cdf(cdf, words):
+    """The float reference: searchsorted on the uniforms of the top 53 bits."""
+    u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)
+
+
+_ULP = 2.0**-53
+_GRID = np.array([1.0, 3.0, 2.0**40, 2.0**52 + 1.0]) * _ULP
+
+INVERSE_CDF_CASES = {
+    "zero-atoms": np.cumsum([0.0, 0.0, 0.3, 0.0, 0.7, 0.0, 0.0]),
+    "grid-multiples": np.concatenate([
+        np.sort(np.concatenate([
+            np.nextafter(_GRID, 0.0), _GRID, np.nextafter(_GRID, 1.0),
+        ])),
+        [np.nextafter(1.0, 0.0), 1.0],
+    ]),
+    "sum-below-one": np.cumsum([0.7, 0.2, 0.1]),
+    "sum-above-one": np.cumsum([0.2, 0.01, 0.68, 0.11]),
+    "single-atom": np.array([1.0]),
+    # more atoms than the comparison passes take: the binary search
+    "many-atoms": np.cumsum(np.r_[0.0, np.full(18, 0.05), 0.0, 0.05, 0.05, 0.0]),
+}
+
+
+@pytest.mark.parametrize("cdf", INVERSE_CDF_CASES.values(), ids=INVERSE_CDF_CASES.keys())
+def test_integer_inverse_cdf_equals_float_search(cdf):
+    words = {0, 2**64 - 1}
+    for c in cdf:
+        t = math.ceil(c * 2**53) << 11
+        words.update(w for w in (t - 1, t, t + 1) if 0 <= w < 2**64)
+    words = np.array(sorted(words), dtype=np.uint64)
+    got = inverse_cdf(cdf_thresholds(cdf), words)
+    assert np.array_equal(got, _float_inverse_cdf(cdf, words))
+    rand = stream_array(12345, np.arange(10_000))
+    assert np.array_equal(inverse_cdf(cdf_thresholds(cdf), rand), _float_inverse_cdf(cdf, rand))
+
+
+def test_inverse_cdf_cases_cover_their_edges():
+    assert INVERSE_CDF_CASES["sum-below-one"][-1] < 1.0
+    assert INVERSE_CDF_CASES["sum-above-one"][-1] > 1.0
+    assert INVERSE_CDF_CASES["many-atoms"].shape[0] - 1 > _rng._SEARCH_FROM
 
 
 class TestSimulate:
@@ -123,6 +170,59 @@ class TestBatch:
             assert np.array_equal(controls[i], tr.controls)
             assert np.array_equal(draws[i], tr.scenario.draws)
             assert bool(ok[i]) == tr.success
+
+
+class TestBlocks:
+    """The walk goes in blocks of ``mc._BLOCK`` samples; no result may show it."""
+
+    B = mc._BLOCK
+    SIZES = (1, B - 1, B, B + 1, 2 * B + 3)
+
+    @pytest.fixture(scope="class")
+    def walk(self):
+        model = make_three_state_example(0.01, 0, 40)
+        _, am = solve(model)
+        return model, select_feedback(am)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_batch_rows_are_single_simulations(self, walk, n):
+        model, fb = walk
+        base = 2024
+        states, controls, draws, ok = simulate_batch(model, fb, 1, n, base)
+        # every row: the draws are the stream of its derived seed, the walk
+        # follows the policy and the dynamics, and success is the recount
+        seeds = np.array([derive_seed(base, i) for i in range(n)], dtype=np.uint64)
+        words = stream_array(seeds[:, None], np.arange(model.time.steps))
+        assert np.array_equal(draws, _float_inverse_cdf(model.noise.cdf, words))
+        tab = model.tables
+        steps = np.arange(model.time.steps)
+        assert np.array_equal(controls, fb.choice[steps, states[:, :-1]])
+        assert np.array_equal(
+            states[:, 1:], tab.next_state[steps, states[:, :-1], controls, draws])
+        assert np.array_equal(ok, tab.member[np.arange(steps.size + 1), states].all(axis=1))
+        # the rows around each block boundary, one simulate each
+        for i in {0, self.B - 1, self.B, 2 * self.B, n - 1} & set(range(n)):
+            tr = simulate(model, fb, 1, derive_seed(base, i))
+            assert np.array_equal(states[i], tr.states)
+            assert np.array_equal(controls[i], tr.controls)
+            assert np.array_equal(draws[i], tr.scenario.draws)
+            assert bool(ok[i]) == tr.success
+        est = estimate_probability(model, fb, 1, n, base)
+        assert est.mean == int(np.count_nonzero(ok)) / n
+
+    def test_estimate_memory_does_not_grow_with_n(self, walk):
+        model, fb = walk
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                estimate_probability(model, fb, 1, n, 5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(4 * self.B), peak(64 * self.B)
+        assert large <= 2 * small, (small, large)
 
 
 class TestEstimate:

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from stochviab.expr import parse
 from stochviab.model import (
     ConstraintSets,
     ControlMap,
@@ -154,6 +155,17 @@ def test_model_rejects_inconsistent_shapes():
         DisturbanceLaw(np.array([[0.0], [1.0]]), np.array([1.0]))  # length mismatch
     with pytest.raises(ModelError, match="0 parsed expressions for 1 sources"):
         Model(m.time, m.states, m.controls, m.noise, ExprDynamics(("x + u + w",)), m.constraints)
+
+
+def test_expr_trees_must_be_the_parse_of_their_sources():
+    m = make_three_state_example(0.01, 0, 5)
+    trees = (parse("x", m.dims),)
+    with pytest.raises(ModelError, match="expression 0 is not the parse of its source 'x \\+ u"):
+        Model(m.time, m.states, m.controls, m.noise, ExprDynamics(("x + u + w",), trees),
+              m.constraints)
+    with pytest.raises(ModelError, match="expression 0: unknown variable 'w2'"):
+        Model(m.time, m.states, m.controls, m.noise,
+              ExprDynamics.parse(["x + u + w2"], (1, 1, 2)), m.constraints)
 
 
 @pytest.mark.parametrize("index", [1.5, "a", True, np.float64(1.0)])
