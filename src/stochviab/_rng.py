@@ -11,9 +11,9 @@ the numpy uint64 versions vectorize the same arithmetic and agree bit for bit.
 
 It also holds the one inverse cdf.  A word ``z`` stands for the uniform
 ``(z >> 11) * 2**-53`` in [0, 1), but no float is formed: ``cdf_thresholds``
-turns a cdf into uint64 thresholds once, and ``inverse_cdf`` counts the
-thresholds at or below each word, which is exactly the atom the cdf search on
-that uniform finds.
+turns a cdf into uint64 thresholds once, and ``inverse_cdf`` binary-searches
+each word among them, counting the thresholds at or below it, which is exactly
+the atom the cdf search on that uniform finds.
 """
 
 from __future__ import annotations
@@ -88,9 +88,6 @@ def derive_seed_array(base_seed: int, start: int, stop: int) -> np.ndarray:
 
 # --- inverse cdf on raw stream words ---
 
-# Above this many thresholds a binary search beats one comparison pass each.
-_SEARCH_FROM = 16
-
 
 def cdf_thresholds(cdf: np.ndarray) -> np.ndarray:
     """Sorted uint64 thresholds of a non-decreasing ``cdf`` over W atoms: the
@@ -110,10 +107,7 @@ def cdf_thresholds(cdf: np.ndarray) -> np.ndarray:
 
 
 def inverse_cdf(thresholds: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Atom indices of the stream ``words`` under ``cdf_thresholds``."""
-    if thresholds.shape[0] > _SEARCH_FROM:
-        return np.searchsorted(thresholds, words, side="right")
-    index = np.zeros(words.shape, dtype=np.intp)
-    for t in thresholds:
-        index += words >= t
-    return index
+    """Atom indices of the stream ``words`` under ``cdf_thresholds``: a
+    binary search of each word among the thresholds, counting the ones at or
+    below it."""
+    return np.searchsorted(thresholds, words, side="right")

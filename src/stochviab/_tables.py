@@ -104,7 +104,7 @@ def build_tables(model: Model) -> Tables:
 
 def _expr_table(model: Model, rows: np.ndarray, u_max: int) -> np.ndarray:
     """Successors of expression dynamics: one slab per stage, or one in all."""
-    asts = model.dynamics.asts
+    asts = model.expr_trees
     states, noise, time, ctl = model.states, model.noise, model.time, model.controls
     once = rows.size == 1 and not any("t" in _expr.variables(a) for a in asts)
     slabs = 1 if once else time.steps

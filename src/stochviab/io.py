@@ -18,7 +18,6 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .dp import ArgmaxPolicy, ValueFunction, _check_stages, _policy_choice_array
-from .expr import ExprError, parse as parse_expr
 from .kernel import FeedbackPolicy, KernelSlice
 from .mc import ProbabilityEstimate
 from .model import (
@@ -26,6 +25,7 @@ from .model import (
     ControlMap,
     DisturbanceLaw,
     ExprDynamics,
+    ExprSourceError,
     Model,
     ModelError,
     StateSpace,
@@ -144,16 +144,7 @@ def model_from_dict(doc: dict) -> Model:
         body = doc["dynamics"]["body"]
         if not isinstance(body, list):
             raise ModelFormatError("dynamics.body: expected a list of expressions")
-        dims = (states.dim, controls.dim, noise.dim)
-        asts = []
-        for i, source in enumerate(body):
-            if not isinstance(source, str):
-                raise ModelFormatError(f"dynamics.body[{i}]: expected a string")
-            try:
-                asts.append(parse_expr(source, dims))
-            except ExprError as err:
-                raise ModelFormatError(f"dynamics.body[{i}]: {err}") from None
-        dynamics = ExprDynamics(tuple(body), tuple(asts))
+        dynamics = ExprDynamics(body)
     elif dmode == "table":
         u_max = max(1, int(controls.counts.max()))
         dynamics = TableDynamics.from_nested(
@@ -163,7 +154,10 @@ def model_from_dict(doc: dict) -> Model:
         raise ModelFormatError(f"dynamics: unknown mode {dmode!r}")
 
     constraints = _constraints_from_dict(doc["constraints"])
-    return Model(time, states, controls, noise, dynamics, constraints)
+    try:
+        return Model(time, states, controls, noise, dynamics, constraints)
+    except ExprSourceError as err:
+        raise ModelFormatError(f"dynamics.body[{err.index}]: {err.reason}") from None
 
 
 def _constraints_from_dict(doc: dict) -> ConstraintSets:

@@ -99,13 +99,6 @@ def sample_scenario(noise: DisturbanceLaw, n_steps: int, seed: int) -> Scenario:
     return Scenario(draws.astype(np.int64))
 
 
-def _child_seeds(base_seed: int, n: int):
-    """``seeds_of`` for ``_walk``: the derived seeds of samples start..stop-1."""
-    if n < 1:
-        raise ModelError(f"need n >= 1 samples, got {n}")
-    return functools.partial(_rng.derive_seed_array, base_seed)
-
-
 def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
           record: bool):
     """Closed-loop walks of ``n`` samples from ``x0``; ``seeds_of(start, stop)``
@@ -117,6 +110,8 @@ def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
     the ``(states, controls, draws, success)`` paths when ``record`` is set,
     and otherwise the number of successes, keeping nothing beyond one block.
     """
+    if n < 1:
+        raise ModelError(f"need n >= 1 samples, got {n}")
     choice = _policy_choice_array(model, policy)
     tab = model.tables
     thresholds = _rng.cdf_thresholds(model.noise.cdf)
@@ -166,13 +161,15 @@ def simulate_batch(model: Model, policy: FeedbackPolicy, x0: int, n: int,
     ``derive_seed(base_seed, i)``.
     """
     x0 = _check_x0(model.states.n_points, x0)
-    return _walk(model, policy, x0, n, _child_seeds(base_seed, n), record=True)
+    return _walk(model, policy, x0, n, functools.partial(_rng.derive_seed_array, base_seed),
+                 record=True)
 
 
 def estimate_probability(model: Model, policy: FeedbackPolicy, x0: int, n: int,
                          base_seed: int) -> ProbabilityEstimate:
     """Monte Carlo estimate of the closed-loop success probability."""
     x0 = _check_x0(model.states.n_points, x0)
-    successes = _walk(model, policy, x0, n, _child_seeds(base_seed, n), record=False)
+    successes = _walk(model, policy, x0, n, functools.partial(_rng.derive_seed_array, base_seed),
+                      record=False)
     lo, hi = wilson_interval(successes, n)
     return ProbabilityEstimate(successes / n, n, lo, hi, int(base_seed))

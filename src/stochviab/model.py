@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from . import expr as _expr
 __all__ = [
     "ModelError",
     "InvalidModelError",
+    "ExprSourceError",
     "TimeGrid",
     "StateSpace",
     "ControlMap",
@@ -51,6 +52,15 @@ class InvalidModelError(ModelError):
     def __init__(self, violations: list[str]):
         super().__init__("invalid model: " + "; ".join(violations))
         self.violations = violations
+
+
+class ExprSourceError(ModelError):
+    """Expression ``index`` of an :class:`ExprDynamics` is not a string or
+    does not parse under the model's dimensions; ``reason`` says which."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"expr dynamics: expression {index}: {reason}")
+        self.index, self.reason = index, reason
 
 
 @dataclass(frozen=True)
@@ -379,19 +389,16 @@ class TableDynamics:
 
 @dataclass(frozen=True, eq=False)
 class ExprDynamics:
-    """One arithmetic expression per state coordinate, projected to the grid."""
+    """One arithmetic expression per state coordinate, projected to the grid.
+
+    The trees are not kept here: their variables depend on the model's
+    dimensions, so :class:`Model` parses the sources once (``Model.expr_trees``).
+    """
 
     sources: tuple[str, ...]
-    asts: tuple[_expr.Ast, ...] = field(default=())
 
-    @classmethod
-    def parse(cls, sources: Sequence[str], dims: tuple[int, int, int]) -> "ExprDynamics":
-        srcs = tuple(str(s) for s in sources)
-        if len(srcs) != dims[0]:
-            raise ModelError(
-                f"expr dynamics: {len(srcs)} expressions for state dimension {dims[0]}"
-            )
-        return cls(srcs, tuple(_expr.parse(s, dims) for s in srcs))
+    def __post_init__(self):
+        object.__setattr__(self, "sources", tuple(self.sources))
 
 
 Dynamics = Union[TableDynamics, ExprDynamics]
@@ -468,6 +475,8 @@ class Model:
     noise: DisturbanceLaw
     dynamics: Dynamics
     constraints: ConstraintSets
+    # the parse of each ``ExprDynamics`` source under ``dims``; empty for tables
+    expr_trees: tuple[_expr.Ast, ...] = field(init=False, repr=False, default=())
 
     def __post_init__(self):
         m = self.states.n_points
@@ -496,21 +505,15 @@ class Model:
                     f"expr dynamics: {len(self.dynamics.sources)} expressions for "
                     f"state dimension {self.states.dim}"
                 )
-            if len(self.dynamics.asts) != len(self.dynamics.sources):
-                raise ModelError(
-                    f"expr dynamics: {len(self.dynamics.asts)} parsed expressions for "
-                    f"{len(self.dynamics.sources)} sources; build them with ExprDynamics.parse"
-                )
-            for i, (source, ast) in enumerate(zip(self.dynamics.sources, self.dynamics.asts)):
+            trees = []
+            for i, source in enumerate(self.dynamics.sources):
+                if not isinstance(source, str):
+                    raise ExprSourceError(i, "expected a string")
                 try:
-                    same = ast == _expr.parse(source, self.dims)
+                    trees.append(_expr.parse(source, self.dims))
                 except _expr.ExprError as err:
-                    raise ModelError(f"expr dynamics: expression {i}: {err}") from None
-                if not same:
-                    raise ModelError(
-                        f"expr dynamics: expression {i} is not the parse of its source "
-                        f"{source!r}; build them with ExprDynamics.parse"
-                    )
+                    raise ExprSourceError(i, str(err)) from None
+            object.__setattr__(self, "expr_trees", tuple(trees))
         if self.constraints.per_stage is not None:
             want = self.time.steps + 1
             if len(self.constraints.per_stage) != want:
@@ -646,6 +649,6 @@ def make_three_state_example(p: float, t0: int = 0, T: int = 40) -> Model:
         noise=DisturbanceLaw(
             np.array([[-1.0], [0.0], [1.0]]), np.array([p, 1.0 - 2.0 * p, p])
         ),
-        dynamics=ExprDynamics.parse(["x + u + w"], (1, 1, 1)),
+        dynamics=ExprDynamics(("x + u + w",)),
         constraints=ConstraintSets("set", stationary=(0, 1, 2)),
     )

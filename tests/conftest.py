@@ -91,7 +91,7 @@ def walk_model(n: int, T: int) -> Model:
         states=StateSpace(np.linspace(0.0, 1.0, n)[:, None]),
         controls=ControlMap.shared([[-h], [0.0], [h]], n),
         noise=DisturbanceLaw(np.arange(-2, 3)[:, None] * h, [0.05, 0.2, 0.5, 0.2, 0.05]),
-        dynamics=ExprDynamics.parse(["x + u + w"], (1, 1, 1)),
+        dynamics=ExprDynamics(("x + u + w",)),
         constraints=ConstraintSets("box", stationary=([0.2], [0.8])),
     )
 
@@ -104,7 +104,7 @@ def signed_zero_model() -> Model:
         states=StateSpace(np.array([[-0.0], [0.5], [1.0]])),
         controls=ControlMap.shared([[-0.0], [0.0], [0.5]], 3),
         noise=DisturbanceLaw([[0.0], [0.5]], [0.75, 0.25]),
-        dynamics=ExprDynamics.parse(["x + u + w"], (1, 1, 1)),
+        dynamics=ExprDynamics(("x + u + w",)),
         constraints=ConstraintSets("box", stationary=([-0.0], [1.0])),
     )
 

@@ -4,12 +4,15 @@ import time
 import numpy as np
 import pytest
 
+from stochviab.dp import solve
 from stochviab.expr import parse
+from stochviab.io import model_from_dict, model_to_dict
 from stochviab.model import (
     ConstraintSets,
     ControlMap,
     DisturbanceLaw,
     ExprDynamics,
+    ExprSourceError,
     Model,
     ModelError,
     StateSpace,
@@ -153,19 +156,20 @@ def test_model_rejects_inconsistent_shapes():
         )
     with pytest.raises(ModelError):
         DisturbanceLaw(np.array([[0.0], [1.0]]), np.array([1.0]))  # length mismatch
-    with pytest.raises(ModelError, match="0 parsed expressions for 1 sources"):
-        Model(m.time, m.states, m.controls, m.noise, ExprDynamics(("x + u + w",)), m.constraints)
 
 
-def test_expr_trees_must_be_the_parse_of_their_sources():
+def test_expr_trees_are_the_parse_of_their_sources():
     m = make_three_state_example(0.01, 0, 5)
-    trees = (parse("x", m.dims),)
-    with pytest.raises(ModelError, match="expression 0 is not the parse of its source 'x \\+ u"):
-        Model(m.time, m.states, m.controls, m.noise, ExprDynamics(("x + u + w",), trees),
-              m.constraints)
-    with pytest.raises(ModelError, match="expression 0: unknown variable 'w2'"):
-        Model(m.time, m.states, m.controls, m.noise,
-              ExprDynamics.parse(["x + u + w2"], (1, 1, 2)), m.constraints)
+    assert m.expr_trees == (parse("x + u + w", m.dims),)
+    # the model solves what it saves
+    reloaded = model_from_dict(model_to_dict(m))
+    assert np.array_equal(solve(m)[0].table, solve(reloaded)[0].table)
+    # the sources are parsed under the model's own dims
+    with pytest.raises(ExprSourceError, match="expression 0: unknown variable 'w2'") as err:
+        Model(m.time, m.states, m.controls, m.noise, ExprDynamics(("x + u + w2",)), m.constraints)
+    assert (err.value.index, err.value.reason) == (0, "unknown variable 'w2' (offset 8)")
+    with pytest.raises(ExprSourceError, match="expression 0: expected a string"):
+        Model(m.time, m.states, m.controls, m.noise, ExprDynamics((5,)), m.constraints)
 
 
 @pytest.mark.parametrize("index", [1.5, "a", True, np.float64(1.0)])
@@ -176,8 +180,10 @@ def test_set_constraint_indices_must_be_integers(index):
 
 
 def test_expr_dynamics_dimension_check():
-    with pytest.raises(ModelError):
-        ExprDynamics.parse(["x1 + u", "x2"], (1, 1, 1))
+    m = make_three_state_example(0.1)
+    with pytest.raises(ModelError, match="2 expressions for state dimension 1"):
+        Model(m.time, m.states, m.controls, m.noise, ExprDynamics(("x1 + u", "x2")),
+              m.constraints)
 
 
 def test_box_constraints_membership():
@@ -191,7 +197,7 @@ def test_box_constraints_membership():
     assert not member[:, 3].any()
 
 
-def _line_model(controls: ControlMap, sources=("x + u + w",), dims=(1, 1, 1), T=2,
+def _line_model(controls: ControlMap, sources=("x + u + w",), T=2,
                 constraints=None) -> Model:
     """Three states on a line, noise {-1, 0, 1} and expression dynamics."""
     return Model(
@@ -199,7 +205,7 @@ def _line_model(controls: ControlMap, sources=("x + u + w",), dims=(1, 1, 1), T=
         StateSpace(np.array([[-1.0], [0.0], [1.0]])),
         controls,
         DisturbanceLaw(np.array([[-1.0], [0.0], [1.0]]), np.array([0.25, 0.5, 0.25])),
-        ExprDynamics.parse(list(sources), dims),
+        ExprDynamics(sources),
         constraints or ConstraintSets("set", stationary=(0, 1, 2)),
     )
 
@@ -219,7 +225,7 @@ class TestValidateDiagnostics:
     def test_per_state_narrow_list_and_stationary_set(self):
         controls = ControlMap.per_state([[[1.0, 0.0], [0.0, 1.0]], [[1.0]], [[0.0, 0.0]]], 3)
         model = _line_model(
-            controls, ("x + u1 - u2 + w",), (1, 2, 1),
+            controls, ("x + u1 - u2 + w",),
             constraints=ConstraintSets("set", stationary=(0, 1, 5)),
         )
         assert validate(model) == [
@@ -324,7 +330,7 @@ def test_stationary_constraints_over_a_million_stages():
         states,
         ControlMap.shared([[0.0]], 1),
         DisturbanceLaw([[0.0]], [1.0]),
-        ExprDynamics.parse(["x + u + w"], (1, 1, 1)),
+        ExprDynamics(("x + u + w",)),
         ConstraintSets("set", stationary=(0,)),
     )
     start = time.perf_counter()
@@ -344,7 +350,7 @@ def _wide_model(T: int, controls: ControlMap, constraints: ConstraintSets) -> Mo
         StateSpace(np.arange(1000.0)),
         controls,
         DisturbanceLaw([[0.0]], [1.0]),
-        ExprDynamics.parse(["x + u + w"], (1, 1, 1)),
+        ExprDynamics(("x + u + w",)),
         constraints,
     )
 

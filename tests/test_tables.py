@@ -78,7 +78,7 @@ def reference_tables(model: Model) -> tuple[np.ndarray, np.ndarray]:
                 for i, w_vec in enumerate(noise.support):
                     b = reference_bindings(t, states.points[x], u_vec, w_vec, n, p, q)
                     point = []
-                    for ast in model.dynamics.asts:
+                    for ast in model.expr_trees:
                         try:
                             point.append(expr.evaluate(ast, b))
                         except expr.EvalError as err:
@@ -162,7 +162,7 @@ def expr_models(draw):
         states=states,
         controls=controls,
         noise=noise,
-        dynamics=ExprDynamics.parse(sources, (n, p, q)),
+        dynamics=ExprDynamics(sources),
         constraints=ConstraintSets("set", stationary=tuple(range(m))),
     )
 
@@ -231,7 +231,7 @@ def _one_dim_model(source: str, T: int = 1) -> Model:
         states=states,
         controls=ControlMap.shared([[0.0]], 3),
         noise=DisturbanceLaw([[0.0]], [1.0]),
-        dynamics=ExprDynamics.parse([source], (1, 1, 1)),
+        dynamics=ExprDynamics((source,)),
         constraints=ConstraintSets("set", stationary=(0, 1, 2)),
     )
 
@@ -259,7 +259,7 @@ def test_table_size_guard_fails_before_allocating():
         states=states,
         controls=ControlMap.shared([[0.0]], 1),
         noise=DisturbanceLaw([[0.0]], [1.0]),
-        dynamics=ExprDynamics.parse(["x + u + w"], (1, 1, 1)),
+        dynamics=ExprDynamics(("x + u + w",)),
         constraints=ConstraintSets("set", stationary=(0,)),
     )
     tracemalloc.start()
