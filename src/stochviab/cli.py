@@ -65,8 +65,6 @@ def cmd_solve(args) -> int:
 
 def cmd_value(args) -> int:
     _, vf = _value_source(args)
-    if args.time is None:
-        raise ModelError("--time is required")
     k = vf.stage_index(args.time)
     if args.x0 is not None:
         print(io._fmt(vf.table[k, _check_x0(vf.n_states, args.x0)]))

@@ -18,10 +18,12 @@ lose that relative gap at every stage, so it achieves V within a relative
 ``steps * ARGMAX_TOL`` (up to rounding), values close to 0 included.  On a
 200-stage walk both tie-breaks fall short of V by a relative 1.3e-11.
 
-``brute_force_value`` is an independent oracle: it enumerates every feedback
-law (one control slot per stage and non-sink state), scores each with the
-plain policy-evaluation recursion, and returns the best score.  It shares no
-code with the stage kernels.
+``brute_force_value`` is an independent oracle: it scores every feedback law
+(one control slot per stage and non-sink state) with the plain
+policy-evaluation recursion and returns the best score.  It builds the laws
+backward, a stage at a time, so that all laws that agree on the later stages
+share one row of values; it still scores each law, and shares no code with
+the stage backups.
 
 Every function here reads ``model.tables``, which compiles only a valid
 model: each raises :class:`~stochviab.model.InvalidModelError` on any other.
@@ -247,47 +249,37 @@ def evaluate_policy(model: Model, policy: "FeedbackPolicy") -> ValueFunction:
 def brute_force_value(model: Model, x0: int) -> float:
     """Best success probability over every feedback law, by full enumeration.
 
-    Enumerates one control slot per (stage, non-sink state), scores each
-    candidate with the plain policy-evaluation recursion (vectorized over all
-    candidates at once), and returns the maximum at (t0, x0).  Guarded to
-    ``BRUTE_FORCE_GUARD`` candidate policies.
+    A candidate is one control slot per (stage, non-sink state); slots at
+    states outside the constraint set count too.  Candidates are built
+    backward: the stage-k candidates cross each candidate for stages
+    k+1..T-1 with every choice of slots at stage k, and all of them read
+    that later candidate's one row of values.  Each is scored with the plain
+    policy-evaluation recursion, and the maximum at (t0, x0) is taken once,
+    at the end.  Guarded to ``BRUTE_FORCE_GUARD`` candidate policies.
     """
     tab = model.tables
     m = tab.n_states
     x0 = _check_x0(m, x0)
-    steps = tab.steps
-
-    radices = [int(tab.n_ctrl[k, x]) for k in range(steps) for x in range(m)]
     n_pol = 1
-    for r in radices:
-        n_pol *= r
+    for r in tab.n_ctrl[:, :m].flat:
+        n_pol *= int(r)
         if n_pol > BRUTE_FORCE_GUARD:
             raise ModelError(
                 f"policy enumeration exceeds guard of {BRUTE_FORCE_GUARD} candidates"
             )
 
-    # digit[c, slot] = control choice of candidate c at flattened (stage, state)
-    ids = np.arange(n_pol)
-    digits = np.empty((n_pol, len(radices)), dtype=np.int64)
-    stride = 1
-    for s, r in enumerate(radices):
-        digits[:, s] = (ids // stride) % r
-        stride *= r
-
-    # policy evaluation recursion, batched over candidates
-    pi = np.broadcast_to(
-        tab.member[steps].astype(np.float64), (n_pol, m + 1)
-    ).copy()
-    for k in range(steps - 1, -1, -1):
-        nxt_pi = pi
-        pi = np.zeros((n_pol, m + 1))
+    # pi[c, x]: value at stage k of candidate c for stages k..T-1
+    pi = tab.member[tab.steps, None].astype(np.float64)
+    for k in range(tab.steps - 1, -1, -1):
+        acc = np.zeros(pi.shape + (tab.u_max,))
+        for i in range(tab.n_atoms):
+            acc += tab.probs[i] * pi[:, tab.next_state[k, :, :, i]]
+        rows = np.arange(len(pi))
+        pi = np.zeros((len(pi), m + 1))
         for x in range(m):
-            if not tab.member[k, x]:
-                continue
-            slot = digits[:, k * m + x]
-            succ = tab.next_state[k, x, slot, :]  # (n_pol, W)
-            acc = np.zeros(n_pol)
-            for i in range(tab.n_atoms):
-                acc += tab.probs[i] * nxt_pi[ids, succ[:, i]]
-            pi[:, x] = np.minimum(acc, 1.0)
+            r = int(tab.n_ctrl[k, x])
+            pi, rows = np.repeat(pi, r, axis=0), np.repeat(rows, r)
+            if tab.member[k, x]:
+                slots = np.tile(np.arange(r), len(rows) // r)
+                pi[:, x] = np.minimum(acc[rows, x, slots], 1.0)
     return float(pi[:, x0].max())

@@ -146,10 +146,19 @@ def model_from_dict(doc: dict) -> Model:
             raise ModelFormatError("dynamics.body: expected a list of expressions")
         dynamics = ExprDynamics(body)
     elif dmode == "table":
-        u_max = max(1, int(controls.counts.max()))
+        body, counts = doc["dynamics"]["body"], controls.counts[0]
         dynamics = TableDynamics.from_nested(
-            doc["dynamics"]["body"], states.n_points, u_max, noise.n_atoms, time.steps
+            body, states.n_points, max(1, int(counts.max())), noise.n_atoms, time.steps
         )
+        # from_nested pads missing rows with the sink; the file must list each control
+        n_rows = np.fromiter(map(len, chain.from_iterable(body)), np.int64)
+        bad = np.argwhere(n_rows.reshape(time.steps, states.n_points) != counts)
+        if bad.size:
+            t, x = bad[0].tolist()
+            raise ModelFormatError(
+                f"dynamics table at (t={t}, x={x}): {len(body[t][x])} control rows, "
+                f"expected {counts[x]}"
+            )
     else:
         raise ModelFormatError(f"dynamics: unknown mode {dmode!r}")
 

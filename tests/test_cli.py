@@ -119,6 +119,12 @@ def test_solve_diagnostics_on_invalid_model(model_path, tmp_path, capsys):
                      id="body-true"),
         pytest.param(("dynamics", "body"), "[null]", "dynamics.body[0]: expected a string",
                      id="body-null"),
+        # the later duplicate "mode" key wins; state 0 lists 1 of its 2 controls
+        pytest.param(("dynamics", "body"),
+                     "[" + ", ".join(["[[[0, 0, 0]], [[1, 1, 1], [1, 1, 1]], "
+                                      "[[2, 2, 2], [2, 2, 2]]]"] * 40) + '], "mode": "table"',
+                     "dynamics table at (t=0, x=0): 1 control rows, expected 2",
+                     id="table-missing-row"),
     ],
 )
 def test_solve_rejects_malformed_numbers(model_path, tmp_path, capsys, field, value, message):

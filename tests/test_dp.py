@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -307,6 +310,33 @@ class TestBruteForce:
             for x0 in range(model.states.n_points):
                 assert abs(brute_force_value(model, x0)
                            - vf.value(model.time.t0, x0)) <= 1e-12
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_equals_best_evaluated_policy(self, deterministic):
+        # both sum the atoms in the same order and clamp the same way, so the
+        # best score is equal, not merely close
+        for seed in range(40):
+            model = random_model(seed, deterministic)
+            tab = model.tables
+            m = tab.n_states
+            best = np.full(m, -np.inf)
+            for slots in itertools.product(*map(range, tab.n_ctrl[:, :m].flat)):
+                choice = np.zeros((tab.steps, m + 1), dtype=np.int64)
+                choice[:, :m] = np.reshape(slots, (tab.steps, m))
+                vf = evaluate_policy(model, FeedbackPolicy.from_array(model, choice))
+                best = np.maximum(best, vf.table[0, :m])
+            assert [brute_force_value(model, x0) for x0 in range(m)] == best.tolist(), seed
+
+    def test_memory_is_a_few_candidate_value_tables(self):
+        model = make_three_state_example(0.01, 0, 6)  # 2^18 candidates over 3 states + sink
+        model.tables
+        tracemalloc.start()
+        try:
+            brute_force_value(model, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**18 * 4 * 8, peak
 
     def test_guard_rejects_huge_enumerations(self):
         m = 4

@@ -159,6 +159,15 @@ class TestModelJson:
             # the later duplicate "mode" key wins
             (("controls", "lists"), '5, "mode": "per_state"',
              "controls: per_state lists must be a list"),
+            # one row per admissible control: none missing, none past the state's count
+            (("dynamics", "body", 0, 1), "[]",
+             "dynamics table at (t=0, x=1): 0 control rows, expected 1"),
+            # the later duplicate "controls" key wins: state 1 has 2 controls, state 0 one
+            (("dynamics",),
+             '{"mode": "table", "body": [[[[1, 0], [0, 0]], [[0, -1], [1, 1]]], '
+             '[[[0, 0]], [[1, 1], [0, 0]]]]}, '
+             '"controls": {"mode": "per_state", "lists": [[[1.0]], [[1.0], [2.0]]]}',
+             "dynamics table at (t=0, x=0): 2 control rows, expected 1"),
         ],
     )
     def test_integer_entries_read_strictly(self, tmp_path, keys, literal, message):
