@@ -146,19 +146,10 @@ def model_from_dict(doc: dict) -> Model:
             raise ModelFormatError("dynamics.body: expected a list of expressions")
         dynamics = ExprDynamics(body)
     elif dmode == "table":
-        body, counts = doc["dynamics"]["body"], controls.counts[0]
         dynamics = TableDynamics.from_nested(
-            body, states.n_points, max(1, int(counts.max())), noise.n_atoms, time.steps
+            doc["dynamics"]["body"], states.n_points, controls.counts[0], noise.n_atoms,
+            time.steps,
         )
-        # from_nested pads missing rows with the sink; the file must list each control
-        n_rows = np.fromiter(map(len, chain.from_iterable(body)), np.int64)
-        bad = np.argwhere(n_rows.reshape(time.steps, states.n_points) != counts)
-        if bad.size:
-            t, x = bad[0].tolist()
-            raise ModelFormatError(
-                f"dynamics table at (t={t}, x={x}): {len(body[t][x])} control rows, "
-                f"expected {counts[x]}"
-            )
     else:
         raise ModelFormatError(f"dynamics: unknown mode {dmode!r}")
 
@@ -199,6 +190,19 @@ def _constraints_from_dict(doc: dict) -> ConstraintSets:
 
 
 def model_to_dict(model: Model) -> dict:
+    return _model_doc(model, _nested_body)
+
+
+def _nested_body(body: np.ndarray, counts: np.ndarray) -> list:
+    """``body[t][x][:counts[x]]`` as nested lists."""
+    counts = counts.tolist()
+    return [[per_u[:n] for per_u, n in zip(row, counts)] for row in body.tolist()]
+
+
+def _model_doc(model: Model, table_body) -> dict:
+    """The model document; a table model's body is ``table_body(body,
+    counts)`` of its ``(steps, m, u_max, W)`` table, with ``-1`` for the sink,
+    and its per-state control counts."""
     ctl = model.controls
     if ctl.kind == "shared":
         controls = {"mode": "shared", "lists": ctl.admissible(model.time.t0, 0).tolist()}
@@ -214,17 +218,14 @@ def model_to_dict(model: Model) -> dict:
         dynamics = {"mode": "expr", "body": list(model.dynamics.sources)}
     else:
         m, tab = model.states.n_points, model.dynamics.table
-        counts = ctl.counts[0].tolist()
-        if max(counts) > tab.shape[2]:
+        counts = ctl.counts[0]
+        if counts.max() > tab.shape[2]:
             raise ModelFormatError(
                 f"dynamics table has {tab.shape[2]} control slots, "
-                f"but up to {max(counts)} controls are admissible"
+                f"but up to {counts.max()} controls are admissible"
             )
-        body = [
-            [per_u[:n] for per_u, n in zip(row, counts)]
-            for row in np.where(tab == m, -1, tab)[:, :m].tolist()
-        ]
-        dynamics = {"mode": "table", "body": body}
+        body = np.where(tab == m, -1, tab)[:, :m]
+        dynamics = {"mode": "table", "body": table_body(body, counts)}
 
     cons = model.constraints
 
@@ -267,9 +268,81 @@ def load_model(path: PathLike) -> Model:
         raise ModelFormatError(f"{path}: {err}") from None
 
 
+# Stands in for a table body in the document that save_model encodes; no
+# other string of a table model's document can equal it.
+_SPLICE = "\0table body"
+
+
 def save_model(model: Model, path: PathLike) -> None:
-    doc = model_to_dict(model)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    """Write ``json.dumps(model_to_dict(model), indent=2)`` and a newline.
+
+    A table body is not encoded by ``json``: its text is built from the array,
+    one stage at a time, and written in place of the body in the encoded rest
+    of the document.
+    """
+    bodies = []
+
+    def splice(body, counts):
+        bodies.append(_table_body_pieces(body, counts))
+        return _SPLICE
+
+    head, _, tail = json.dumps(_model_doc(model, splice), indent=2).partition(
+        json.dumps(_SPLICE))
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(head)
+        fh.writelines(chain.from_iterable(bodies))
+        fh.write(tail + "\n")
+
+
+def _table_body_pieces(body: np.ndarray, counts: np.ndarray) -> list[str]:
+    """The text of ``_nested_body(body, counts)`` in ``json.dumps(doc,
+    indent=2)``, in pieces of about one stage, built from the array.
+
+    The text is a run of items: the entries, and ``[]`` for a list without
+    elements.  An item of depth ``d`` is an element of a list of level
+    ``d - 1``, where level 0 is ``body``.  The separator between two items
+    closes the lists of the first down to the level that both share, writes
+    a comma, and opens the lists of the second; it is one of a few fixed
+    strings, picked by the two depths and that level.  Every stage has the
+    same items, so it has the same separators.
+    """
+    _, _, u_max, n_atoms = body.shape
+    indent = 4  # the body's closing bracket: it is a field of "dynamics"
+
+    def opens(lo: int, hi: int) -> str:  # the lists of levels lo..hi-1
+        return "".join("[\n" + " " * (indent + 2 * level + 2) for level in range(lo, hi))
+
+    def closes(hi: int, lo: int) -> str:  # the lists of levels hi-1 down to lo
+        return "".join("\n" + " " * (indent + 2 * level) + "]" for level in range(lo, hi)[::-1])
+
+    def separator(a: int, level: int, b: int) -> str:
+        return closes(a, level + 1) + ",\n" + " " * (indent + 2 * level + 2) + opens(level + 1, b)
+
+    # a stage's items: per state, its entries; one [] per row without atoms;
+    # one [] without rows
+    depth = np.where(counts == 0, 2, 3 if n_atoms == 0 else 4)
+    n_rows, n_items = np.where(depth >= 3, counts, 1), np.where(depth == 4, n_atoms, 1)
+    slots = ((np.arange(max(u_max, 1))[:, None] < n_rows[:, None, None])
+             & (np.arange(max(n_atoms, 1)) < n_items[:, None, None]))
+    path = np.nonzero(slots)  # (x, u, w) of each item
+    depth = depth[path[0]]
+    leaf = depth == 4
+    entries = _cells(body[(slice(None),) + tuple(p[leaf] for p in path)])  # (steps, leaves)
+
+    # neighbours share the lists above the first index where their paths differ
+    index = np.stack(path)
+    shared = 1 + (index[:, 1:] != index[:, :-1]).argmax(axis=0)
+    separators = np.array([separator(a, level, b) for a in range(5) for level in range(4)
+                           for b in range(5)], dtype=object)
+    items = np.full(2 * depth.size - 1, "[]", dtype=object)
+    items[1::2] = separators[(depth[:-1] * 4 + shared) * 5 + depth[1:]]
+    text = items[0::2]  # a view: the stage's entries go in through it
+    pieces, between = [opens(0, depth[0])], separator(depth[-1], 0, depth[0])
+    for stage in entries:
+        text[leaf] = stage
+        pieces += ["".join(items.tolist()), between]
+    pieces[-1] = closes(depth[-1], 0)
+    return pieces
 
 
 # --- value function CSV ---

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -330,61 +331,112 @@ class TableDynamics:
         object.__setattr__(self, "table", arr)
 
     @classmethod
-    def from_nested(cls, nested, n_states: int, u_max: int, n_atoms: int, steps: int
+    def from_nested(cls, nested, n_states: int, counts, n_atoms: int, steps: int
                     ) -> "TableDynamics":
         """Build a padded table from ``nested[t][x][u][w]`` over non-sink states.
 
+        ``counts`` holds the admissible control count of each state, one value
+        per state or one row per stage; ``nested[t][x]`` must list exactly
+        that many control rows, so ``u_max`` is ``max(1, counts.max())``.
         Entries may use ``-1`` for the sink; the sink row is synthesized as
-        absorbing, and unused control slots are padded with the sink.
+        absorbing, and control slots past a state's count hold the sink.
         """
+        counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), (steps, n_states))
+        u_max = max(1, int(counts.max(initial=0)))
+        rows = _nested_rows(nested, n_states, counts, n_atoms, steps)
+        if rows is None:
+            raise _first_fault(nested, n_states, counts, u_max, n_atoms, steps)
         sink = n_states
         table = np.full((steps, n_states + 1, u_max, n_atoms), sink, dtype=np.int64)
-
-        def not_list(value, where: str, items: str) -> ModelError:
-            return ModelError(f"dynamics table{where}: expected a list of {items}, got {value!r}")
-
-        if not isinstance(nested, (list, tuple)):
-            raise not_list(nested, "", "stages")
-        if len(nested) != steps:
-            raise ModelError(f"dynamics table: {len(nested)} stages, expected {steps}")
-        for t, row in enumerate(nested):
-            if not isinstance(row, (list, tuple)):
-                raise not_list(row, f" stage {t}", "states")
-            if len(row) != n_states:
-                raise ModelError(
-                    f"dynamics table stage {t}: {len(row)} states, expected {n_states}"
-                )
-            for x, per_u in enumerate(row):
-                if not isinstance(per_u, (list, tuple)):
-                    raise not_list(per_u, f" at (t={t}, x={x})", "control rows")
-                if len(per_u) > u_max:
-                    raise ModelError(
-                        f"dynamics table at (t={t}, x={x}): {len(per_u)} control rows "
-                        f"exceed u_max={u_max}"
-                    )
-                for u, per_w in enumerate(per_u):
-                    if not isinstance(per_w, (list, tuple)):
-                        raise not_list(per_w, f" at (t={t}, x={x}, u={u})", "disturbance entries")
-                    if len(per_w) != n_atoms:
-                        raise ModelError(
-                            f"dynamics table at (t={t}, x={x}, u={u}): "
-                            f"{len(per_w)} disturbance entries, expected {n_atoms}"
-                        )
-                    for w, nxt in enumerate(per_w):
-                        if not _is_int(nxt):
-                            raise ModelError(
-                                f"dynamics table entry {nxt!r} at (t={t}, x={x}, u={u}, "
-                                f"w={w}) is not an integer"
-                            )
-                        if nxt == -1:
-                            nxt = sink
-                        if not (0 <= nxt <= sink):
-                            raise ModelError(
-                                f"dynamics table entry {nxt} out of range at "
-                                f"(t={t}, x={x}, u={u}, w={w})"
-                            )
-                        table[t, x, u, w] = nxt
+        listed = np.arange(u_max) < counts[..., None]  # the (t, x, u) slots of the rows
+        rows[rows == -1] = sink
+        table[:, :n_states][listed] = rows
         return cls(table)
+
+
+def _nested_rows(nested, n_states: int, counts: np.ndarray, n_atoms: int, steps: int):
+    """The control rows of ``nested``, in (t, x, u) order, as one
+    ``(rows, n_atoms)`` int64 array of entries in ``-1..n_states``; None if
+    any level, count or entry is wrong."""
+
+    def lists(items) -> bool:
+        return all(issubclass(t, (list, tuple)) for t in set(map(type, items)))
+
+    if not (isinstance(nested, (list, tuple)) and len(nested) == steps and lists(nested)
+            and all(len(row) == n_states for row in nested)):
+        return None
+    cells = list(chain.from_iterable(nested))
+    if not (lists(cells) and np.array_equal(
+            np.fromiter(map(len, cells), np.int64, len(cells)), counts.ravel())):
+        return None
+    rows = list(chain.from_iterable(cells))
+    if not (lists(rows) and set(map(len, rows)) <= {n_atoms}):
+        return None
+    # the types _is_int accepts; ``true`` would otherwise convert to 1
+    types = set(map(type, chain.from_iterable(rows)))
+    if not all(t is int or issubclass(t, np.integer) for t in types):
+        return None
+    try:
+        entries = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * n_atoms)
+    except OverflowError:
+        return None
+    if entries.size and not (entries.min() >= -1 and entries.max() <= n_states):
+        return None
+    return entries.reshape(len(rows), n_atoms)
+
+
+def _first_fault(nested, n_states: int, counts: np.ndarray, u_max: int, n_atoms: int,
+                 steps: int) -> ModelError:
+    """The error for the first fault of a body that :func:`_nested_rows`
+    refused: the first malformed level or entry in (t, x, u, w) order, else
+    the first state whose control rows differ from its count."""
+    sink = n_states
+
+    def not_list(value, where: str, items: str) -> ModelError:
+        return ModelError(f"dynamics table{where}: expected a list of {items}, got {value!r}")
+
+    if not isinstance(nested, (list, tuple)):
+        return not_list(nested, "", "stages")
+    if len(nested) != steps:
+        return ModelError(f"dynamics table: {len(nested)} stages, expected {steps}")
+    for t, row in enumerate(nested):
+        if not isinstance(row, (list, tuple)):
+            return not_list(row, f" stage {t}", "states")
+        if len(row) != n_states:
+            return ModelError(f"dynamics table stage {t}: {len(row)} states, expected {n_states}")
+        for x, per_u in enumerate(row):
+            if not isinstance(per_u, (list, tuple)):
+                return not_list(per_u, f" at (t={t}, x={x})", "control rows")
+            if len(per_u) > u_max:
+                return ModelError(
+                    f"dynamics table at (t={t}, x={x}): {len(per_u)} control rows "
+                    f"exceed u_max={u_max}"
+                )
+            for u, per_w in enumerate(per_u):
+                if not isinstance(per_w, (list, tuple)):
+                    return not_list(per_w, f" at (t={t}, x={x}, u={u})", "disturbance entries")
+                if len(per_w) != n_atoms:
+                    return ModelError(
+                        f"dynamics table at (t={t}, x={x}, u={u}): "
+                        f"{len(per_w)} disturbance entries, expected {n_atoms}"
+                    )
+                for w, nxt in enumerate(per_w):
+                    if not _is_int(nxt):
+                        return ModelError(
+                            f"dynamics table entry {nxt!r} at (t={t}, x={x}, u={u}, "
+                            f"w={w}) is not an integer"
+                        )
+                    if not (-1 <= nxt <= sink):
+                        return ModelError(
+                            f"dynamics table entry {nxt} out of range at "
+                            f"(t={t}, x={x}, u={u}, w={w})"
+                        )
+    t, x = np.argwhere(np.fromiter(map(len, chain.from_iterable(nested)), np.int64)
+                       .reshape(steps, n_states) != counts)[0].tolist()
+    return ModelError(
+        f"dynamics table at (t={t}, x={x}): {len(nested[t][x])} control rows, "
+        f"expected {counts[t, x]}"
+    )
 
 
 @dataclass(frozen=True, eq=False)

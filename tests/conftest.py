@@ -44,7 +44,7 @@ def random_model(seed: int, deterministic: bool = False) -> Model:
         [[[float(j)] for j in range(rng.randint(1, 2))] for _ in range(m)]
         for _ in range(steps)
     ]
-    u_max = max(len(per_x) for row in ctable for per_x in row)
+    counts = [[len(per_x) for per_x in row] for row in ctable]
 
     if deterministic:
         probs = [1.0]
@@ -75,7 +75,7 @@ def random_model(seed: int, deterministic: bool = False) -> Model:
         states=StateSpace(np.array(points)),
         controls=ControlMap.per_stage_state(ctable, m, t0),
         noise=DisturbanceLaw(np.array(support), np.array(probs)),
-        dynamics=TableDynamics.from_nested(nested, m, u_max, n_atoms, steps),
+        dynamics=TableDynamics.from_nested(nested, m, counts, n_atoms, steps),
         constraints=ConstraintSets("set", per_stage=tuple(per_stage)),
     )
 

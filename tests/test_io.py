@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,9 +48,31 @@ def table_model() -> Model:
         StateSpace(np.array([[0.0], [2.5]])),
         ControlMap.shared(np.array([[1.0]]), 2),
         DisturbanceLaw(np.array([[0.0], [1.0]]), np.array([0.75, 0.25])),
-        TableDynamics.from_nested(nested, 2, 1, 2, 2),
+        TableDynamics.from_nested(nested, 2, [1, 1], 2, 2),
         ConstraintSets("set", per_stage=((0, 1), (0,), (0, 1))),
     )
+
+
+def _per_state(lists) -> ControlMap:
+    return ControlMap.per_state(lists, len(lists))
+
+
+# Models whose files hold a table body.  A state without controls makes a
+# model invalid, but model_to_dict writes it, as [].
+WRITTEN_MODELS = {
+    "table": table_model,
+    "ragged": lambda: ragged_table_model(),  # defined further down
+    "all-sink": lambda: replace(ragged_table_model(),
+                                dynamics=TableDynamics(np.full((3, 4, 3, 2), 3))),
+    "no-controls": lambda: replace(
+        ragged_table_model(), controls=_per_state([[[-1.0], [0.0], [1.0]], [], [[0.25]]])),
+    "first-and-last-no-controls": lambda: replace(
+        ragged_table_model(), controls=_per_state([[], [[0.5]], []])),
+    "no-atoms": lambda: replace(
+        table_model(), controls=_per_state([[[1.0]], []]),
+        noise=DisturbanceLaw(np.zeros((0, 1)), np.zeros(0)),
+        dynamics=TableDynamics(np.zeros((2, 3, 1, 0), np.int64))),
+}
 
 
 class TestModelJson:
@@ -168,6 +191,19 @@ class TestModelJson:
              '[[[0, 0]], [[1, 1], [0, 0]]]]}, '
              '"controls": {"mode": "per_state", "lists": [[[1.0]], [[1.0], [2.0]]]}',
              "dynamics table at (t=0, x=0): 2 control rows, expected 1"),
+            # np.asarray would read true as 1
+            (("dynamics", "body", 1, 0, 0, 1), "true",
+             "dynamics table entry True at (t=1, x=0, u=0, w=1) is not an integer"),
+            (("dynamics", "body", 0, 1, 0, 0), "null",
+             "dynamics table entry None at (t=0, x=1, u=0, w=0) is not an integer"),
+            (("dynamics", "body", 1, 1, 0, 0), '"3"',
+             "dynamics table entry '3' at (t=1, x=1, u=0, w=0) is not an integer"),
+            (("dynamics", "body", 0, 0, 0, 1), "-2",
+             "dynamics table entry -2 out of range at (t=0, x=0, u=0, w=1)"),
+            (("dynamics", "body", 1, 1, 0, 1), "3",
+             "dynamics table entry 3 out of range at (t=1, x=1, u=0, w=1)"),
+            (("dynamics", "body", 0, 1, 0, 1), "[0]",
+             "dynamics table entry [0] at (t=0, x=1, u=0, w=1) is not an integer"),
         ],
     )
     def test_integer_entries_read_strictly(self, tmp_path, keys, literal, message):
@@ -180,6 +216,21 @@ class TestModelJson:
         path.write_text(json.dumps(doc).replace('"@"', literal))
         with pytest.raises(ModelFormatError, match="^" + re.escape(f"{path}: {message}")):
             load_model(path)
+
+    @pytest.mark.parametrize("name", [*WRITTEN_MODELS, *(f"random-{s}" for s in range(200))])
+    def test_save_model_writes_the_indented_json(self, tmp_path, name):
+        """The spliced table body gives the bytes of ``json.dumps(indent=2)``."""
+        if name.startswith("random-"):
+            model = random_model(int(name[7:]))
+            # the file holds per_state controls: take those in force at t0
+            model = replace(model, controls=_per_state(
+                [model.controls.admissible(model.time.t0, x)
+                 for x in range(model.states.n_points)]))
+        else:
+            model = WRITTEN_MODELS[name]()
+        save_model(model, tmp_path / "m.json")
+        want = json.dumps(model_to_dict(model), indent=2) + "\n"
+        assert (tmp_path / "m.json").read_text() == want
 
     def test_per_state_model_round_trip(self, tmp_path):
         save_model(ragged_table_model(), tmp_path / "a.json")
@@ -348,7 +399,7 @@ def ragged_table_model() -> Model:
         StateSpace(np.array([[0.0], [0.5], [1.0]])),
         ControlMap.per_state([[[-1.0], [0.0], [1.0]], [[0.5]], [[-0.25], [0.25]]], 3),
         DisturbanceLaw(np.array([[0.0], [1.0]]), np.array([0.625, 0.375])),
-        TableDynamics.from_nested(nested, 3, 3, 2, 3),
+        TableDynamics.from_nested(nested, 3, [3, 1, 2], 2, 3),
         ConstraintSets("set", per_stage=((0, 1, 2), (0, 2), (1, 2), (0, 1, 2))),
     )
 

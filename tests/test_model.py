@@ -253,7 +253,7 @@ class TestValidateDiagnostics:
             StateSpace(np.array([[0.0], [1.0]])),
             ControlMap.per_stage_state([[[[0.0]], [[1.0]]]], 2, 0),
             DisturbanceLaw(np.array([[0.0]]), np.array([1.0])),
-            TableDynamics.from_nested([[[[0]], [[1]]], [[[1]], [[0]]]], 2, 1, 1, 2),
+            TableDynamics.from_nested([[[[0]], [[1]]], [[[1]], [[0]]]], 2, [1, 1], 1, 2),
             ConstraintSets("set", stationary=(0, 1)),
         )
         assert validate(model) == [
@@ -292,6 +292,56 @@ class TestValidateDiagnostics:
                 for k in range(3)
             ],
         ]
+
+
+class TestTableFromNested:
+    """``TableDynamics.from_nested`` reads each state's admissible count of rows."""
+
+    @pytest.mark.parametrize(
+        "nested,counts,message",
+        [
+            # the rows of a state with two controls once padded with the sink
+            ([[[[0]], [[1]]]], (2, 1), "dynamics table at (t=0, x=0): 1 control rows, expected 2"),
+            ([[[[0], [1]], [[1], [0]]]], (2, 1),
+             "dynamics table at (t=0, x=1): 2 control rows, expected 1"),
+            ([[[[0], [1], [1]], [[1]]]], (2, 1),
+             "dynamics table at (t=0, x=0): 3 control rows exceed u_max=2"),
+            # one count per (stage, state)
+            ([[[[0]], [[1]]], [[[0]], [[1]]]], [[1, 1], [1, 0]],
+             "dynamics table at (t=1, x=1): 1 control rows, expected 0"),
+            # a malformed entry anywhere is named before a missing row
+            ([[[], [[1]]], [[[0]], [[True]]]], (1, 1),
+             "dynamics table entry True at (t=1, x=1, u=0, w=0) is not an integer"),
+        ],
+    )
+    def test_row_counts_checked(self, nested, counts, message):
+        with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+            TableDynamics.from_nested(nested, 2, counts, 1, len(nested))
+
+    def test_one_row_per_control(self):
+        model = Model(
+            TimeGrid(0, 1),
+            StateSpace(np.array([[0.0], [1.0]])),
+            ControlMap.per_state([[[0.0], [1.0]], [[0.0]]], 2),
+            DisturbanceLaw(np.array([[0.0]]), np.array([1.0])),
+            TableDynamics.from_nested([[[[0], [1]], [[-1]]]], 2, (2, 1), 1, 1),
+            ConstraintSets("set", stationary=(0, 1)),
+        )
+        assert validate(model) == []
+        assert model.tables.next_state[0, :2].tolist() == [[[0], [1]], [[2], [2]]]
+
+    def test_integer_types_and_tuples(self):
+        """numpy integers and tuples are read as ints and lists are."""
+        nested = [[[[1, -1], [0, 0]], [[2, 1]]]]
+        want = TableDynamics.from_nested(nested, 2, (2, 1), 2, 1).table
+        same = [[((np.int32(1), -1), [np.int64(0), np.uint8(0)]), ([2, 1],)]]
+        assert np.array_equal(TableDynamics.from_nested(same, 2, (2, 1), 2, 1).table, want)
+        assert want.tolist() == [[[[1, 2], [0, 0]], [[2, 1], [2, 2]], [[2, 2], [2, 2]]]]
+
+    def test_per_stage_counts(self):
+        table = TableDynamics.from_nested(
+            [[[[0]], [[1]]], [[[0]], []]], 2, [[1, 1], [1, 0]], 1, 2).table
+        assert table[:, :2].tolist() == [[[[0]], [[1]]], [[[0]], [[2]]]]
 
 
 class TestNonFinite:
