@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -327,7 +327,9 @@ def _table_body_pieces(body: np.ndarray, counts: np.ndarray) -> list[str]:
     path = np.nonzero(slots)  # (x, u, w) of each item
     depth = depth[path[0]]
     leaf = depth == 4
-    entries = _cells(body[(slice(None),) + tuple(p[leaf] for p in path)])  # (steps, leaves)
+    # an entry e of -1..m-1 is written as names[e + 1]
+    names = np.array(list(map(str, range(-1, body.shape[1]))), dtype=object)
+    entries = names[body[(slice(None),) + tuple(p[leaf] for p in path)] + 1]  # (steps, leaves)
 
     # neighbours share the lists above the first index where their paths differ
     index = np.stack(path)
@@ -362,55 +364,120 @@ def write_value_csv(vf: ValueFunction, path: PathLike) -> None:
 
 
 def read_value_csv(path: PathLike) -> ValueFunction:
+    """The value function of a file :func:`write_value_csv` writes, its rows
+    in any order.
+
+    The rows are read by columns: each distinct cell text is converted once,
+    by ``int`` or ``float``, and the checks run on whole arrays.  A file that
+    fails any of them goes to :func:`_value_csv_fault`, which names the first
+    fault.  A state's coordinates are those of its first row in line order.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines:
+    lines = text.splitlines()
+    start = next((i for i, ln in enumerate(lines) if ln), len(lines))
+    if start == len(lines):
         raise ModelFormatError(f"{path}: empty value file")
-    header = lines[0].split(",")
+    header = lines[start].split(",")
     if header[:2] != ["t", "state_index"] or header[-1] != "value" or len(header) < 4:
-        raise ModelFormatError(f"{path}: unexpected value header {lines[0]!r}")
-    dim = len(header) - 3
+        raise ModelFormatError(f"{path}: unexpected value header {lines[start]!r}")
+
+    def fault() -> ModelFormatError:
+        return _value_csv_fault(path, text.splitlines())
+
+    n = len(header)
+    rows = list(filter(None, lines[start + 1:]))
+    if not rows or set(map(str.count, rows, repeat(","))) != {n - 1}:
+        raise fault()
+    # the row texts, their join and the flat cell list are let go as soon as
+    # they are used, so that each is alive beside the next one only
+    n_rows, cells = len(rows), ",".join(rows)
+    del lines, rows
+    cells = cells.split(",")
+    t_cells, x_cells, *coord_cells, value_cells = (cells[j::n] for j in range(n))
+    del cells
+    try:
+        stage_of, x_of = _distinct(int, t_cells), _distinct(int, x_cells)
+        coord_of = _distinct(float, chain.from_iterable(coord_cells))
+        value_of = _distinct(float, value_cells)
+    except ValueError:
+        raise fault() from None
+
+    # the stage and state counts, from the distinct cells alone, so that
+    # nothing of the size they imply is allocated before they are checked
+    stages, states = set(stage_of.values()), set(x_of.values())
+    t0, T, m = min(stages), max(stages), max(states) + 1
+    if min(states) < 0 or T - t0 + 1 != len(stages) or len(stages) * m != n_rows:
+        raise fault()
+
+    def column(convert: dict, texts: list, dtype) -> np.ndarray:
+        return np.fromiter(map(convert.__getitem__, texts), dtype, n_rows)
+
+    value = column(value_of, value_cells, np.float64)
+    coords = np.stack([column(coord_of, c, np.float64) for c in coord_cells], axis=1)
+    x = column(x_of, x_cells, np.int64)
+    k = column({s: t - t0 for s, t in stage_of.items()}, t_cells, np.int64)
+    if not (np.isfinite(coords).all() and np.isfinite(value).all()
+            and ((0.0 <= value) & (value <= 1.0)).all()
+            and np.bincount(k * m + x, minlength=n_rows).max() == 1):
+        raise fault()
+    # every state has a row at every stage, so ``first`` lists all m of them
+    first = np.unique(x, return_index=True)[1]
+    points = coords[first]
+    if not (coords == points[x]).all():
+        raise fault()
+    table = np.zeros((T - t0 + 1, m + 1))
+    table[k, x] = value
+    return ValueFunction(t0, T, points, table)
+
+
+def _distinct(convert, texts: Iterable[str]) -> dict:
+    """``convert`` of each distinct text of ``texts``, keyed by that text."""
+    return {s: convert(s) for s in set(texts)}
+
+
+def _value_csv_fault(path: PathLike, lines: list[str]) -> ModelFormatError:
+    """The error for the first fault of a value file that
+    :func:`read_value_csv` refused, for its ``splitlines()``: the first row in
+    line order that fails a check, else the first failing check of the whole
+    file.  Lines are numbered as in the file, blank lines included."""
+    numbered = [(i, ln) for i, ln in enumerate(lines, start=1) if ln]
+    n = len(numbered[0][1].split(","))
+    dim = n - 3
 
     rows = {}  # (t, state_index) -> value
     coords_of = {}  # state_index -> coordinates, the same at every stage
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in numbered[1:]:
         parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ModelFormatError(f"{path}: line {i}: {len(parts)} fields, expected {len(header)}")
+        if len(parts) != n:
+            return ModelFormatError(f"{path}: line {i}: {len(parts)} fields, expected {n}")
         try:
             t, x = int(parts[0]), int(parts[1])
             coords, value = [float(c) for c in parts[2:2 + dim]], float(parts[-1])
         except ValueError:
-            raise ModelFormatError(f"{path}: line {i}: malformed number in {ln!r}") from None
+            return ModelFormatError(f"{path}: line {i}: malformed number in {ln!r}")
         if not (math.isfinite(value) and all(map(math.isfinite, coords))):
-            raise ModelFormatError(f"{path}: line {i}: non-finite number in {ln!r}")
+            return ModelFormatError(f"{path}: line {i}: non-finite number in {ln!r}")
         if not 0.0 <= value <= 1.0:
-            raise ModelFormatError(
+            return ModelFormatError(
                 f"{path}: line {i}: value {parts[-1]} is not a probability in [0, 1]")
         if x < 0:
-            raise ModelFormatError(f"{path}: line {i}: negative state_index {x}")
+            return ModelFormatError(f"{path}: line {i}: negative state_index {x}")
         if (t, x) in rows:
-            raise ModelFormatError(f"{path}: line {i}: second row for (t={t}, state_index={x})")
+            return ModelFormatError(f"{path}: line {i}: second row for (t={t}, state_index={x})")
         if coords_of.setdefault(x, coords) != coords:
-            raise ModelFormatError(
+            return ModelFormatError(
                 f"{path}: line {i}: coordinates of state_index {x} differ from an earlier row")
         rows[t, x] = value
     if not rows:
-        raise ModelFormatError(f"{path}: no value rows")
+        return ModelFormatError(f"{path}: no value rows")
 
-    stages = sorted({t for t, _ in rows})
+    stages = {t for t, _ in rows}
+    if max(stages) - min(stages) + 1 != len(stages):  # distinct, so none is missing
+        return ModelFormatError(f"{path}: stages are not contiguous")
     m = max(x for _, x in rows) + 1
-    t0, T = stages[0], stages[-1]
-    if stages != list(range(t0, T + 1)):
-        raise ModelFormatError(f"{path}: stages are not contiguous")
     if len(rows) != len(stages) * m:  # the keys are distinct, so none is missing
-        raise ModelFormatError(f"{path}: missing (stage, state) rows")
-
-    points = np.array([coords_of[x] for x in range(m)])
-    table = np.zeros((T - t0 + 1, m + 1))
-    for (t, x), value in rows.items():
-        table[t - t0, x] = value
-    return ValueFunction(t0, T, points, table)
+        return ModelFormatError(f"{path}: missing (stage, state) rows")
+    raise AssertionError(f"{path}: read_value_csv refused a value file without a fault")
 
 
 # --- policy / kernel / trajectory CSV ---

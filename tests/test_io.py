@@ -1,6 +1,8 @@
 import hashlib
 import json
+import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +10,10 @@ import pytest
 
 from conftest import random_model, signed_zero_model
 from stochviab.cli import _write_plot_data
-from stochviab.dp import ArgmaxPolicy, PolicyError, solve
+from stochviab.dp import ArgmaxPolicy, PolicyError, ValueFunction, solve
 from stochviab.io import (
     ModelFormatError,
+    _value_csv_fault,
     format_estimate,
     load_model,
     model_from_dict,
@@ -29,6 +32,7 @@ from stochviab.model import (
     ConstraintSets,
     ControlMap,
     DisturbanceLaw,
+    ExprDynamics,
     Model,
     StateSpace,
     TableDynamics,
@@ -281,6 +285,14 @@ class TestValueCsv:
             # line None replaces the whole file
             (None, "", "empty value file"),
             (None, "t,state_index,x1,value", "no value rows"),
+            # lines are numbered as in the file, blank lines included
+            (3, "\n0,1,0,zero", "line 4: malformed number in '0,1,0,zero'"),
+            (5, "1.0,0,-1,0.5", "line 5: malformed number in '1.0,0,-1,0.5'"),
+            (3, "0,1,0,1e999", "line 3: non-finite number in '0,1,0,1e999'"),
+            (4, "0,3,1,0.5", "missing (stage, state) rows"),
+            # the first row in line order is of a later stage
+            (2, "1,0,-0.5,0.5\n0,0,-1,0.5",
+             "line 3: coordinates of state_index 0 differ from an earlier row"),
         ],
     )
     def test_malformed_rows_rejected(self, tmp_path, example_model, line, text, message):
@@ -304,6 +316,70 @@ class TestValueCsv:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ModelFormatError, match="missing"):
             read_value_csv(path)
+
+    @staticmethod
+    def assert_bit_equal(back: ValueFunction, vf: ValueFunction):
+        assert (back.t0, back.T) == (vf.t0, vf.T)
+        for got, want in ((back.table, vf.table), (back.points, vf.points)):
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_round_trip_is_bit_equal(self, tmp_path):
+        path = tmp_path / "value.csv"
+        n = 5  # a walk on the integer grid {0..4}^2
+        axis = np.arange(n, dtype=np.float64)
+        walk = Model(
+            TimeGrid(0, 6),
+            StateSpace(np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)),
+            ControlMap.shared([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], n * n),
+            DisturbanceLaw([[0.0, 0.0], [1.0, -1.0], [-1.0, 1.0]], [0.5, 0.25, 0.25]),
+            ExprDynamics(("x1 + u1 + w1", "x2 + u2 + w2")),
+            ConstraintSets("box", stationary=([1.0, 1.0], [3.0, 3.0])),
+        )
+        special = ValueFunction(-2, 0, np.array([[-0.0, 0.0], [5e-324, 1.0]]),
+                                np.array([[-0.0, 0.0, 0.0], [1.0, 5e-324, 0.0],
+                                          [2.2250738585072014e-308, 0.5, 0.0]]))
+        solved = [solve(random_model(seed))[0] for seed in range(100)]
+        for vf in [*solved, solve(walk)[0], special]:
+            write_value_csv(vf, path)
+            self.assert_bit_equal(read_value_csv(path), vf)
+
+    def test_shuffled_rows_read_back(self, tmp_path, example_model):
+        vf, _ = solve(example_model)
+        path = tmp_path / "value.csv"
+        write_value_csv(vf, path)
+        head, *rows = path.read_text().splitlines()
+        random.Random(5).shuffle(rows)
+        path.write_text("\n".join([head, *rows[:60], "", *rows[60:]]) + "\n")
+        self.assert_bit_equal(read_value_csv(path), vf)
+
+    @pytest.mark.parametrize("first,later", [("0", "-0"), ("-0", "0")])
+    def test_coordinates_of_the_first_row_in_line_order(self, tmp_path, first, later):
+        path = tmp_path / "value.csv"
+        path.write_text(f"t,state_index,x1,value\n1,0,{first},0.25\n0,1,1,0.5\n"
+                        f"0,0,{later},0.75\n1,1,1,1\n")
+        want = ValueFunction(0, 1, np.array([[float(first)], [1.0]]),
+                             np.array([[0.75, 0.5, 0.0], [0.25, 1.0, 0.0]]))
+        self.assert_bit_equal(read_value_csv(path), want)
+
+    def test_far_apart_stages_fail_without_allocating(self, tmp_path):
+        path = tmp_path / "value.csv"
+        path.write_text(f"t,state_index,x1,value\n0,0,0,0.5\n{10**18},0,0,0.5\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match=re.escape(
+                    f"{path}: stages are not contiguous")):
+                read_value_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_fault_walk_raises_on_a_valid_file(self, tmp_path, example_model):
+        path = tmp_path / "value.csv"
+        write_value_csv(solve(example_model)[0], path)
+        with pytest.raises(AssertionError, match="without a fault"):
+            _value_csv_fault(path, path.read_text().splitlines())
 
 
 def test_policy_and_argmax_csv(tmp_path, example_model):
