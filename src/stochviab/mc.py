@@ -11,22 +11,33 @@ draw per transition only.
 A draw is the integer inverse cdf of :func:`stochviab._rng.cdf_thresholds`:
 the raw stream word is compared with integer thresholds made once from the
 law's cdf, which picks the same atom as the cdf search on the word's 53-bit
-uniform without converting it to a float.  ``sample_scenario`` and the
-closed-loop walk share it.  The walk takes the samples in blocks of
-``_BLOCK`` and reads each successor with one gather from the stage's flat
-successor slab.
+uniform without converting it to a float.  A 4096-entry guide table indexed
+by the word's top 12 bits gives the atom with one gather, and only the few
+words in a bucket that a threshold splits are fixed up by a binary search,
+so a draw costs about the same for any number of atoms.  ``sample_scenario``
+and the closed-loop walk share it.
+
+The walk takes the samples in blocks of ``_BLOCK`` and reads each successor
+with one gather from the stage's flat successor slab.  The offset of a
+state's row and policy control in that slab is made once per call, so a
+stage is two gathers and an add: ``flat[base[k, x] + d]``.  On the
+``three-state`` benchmark (10^6 walks x 40 stages) the guide and the offsets
+took the walk from 49.2 to 78.8 million steps a second (medians of ten
+alternating perfbench runs each), with every output bit unchanged
+(``BENCH_16.json``).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _rng
-from .dp import _policy_choice_array
+from .dp import TABLE_BYTES_GUARD, _policy_choice_array
 from .kernel import FeedbackPolicy
 from .model import DisturbanceLaw, Model, ModelError, _check_x0
 
@@ -79,14 +90,15 @@ class ProbabilityEstimate:
 
 
 def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval; stays inside [0, 1] even at the boundaries."""
+    """Wilson score interval, as Python floats; stays inside [0, 1] even at
+    the boundaries."""
     if n <= 0:
         raise ModelError("interval needs at least one sample")
     phat = successes / n
     z2 = z * z
     denom = 1.0 + z2 / n
     center = (phat + z2 / (2.0 * n)) / denom
-    half = z * np.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n)) / denom
+    half = z * math.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -95,8 +107,7 @@ def sample_scenario(noise: DisturbanceLaw, n_steps: int, seed: int) -> Scenario:
     if n_steps < 0:
         raise ModelError(f"n_steps must be non-negative, got {n_steps}")
     words = _rng.stream_array(seed & _rng.MASK64, np.arange(n_steps))
-    draws = _rng.inverse_cdf(_rng.cdf_thresholds(noise.cdf), words)
-    return Scenario(draws.astype(np.int64))
+    return Scenario(_rng.inverse_cdf(_rng.cdf_thresholds(noise.cdf), words))
 
 
 def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
@@ -109,19 +120,30 @@ def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
     before the next block starts, so the block state stays in cache.  Returns
     the ``(states, controls, draws, success)`` paths when ``record`` is set,
     and otherwise the number of successes, keeping nothing beyond one block.
+    Recorded paths larger than ``TABLE_BYTES_GUARD`` are refused before
+    anything of their size is allocated.
     """
     if n < 1:
         raise ModelError(f"need n >= 1 samples, got {n}")
     choice = _policy_choice_array(model, policy)
     tab = model.tables
     thresholds = _rng.cdf_thresholds(model.noise.cdf)
-    n_atoms, stride = tab.n_atoms, tab.u_max * tab.n_atoms
     if record:
+        nbytes = n * (3 * tab.steps + 1) * 8 + n
+        if nbytes > TABLE_BYTES_GUARD:
+            raise ModelError(
+                f"recorded paths need {nbytes} bytes ({n} samples x {tab.steps} stages "
+                f"of states, controls and draws, 8 B each, and a success flag), over the "
+                f"guard of {TABLE_BYTES_GUARD} bytes"
+            )
         states = np.empty((n, tab.steps + 1), dtype=np.int64)
         controls = np.empty((n, tab.steps), dtype=np.int64)
         draws = np.empty((n, tab.steps), dtype=np.int64)
         success = np.empty(n, dtype=bool)
         states[:, 0] = x0
+    # the successor of x at stage k under the policy is the flat slab entry
+    # base[k, x] + d: x's row, then its control slot's run of atoms
+    base = np.arange(tab.n_states + 1) * (tab.u_max * tab.n_atoms) + choice * tab.n_atoms
     successes = 0
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
@@ -130,13 +152,13 @@ def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
         ok = np.full(stop - start, bool(tab.member[0, x0]))
         for k in range(tab.steps):
             d = _rng.inverse_cdf(thresholds, _rng.stream_array(seeds, k))
-            slot = choice[k].take(x)
-            x = tab.next_state[k].reshape(-1).take(x * stride + slot * n_atoms + d)
+            if record:
+                controls[start:stop, k] = choice[k].take(x)
+                draws[start:stop, k] = d
+            x = tab.next_state[k].reshape(-1).take(base[k].take(x) + d)
             ok &= tab.member[k + 1].take(x)
             if record:
                 states[start:stop, k + 1] = x
-                controls[start:stop, k] = slot
-                draws[start:stop, k] = d
         if record:
             success[start:stop] = ok
         successes += int(np.count_nonzero(ok))

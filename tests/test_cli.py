@@ -263,6 +263,15 @@ def test_simulate_rejects_sink_start(model_path, capsys):
     assert "x0" in captured.err
 
 
+def test_simulate_refuses_paths_over_the_guard(model_path, capsys):
+    rc = main(["simulate", "--model", str(model_path), "--x0", "1",
+               "--samples", "1000000000"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: recorded paths need 969000000000 bytes")
+    assert captured.err.count("\n") == 1
+
+
 def test_estimate_report_line(model_path, capsys):
     rc = main(["estimate", "--model", str(model_path), "--x0", "1",
                "--samples", "5000", "--seed", "3"])

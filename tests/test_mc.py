@@ -7,8 +7,14 @@ import pytest
 
 from conftest import random_model, random_policy
 from stochviab import mc
-from stochviab._rng import cdf_thresholds, derive_seed, inverse_cdf, stream_array
-from stochviab.dp import evaluate_policy, solve
+from stochviab._rng import (
+    cdf_thresholds,
+    derive_seed,
+    derive_seed_array,
+    inverse_cdf,
+    stream_array,
+)
+from stochviab.dp import TABLE_BYTES_GUARD, evaluate_policy, solve
 from stochviab.kernel import FeedbackPolicy, kernel_slice, select_feedback
 from stochviab.mc import (
     estimate_probability,
@@ -78,6 +84,13 @@ INVERSE_CDF_CASES = {
     "sum-above-one": np.cumsum([0.2, 0.01, 0.68, 0.11]),
     "single-atom": np.array([1.0]),
     "many-atoms": np.cumsum(np.r_[0.0, np.full(18, 0.05), 0.0, 0.05, 0.05, 0.0]),
+    # thresholds on the first word of a guide bucket, k << 52
+    "bucket-edges": np.array([1, 2, 1000, 2048, 2049, 4095, 4096]) / 4096,
+    # masses below 2**-12: several thresholds inside one bucket
+    "shared-bucket": np.cumsum([3e-5, 1e-5, 2e-5, 0.4, 1e-4, 5e-5, 1e-5, 0.6 - 2.2e-4]),
+    # zero masses between the thresholds of a bucket that one splits
+    "zero-atoms-in-split-bucket": np.cumsum([0.25, 1e-5, 0.0, 0.0, 1e-5, 0.0, 0.75 - 2e-5]),
+    "uniform-1000": np.cumsum(np.full(1000, 1e-3)),
 }
 
 
@@ -87,6 +100,8 @@ def test_integer_inverse_cdf_equals_float_search(cdf):
     for c in cdf:
         t = math.ceil(c * 2**53) << 11
         words.update(w for w in (t - 1, t, t + 1) if 0 <= w < 2**64)
+    # the last and first word of every guide bucket
+    words.update(w for b in range(4097) for w in ((b << 52) - 1, b << 52) if 0 <= w < 2**64)
     words = np.array(sorted(words), dtype=np.uint64)
     got = inverse_cdf(cdf_thresholds(cdf), words)
     assert np.array_equal(got, _float_inverse_cdf(cdf, words))
@@ -97,6 +112,16 @@ def test_integer_inverse_cdf_equals_float_search(cdf):
 def test_inverse_cdf_cases_cover_their_edges():
     assert INVERSE_CDF_CASES["sum-below-one"][-1] < 1.0
     assert INVERSE_CDF_CASES["sum-above-one"][-1] > 1.0
+    # on a bucket's first word, so no bucket is split
+    edges = cdf_thresholds(INVERSE_CDF_CASES["bucket-edges"])
+    assert np.all(edges.thresholds % 2**52 == 0) and np.all(edges.guide >= 0)
+    for name in ("shared-bucket", "zero-atoms-in-split-bucket"):
+        table = cdf_thresholds(INVERSE_CDF_CASES[name])
+        buckets = table.thresholds >> np.uint64(52)
+        assert np.unique(buckets).size < buckets.size, name  # some bucket holds two
+        assert np.all(table.guide[buckets] == -1), name
+    # 999 thresholds, each splitting a bucket of its own
+    assert np.count_nonzero(cdf_thresholds(INVERSE_CDF_CASES["uniform-1000"]).guide < 0) == 999
 
 
 class TestSimulate:
@@ -169,6 +194,19 @@ class TestBatch:
             assert np.array_equal(draws[i], tr.scenario.draws)
             assert bool(ok[i]) == tr.success
 
+    def test_recorded_paths_guard_fails_before_allocating(self, example_model):
+        _, am = solve(example_model)
+        fb = select_feedback(am)
+        # 10**9 rows of 41 states, 40 controls, 40 draws (8 B each) and a flag
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError, match=f"need 969000000000 bytes .* {TABLE_BYTES_GUARD}"):
+                simulate_batch(example_model, fb, 1, 10**9, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestBlocks:
     """The walk goes in blocks of ``mc._BLOCK`` samples; no result may show it."""
@@ -223,6 +261,42 @@ class TestBlocks:
         assert large <= 2 * small, (small, large)
 
 
+def _many_atom_model():
+    """The three-state walk under a 40-atom law on [-1.2, 1.2]: every other
+    atom within 0.3 of 0 (they project to w = 0) shares the mass, and the
+    other atoms carry 1e-5 or 0, so that several cdf thresholds share a guide
+    bucket."""
+    support = np.linspace(-1.2, 1.2, 40)
+    probs = np.full(40, 1e-5)
+    probs[::7] = 0.0
+    heavy = np.flatnonzero(np.abs(support) < 0.3)[::2]
+    probs[heavy] = 0.0
+    probs[heavy] = (1.0 - probs.sum()) / heavy.size
+    return _with_noise(make_three_state_example(0.01, 0, 40), support[:, None], probs)
+
+
+class TestBlocksManyAtoms(TestBlocks):
+    """The same on a law with 40 atoms, several of them in shared guide
+    buckets, so that the walk's draws also take the binary-search fix-up."""
+
+    @pytest.fixture(scope="class")
+    def walk(self):
+        model = _many_atom_model()
+        _, am = solve(model)
+        return model, select_feedback(am)
+
+    def test_law_splits_shared_buckets(self, walk):
+        model, _ = walk
+        table = cdf_thresholds(model.noise.cdf)
+        assert model.noise.n_atoms >= 33
+        buckets = table.thresholds >> np.uint64(52)
+        assert np.unique(buckets).size < buckets.size
+        assert np.all(table.guide[buckets] == -1)
+        # its six split buckets hold about 1/700 of a stage's words
+        words = stream_array(derive_seed_array(2024, 0, 2 * self.B + 3), 5)
+        assert np.count_nonzero(table.guide[words >> np.uint64(52)] < 0) > 10
+
+
 class TestEstimate:
     def test_wilson_interval_known_values(self):
         lo, hi = wilson_interval(8, 10)
@@ -232,6 +306,12 @@ class TestEstimate:
         assert lo == pytest.approx(0.0, abs=1e-12) and hi < 0.28
         lo, hi = wilson_interval(10, 10)
         assert hi == 1.0 and lo > 0.72
+
+    def test_interval_is_plain_floats(self, example_model):
+        assert all(type(v) is float for v in wilson_interval(3, 7))
+        _, am = solve(example_model)
+        est = estimate_probability(example_model, select_feedback(am), 1, 1000, 2)
+        assert type(est.ci_low) is float and type(est.ci_high) is float
 
     def test_interval_brackets_mean(self, example_model):
         _, am = solve(example_model)
