@@ -16,7 +16,6 @@ from .dp import (
     PolicyError,
     ValueFunction,
     ValueSlice,
-    bellman_step,
     brute_force_value,
     evaluate_policy,
     solve,
@@ -93,7 +92,6 @@ __all__ = [
     "Trajectory",
     "ValueFunction",
     "ValueSlice",
-    "bellman_step",
     "brute_force_value",
     "estimate_probability",
     "evaluate_expr",

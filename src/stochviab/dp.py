@@ -50,7 +50,6 @@ __all__ = [
     "ValueFunction",
     "ArgmaxPolicy",
     "terminal_slice",
-    "bellman_step",
     "solve",
     "evaluate_policy",
     "brute_force_value",
@@ -152,30 +151,6 @@ def terminal_slice(model: Model) -> ValueSlice:
     """V(T, .): the indicator of the target set; 0 at the sink."""
     tab = model.tables
     return ValueSlice(model.time.T, tab.member[tab.steps].astype(np.float64))
-
-
-def bellman_step(model: Model, t: int, next_slice: ValueSlice
-                 ) -> tuple[ValueSlice, list[tuple[int, ...]]]:
-    """One stage of the backward induction.
-
-    Returns the value slice at ``t`` and, per state, the ordered tuple of
-    maximizing control slots (empty outside the constraint set).
-    """
-    if next_slice.t != t + 1:
-        raise ModelError(
-            f"stage mismatch: next slice is for t={next_slice.t}, expected {t + 1}"
-        )
-    tab = model.tables
-    k = model.time.stage_index(t, terminal=False)
-    values, mask = _stage_backup(
-        tab.member[k],
-        tab.n_ctrl[k],
-        tab.next_state[k],
-        tab.probs,
-        np.asarray(next_slice.values, dtype=np.float64),
-    )
-    argmax = [tuple(int(j) for j in np.nonzero(mask[x])[0]) for x in range(values.shape[0])]
-    return ValueSlice(t, values), argmax
 
 
 def _backward(model: Model, policy: "FeedbackPolicy | None" = None):

@@ -10,8 +10,7 @@ from stochviab.closed_form import matrix_value
 from stochviab.dp import (
     ARGMAX_TOL,
     PolicyError,
-    ValueSlice,
-    bellman_step,
+    _stage_backup,
     brute_force_value,
     evaluate_policy,
     solve,
@@ -58,20 +57,25 @@ def test_terminal_slice_box_target():
     assert list(terminal_slice(boxed).values) == [0.0, 1.0, 1.0, 0.0]
 
 
+def _backup(model, t, v_next):
+    """``_stage_backup`` at stage ``t`` of ``model``: the values and, per
+    state, the ordered tuple of maximizing control slots."""
+    tab = model.tables
+    k = model.time.stage_index(t, terminal=False)
+    values, mask = _stage_backup(tab.member[k], tab.n_ctrl[k], tab.next_state[k], tab.probs,
+                                 np.asarray(v_next, dtype=np.float64))
+    return values, [tuple(np.flatnonzero(row).tolist()) for row in mask]
+
+
 class TestBellmanStep:
     def test_one_step_hand_values(self, example_model):
-        sl, argmax = bellman_step(example_model, 39, terminal_slice(example_model))
-        assert sl.t == 39
-        assert list(sl.values) == [1.0, 0.99, 1.0, 0.0]
+        values, argmax = _backup(example_model, 39, terminal_slice(example_model).values)
+        assert list(values) == [1.0, 0.99, 1.0, 0.0]
         # controls are ordered (-1, +1): slots (1,), (0, 1), (0,)
         assert argmax[0] == (1,)
         assert argmax[1] == (0, 1)
         assert argmax[2] == (0,)
         assert argmax[3] == ()
-
-    def test_stage_mismatch(self, example_model):
-        with pytest.raises(ModelError, match="stage mismatch"):
-            bellman_step(example_model, 38, terminal_slice(example_model))
 
     def test_outside_constraint_set_is_zero(self):
         m = make_three_state_example(0.1, 0, 2)
@@ -79,15 +83,13 @@ class TestBellmanStep:
             m.time, m.states, m.controls, m.noise, m.dynamics,
             ConstraintSets("set", per_stage=((0, 2), (0, 1, 2), (0, 1, 2))),
         )
-        sl, argmax = bellman_step(narrowed, 0, ValueSlice(1, np.ones(4)))
-        assert sl.values[1] == 0.0 and argmax[1] == ()
+        values, argmax = _backup(narrowed, 0, np.ones(4))
+        assert values[1] == 0.0 and argmax[1] == ()
 
     def test_single_atom_noise_keeps_indicators(self):
         model = random_model(3, deterministic=True)
-        nxt = ValueSlice(model.time.t0 + 1,
-                         model.tables.member[1].astype(np.float64))
-        sl, _ = bellman_step(model, model.time.t0, nxt)
-        assert set(np.unique(sl.values)) <= {0.0, 1.0}
+        values, _ = _backup(model, model.time.t0, model.tables.member[1].astype(np.float64))
+        assert set(np.unique(values)) <= {0.0, 1.0}
 
 
 class TestSolve:
@@ -253,7 +255,7 @@ class TestEvaluatePolicy:
             lambda: simulate(bad, policy, 1, 3),
             lambda: FeedbackPolicy.constant(bad, [1.0]),
             lambda: terminal_slice(bad),
-            lambda: bellman_step(bad, 4, terminal_slice(base)),
+            lambda: solve(bad),
         ):
             with pytest.raises(InvalidModelError) as err:
                 run()

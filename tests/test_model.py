@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochviab.dp import solve
 from stochviab.expr import parse
@@ -57,6 +59,13 @@ class TestProjectToGrid:
     def test_dimension_mismatch(self):
         with pytest.raises(ModelError):
             project_to_grid(self.grid, [0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_grid_with_non_finite_point_is_refused(self, bad):
+        # sending every query to the sink would hide the faulty grid
+        grid = StateSpace(np.array([[0.0, 0.0], [1.0, bad]]))
+        with pytest.raises(ModelError, match="grid points must be finite"):
+            project_to_grid(grid, [0.0, 0.0])
 
     def test_2d(self):
         grid = StateSpace(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
@@ -115,6 +124,40 @@ class TestValidate:
             ConstraintSets("set", stationary=(0, 1)),
         )
         assert any("absorbing" in v for v in validate(bad))
+
+
+def _state_messages(points: np.ndarray) -> list[str]:
+    """``validate``'s state-space checks as a whole-row ``np.unique``, which
+    counts each row holding a NaN as its own and ``-0.0`` as ``0.0``."""
+    out = []
+    if np.unique(points, axis=0).shape[0] != points.shape[0]:
+        out.append("StateSpace: grid points are not pairwise distinct")
+    if not np.all(np.isfinite(points)):
+        out.append("StateSpace: grid points must be finite")
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf, np.nan]),
+                 min_size=n, max_size=n),
+        min_size=1, max_size=6,
+    ))
+)
+def test_validate_names_repeated_and_non_finite_points_as_unique_rows_do(rows):
+    points = np.array(rows)
+    m = len(rows)
+    table = np.full((1, m + 1, 1, 1), m, dtype=np.int64)  # every move to the sink
+    model = Model(
+        TimeGrid(0, 1),
+        StateSpace(points),
+        ControlMap.shared([[0.0]], m),
+        DisturbanceLaw([[0.0]], [1.0]),
+        TableDynamics(table),
+        ConstraintSets("set", stationary=()),
+    )
+    assert validate(model) == _state_messages(points)
 
 
 class TestThreeStateExample:

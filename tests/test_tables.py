@@ -224,6 +224,64 @@ def test_projection_across_chunks(dim):
     assert isinstance(project_to_grid(states, points[0]), int)
 
 
+# coordinates with uneven gaps (tiny ones included), lattice values among them
+_coord = st.one_of(_lattice, st.floats(-4.0, 4.0, allow_nan=False))
+# query coordinates off every grid: infinities, NaN and squares that overflow
+_far = st.sampled_from([np.inf, -np.inf, np.nan, 1e200, -1e200])
+
+
+@st.composite
+def shuffled_grids(draw, n):
+    """Tensor grids with uneven axes and shuffled rows, scattered point lists,
+    and point lists with repeated rows; any of them may hold a single point."""
+    kind = draw(st.sampled_from(["tensor", "scattered", "repeated"]))
+    if kind == "tensor":
+        size = 3 if n <= 4 else 2
+        axes = [sorted(draw(st.sets(_coord, min_size=1, max_size=size))) for _ in range(n)]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        return StateSpace(points[draw(st.permutations(range(len(points))))])
+    rows = draw(st.lists(st.tuples(*[_coord] * n), min_size=1, max_size=8))
+    if kind == "repeated":
+        rows = draw(st.permutations(rows + draw(st.lists(st.sampled_from(rows), min_size=1,
+                                                              max_size=4))))
+    return StateSpace(np.array(rows, dtype=np.float64).reshape(-1, n))
+
+
+@st.composite
+def queries(draw, states):
+    """Rows of exact hits, exact midpoints of two grid points and free
+    coordinates, some with a far coordinate or two."""
+    pts, n = states.points, states.dim
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        i, j = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, len(pts) - 1))
+        kind = draw(st.sampled_from(["hit", "midpoint", "free"]))
+        if kind == "free":
+            row = np.array([draw(_coord) for _ in range(n)])
+        else:
+            row = pts[i].copy() if kind == "hit" else (pts[i] + pts[j]) / 2.0
+        for a in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            row[a] = draw(_far)
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9)
+    .flatmap(shuffled_grids)
+    .flatmap(lambda states: st.tuples(st.just(states), queries(states)))
+)
+def test_projection_equals_a_scan_of_every_point(case):
+    states, points = case
+    gaps = [np.diff(np.unique(col)) for col in states.points.T]
+    assert states.min_spacing == min((g.min() for g in gaps if g.size), default=np.inf)
+    with np.errstate(over="ignore"):  # squares of far coordinates overflow to inf
+        got = project_to_grid(states, points)
+        want = [reference_project(states, p) for p in points]
+    assert got.tolist() == want
+
+
 def _one_dim_model(source: str, T: int = 1) -> Model:
     states = StateSpace(np.array([[0.0], [1.0], [2.0]]))
     return Model(
