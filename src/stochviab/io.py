@@ -59,25 +59,66 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _cells(values) -> np.ndarray:
-    """The CSV text of each entry, as an object array of the same shape:
-    ``.17g`` for doubles, decimal for integers and flags.  Each distinct entry
-    is formatted once; doubles are keyed on their 64-bit pattern, because
-    ``-0.0 == 0.0`` but they print ``-0`` and ``0``.
+# A CSV file is assembled in chunks of rows of about this many bytes, so that
+# a writer's buffers stay bounded for a file of any length.
+_CHUNK_BYTES = 1 << 18
+
+
+def _codes(values) -> tuple[np.ndarray, np.ndarray]:
+    """The CSV text of each entry, as ``(texts, index)``: ``texts`` is a
+    NUL-padded bytes array of distinct texts, and ``texts[index]``, of the
+    shape of ``values``, is each entry's text.
+
+    Doubles are ``.17g``, each distinct one formatted once; they are keyed on
+    their 64-bit pattern, because ``-0.0 == 0.0`` but they print ``-0`` and
+    ``0``.  Integers and flags are decimal, from the texts of ``min..max``
+    without a sort: every integer column a writer passes spans at most a
+    model's stages, states, control slots or samples.
     """
     a = np.asarray(values)
-    floats = a.dtype.kind == "f"
-    keys = np.ascontiguousarray(a, np.float64).view(np.int64) if floats else a.astype(np.int64)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    text = [_fmt(v) for v in uniq.view(np.float64)] if floats else list(map(str, uniq.tolist()))
-    # numpy 1.x returns the inverse flat, numpy 2.x in the shape of ``keys``
-    return np.array(text, dtype=object)[inverse.reshape(a.shape)]
+    if a.dtype.kind == "f":
+        uniq, inverse = np.unique(np.ascontiguousarray(a, np.float64).view(np.int64),
+                                  return_inverse=True)
+        # numpy 1.x returns the inverse flat, numpy 2.x in the shape of ``a``
+        return (_bytes_array(map(b"%.17g".__mod__, uniq.view(np.float64).tolist())),
+                inverse.reshape(a.shape))
+    a = a.astype(np.int64, copy=False)
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, -1)
+    return _bytes_array(map(b"%d".__mod__, range(lo, hi + 1))), a - lo
 
 
-def _write_csv(path: PathLike, header: Sequence[str], columns: Sequence) -> None:
-    """The header line, then one line per row of the equal-length text ``columns``."""
-    lines = map(",".join, zip(*columns))
-    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
+def _bytes_array(texts: Iterable[bytes]) -> np.ndarray:
+    """``texts`` as an ``S`` array exactly as wide as its longest text."""
+    texts = list(texts)
+    return np.array(texts, f"S{max(map(len, texts), default=1)}")
+
+
+def _write_csv(path: PathLike, header: Sequence[str], blocks: Sequence[tuple]) -> None:
+    """The header line, then one line per row of ``blocks``.
+
+    Each block is a ``(texts, index)`` pair of :func:`_codes` whose ``index``
+    is ``(n,)`` for one column, or ``(n, k)`` for ``k`` columns that share
+    ``texts``.  The rows are laid out in a byte buffer with fixed columns: each
+    cell's NUL-padded text, then its ``,`` or the row's ``\n``.  Dropping the
+    NULs leaves the lines.
+    """
+    blocks = [(texts, index[:, None] if index.ndim == 1 else index) for texts, index in blocks]
+    n = len(blocks[0][1])
+    width = sum((texts.itemsize + 1) * index.shape[1] for texts, index in blocks)
+    step = max(1, _CHUNK_BYTES // width)
+    buf = np.empty((min(n, step), width), np.uint8)
+    with Path(path).open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for lo in range(0, n, step):
+            rows, start = buf[: min(step, n - lo)], 0
+            for texts, index in blocks:
+                k, w = index.shape[1], texts.itemsize
+                cells = rows[:, start : start + k * (w + 1)].reshape(len(rows), k, w + 1)
+                cells[:, :, :w].view(texts.dtype)[:, :, 0] = texts.take(index[lo : lo + len(rows)])
+                cells[:, :, w] = ord(",")
+                start += k * (w + 1)
+            rows[:, -1] = ord("\n")
+            fh.write(rows[rows != 0])
 
 
 def _require_keys(obj: dict, where: str, required: set[str], optional: set[str] = frozenset()):
@@ -358,9 +399,10 @@ def write_value_csv(vf: ValueFunction, path: PathLike) -> None:
     """One row per (stage, non-sink state); the sink always carries value 0."""
     m = vf.n_states
     k, x = np.divmod(np.arange(vf.table.shape[0] * m), m)
+    texts, coords = _codes(vf.points)
     _write_csv(path, ["t", "state_index", *_coord_header(vf.points.shape[1]), "value"],
-               [_cells(vf.t0 + k), _cells(x), *_cells(vf.points)[x].T,
-                _cells(vf.table[:, :m]).ravel()])
+               [_codes(vf.t0 + k), _codes(x), (texts, coords[x]),
+                _codes(vf.table[:, :m].ravel())])
 
 
 def read_value_csv(path: PathLike) -> ValueFunction:
@@ -489,9 +531,10 @@ def write_argmax_csv(model: Model, argmax: ArgmaxPolicy, path: PathLike) -> None
     ctl = model.controls
     ks, xs, js = np.nonzero(argmax.mask[:, : model.states.n_points])
     rows = np.broadcast_to(ctl.stage_rows(model.time), model.time.steps)
-    coords = ctl.vectors[rows[ks], xs, js, : ctl.dim]
+    texts, coords = _codes(ctl.vectors[..., : ctl.dim])
     _write_csv(path, ["t", "state_index", "control_index", *_coord_header(ctl.dim, "u")],
-               [_cells(argmax.t0 + ks), _cells(xs), _cells(js), *_cells(coords).T])
+               [_codes(argmax.t0 + ks), _codes(xs), _codes(js),
+                (texts, coords[rows[ks], xs, js])])
 
 
 def write_policy_csv(model: Model, policy: FeedbackPolicy, path: PathLike) -> None:
@@ -499,10 +542,11 @@ def write_policy_csv(model: Model, policy: FeedbackPolicy, path: PathLike) -> No
     ctl, m = model.controls, model.states.n_points
     choice = _policy_choice_array(model, policy)[:, :m]
     rows = ctl.stage_rows(model.time)[:, None]  # broadcasts over the stages
-    coords = ctl.vectors[rows, np.arange(m), choice, : ctl.dim].reshape(-1, ctl.dim)
+    texts, coords = _codes(ctl.vectors[..., : ctl.dim])
+    coords = coords[rows, np.arange(m), choice].reshape(-1, ctl.dim)
     k, x = np.divmod(np.arange(choice.size), m)
     _write_csv(path, ["t", "state_index", "control_index", *_coord_header(ctl.dim, "u")],
-               [_cells(policy.t0 + k), _cells(x), _cells(choice).ravel(), *_cells(coords).T])
+               [_codes(policy.t0 + k), _codes(x), _codes(choice.ravel()), (texts, coords)])
 
 
 def write_kernel_csv(slices: Iterable[KernelSlice], points: np.ndarray,
@@ -513,10 +557,12 @@ def write_kernel_csv(slices: Iterable[KernelSlice], points: np.ndarray,
     slices = list(slices)
     sizes = [len(sl.members) for sl in slices]
     xs = np.fromiter(chain.from_iterable(sl.members for sl in slices), np.int64)
+    t_texts, t = _codes([sl.t for sl in slices])
+    b_texts, beta = _codes([sl.beta for sl in slices])
+    texts, coords = _codes(pts)
     _write_csv(path, ["t", "beta", "state_index", *_coord_header(pts.shape[1])],
-               [np.repeat(_cells([sl.t for sl in slices]), sizes),
-                np.repeat(_cells([sl.beta for sl in slices]), sizes),
-                _cells(xs), *_cells(pts)[xs].T])
+               [(t_texts, np.repeat(t, sizes)), (b_texts, np.repeat(beta, sizes)),
+                _codes(xs), (texts, coords[xs])])
 
 
 def write_trajectories_csv(model: Model, states: np.ndarray, controls: np.ndarray,
@@ -526,14 +572,19 @@ def write_trajectories_csv(model: Model, states: np.ndarray, controls: np.ndarra
     Sink rows leave the coordinate cells empty; terminal rows leave the
     control cell empty (no control acts at stage T).
     """
-    dim, steps = model.states.dim, model.time.steps
-    s, k = np.divmod(np.arange(states.shape[0] * (steps + 1)), steps + 1)
+    n, dim, steps = len(states), model.states.dim, model.time.steps
     xs = states[:, : steps + 1].ravel()
-    coords = np.vstack([_cells(model.states.points), np.full((1, dim), "", object)])
-    ctrl = np.hstack([_cells(controls[:, :steps]), np.full((len(states), 1), "", object)])
+    (s_texts, s), (t_texts, t) = _codes(np.arange(n)), _codes(model.time.t0 + np.arange(steps + 1))
+    # the sink's coordinates and the terminal control are an appended empty text
+    p_texts, coords = _codes(model.states.points)
+    coords = np.vstack([coords, np.full((1, dim), len(p_texts))])
+    c_texts, ctrl = _codes(controls[:, :steps])
+    ctrl = np.hstack([ctrl, np.full((n, 1), len(c_texts))])
+    ok_texts, ok = _codes(success)
     _write_csv(path, ["sample", "t", "state_index", *_coord_header(dim), "control_index", "success"],
-               [_cells(s), _cells(model.time.t0 + k), _cells(xs), *coords[xs].T,
-                ctrl.ravel(), _cells(success)[s]])
+               [(s_texts, np.repeat(s, steps + 1)), (t_texts, np.tile(t, n)), _codes(xs),
+                (np.append(p_texts, b""), coords[xs]), (np.append(c_texts, b""), ctrl.ravel()),
+                (ok_texts, np.repeat(ok, steps + 1))])
 
 
 def format_estimate(est: ProbabilityEstimate) -> str:

@@ -79,13 +79,6 @@ class TimeGrid:
     def steps(self) -> int:
         return self.T - self.t0
 
-    def stage_index(self, t: int, *, terminal: bool = True) -> int:
-        """0-based index of stage ``t``; ``terminal=False`` excludes T."""
-        hi = self.T if terminal else self.T - 1
-        if not (self.t0 <= t <= hi):
-            raise ModelError(f"stage {t} outside [{self.t0}, {hi}]")
-        return t - self.t0
-
 
 @dataclass(frozen=True, eq=False)
 class StateSpace:
@@ -173,18 +166,21 @@ def project_to_grid(states: StateSpace, point) -> Union[int, np.ndarray]:
     if not all(-np.inf < v[0] and v[-1] < np.inf for v in states._index[0]):  # NaN last
         raise ModelError("StateSpace: grid points must be finite")
     m, half = states.n_points, states.min_spacing / 2.0
-    # a scan when it is no wider, or where the squares overflow or underflow
-    narrow = states.min_spacing * states.min_spacing > half * half and 2 ** states.dim < m
     out = np.empty(pts.shape[0], dtype=np.int64)
-    step = max(1, _PROJECT_CHUNK // ((2 ** states.dim if narrow else m) * max(1, states.dim)))
-    for lo in range(0, pts.shape[0], step):
-        chunk = pts[lo : lo + step]
-        cand = _neighbours(states, chunk) if narrow else np.arange(m)[None, :]
-        # np.sum((points - p) ** 2, axis=1) for each row p, in numpy's order
-        d2 = np.sum((states.points[cand] - chunk[:, None, :]) ** 2, axis=-1)
-        best = d2.min(axis=1)
-        i = np.where(d2 == best[:, None], cand, m).min(axis=1)  # the smallest index
-        out[lo : lo + step] = np.where(best <= half * half, i, m)
+    # a squared distance that overflows is inf, outside a capture radius whose
+    # square is finite
+    with np.errstate(over="ignore"):
+        # a scan when it is no wider, or where the squares overflow or underflow
+        narrow = states.min_spacing * states.min_spacing > half * half and 2 ** states.dim < m
+        step = max(1, _PROJECT_CHUNK // ((2 ** states.dim if narrow else m) * max(1, states.dim)))
+        for lo in range(0, pts.shape[0], step):
+            chunk = pts[lo : lo + step]
+            cand = _neighbours(states, chunk) if narrow else np.arange(m)[None, :]
+            # np.sum((points - p) ** 2, axis=1) for each row p, in numpy's order
+            d2 = np.sum((states.points[cand] - chunk[:, None, :]) ** 2, axis=-1)
+            best = d2.min(axis=1)
+            i = np.where(d2 == best[:, None], cand, m).min(axis=1)  # the smallest index
+            out[lo : lo + step] = np.where(best <= half * half, i, m)
     return int(out[0]) if single else out
 
 

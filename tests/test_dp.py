@@ -61,7 +61,7 @@ def _backup(model, t, v_next):
     """``_stage_backup`` at stage ``t`` of ``model``: the values and, per
     state, the ordered tuple of maximizing control slots."""
     tab = model.tables
-    k = model.time.stage_index(t, terminal=False)
+    k = t - model.time.t0
     values, mask = _stage_backup(tab.member[k], tab.n_ctrl[k], tab.next_state[k], tab.probs,
                                  np.asarray(v_next, dtype=np.float64))
     return values, [tuple(np.flatnonzero(row).tolist()) for row in mask]

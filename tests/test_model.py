@@ -1,5 +1,7 @@
+import dataclasses
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -30,11 +32,6 @@ def test_time_grid_rejects_empty_horizon():
     with pytest.raises(ModelError):
         TimeGrid(3, 3)
     assert TimeGrid(0, 40).steps == 40
-    with pytest.raises(ModelError):
-        TimeGrid(0, 2).stage_index(3)
-    assert TimeGrid(0, 2).stage_index(2) == 2
-    with pytest.raises(ModelError):
-        TimeGrid(0, 2).stage_index(2, terminal=False)
 
 
 class TestProjectToGrid:
@@ -72,6 +69,19 @@ class TestProjectToGrid:
         assert project_to_grid(grid, [0.1, 0.1]) == 0
         assert project_to_grid(grid, [0.9, 0.05]) == 1
         assert project_to_grid(grid, [5.0, 5.0]) == grid.sink
+
+    def test_overflowing_distance_goes_to_sink_without_warning(self):
+        # (1 - -1e200) ** 2 overflows to inf, which no capture radius holds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(project_to_grid(self.grid, [[1e200], [-1e300], [0.4]])) == [3, 3, 1]
+            model = dataclasses.replace(make_three_state_example(0.01, 0, 3),
+                                        dynamics=ExprDynamics(("x * 1e200 + u + w",)))
+            tab = model.tables
+        # only x = 0 stays finite; controls (-1, 1), atoms (-1, 0, 1)
+        for k in range(3):
+            assert tab.next_state[k, :3].tolist() == [
+                [[3, 3, 3], [3, 3, 3]], [[3, 0, 1], [1, 2, 3]], [[3, 3, 3], [3, 3, 3]]]
 
 
 class TestValidate:
