@@ -23,6 +23,13 @@ next to 4096 buckets a draw costs about the same for any number of atoms: on
 word took 119, 211 and 639 µs.  With 999 thresholds a quarter of the words
 take the search, and it took 453 against 1413 µs (best of 7 timeit runs, one
 CPU of an x86-64 Linux machine, numpy 2.4).
+
+The finalizer's last step, ``z ^ (z >> 31)``, leaves a word's top 31 bits as
+they are, so a word's guide bucket is already known before that step.
+``draw`` mixes a stage of words in place in buffers that the caller keeps,
+reads the buckets, and finishes only the few words of split buckets for
+their search; ``sample_scenario`` and the closed-loop walk both draw
+through it.
 """
 
 from __future__ import annotations
@@ -74,10 +81,24 @@ _UMIX_A = np.uint64(MIX_A)
 _UMIX_B = np.uint64(MIX_B)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = np.multiply(z ^ (z >> _U30), _UMIX_A)
-    z = np.multiply(z ^ (z >> _U27), _UMIX_B)
-    return z ^ (z >> _U31)
+def _mix_head(seed, counter, z=None, t=None) -> tuple[np.ndarray, np.ndarray]:
+    """Word ``counter`` of the stream ``seed`` short of the finalizer's last
+    xorshift ``z ^ (z >> 31)``, as ``(z, t)``.
+
+    The word is mixed in place in ``z``, with ``t`` as scratch: uint64
+    arrays of the broadcast shape, allocated when not given.
+    """
+    seed = np.asarray(seed, dtype=np.uint64)
+    counter = np.asarray(counter, dtype=np.uint64)
+    if z is None:
+        z = np.empty(np.broadcast_shapes(seed.shape, counter.shape), dtype=np.uint64)
+    if t is None:
+        t = np.empty_like(z)
+    np.add(seed, np.multiply(counter + _U1, _UGOLDEN), out=z)
+    for shift, mult in ((_U30, _UMIX_A), (_U27, _UMIX_B)):
+        np.bitwise_xor(z, np.right_shift(z, shift, out=t), out=z)
+        np.multiply(z, mult, out=z)
+    return z, t
 
 
 def stream_array(seed, counter) -> np.ndarray:
@@ -87,9 +108,8 @@ def stream_array(seed, counter) -> np.ndarray:
     one seed over many counters is a scenario, many seeds at one counter is a
     stage of a batch walk.
     """
-    seed = np.asarray(seed, dtype=np.uint64)
-    counter = np.asarray(counter, dtype=np.uint64)
-    return _mix64_array(np.add(seed, np.multiply(counter + _U1, _UGOLDEN)))
+    z, t = _mix_head(seed, counter)
+    return np.bitwise_xor(z, np.right_shift(z, _U31, out=t), out=z)
 
 
 def derive_seed_array(base_seed: int, start: int, stop: int) -> np.ndarray:
@@ -100,7 +120,9 @@ def derive_seed_array(base_seed: int, start: int, stop: int) -> np.ndarray:
 
 # --- inverse cdf on raw stream words ---
 
-# A word's guide bucket is its top 12 bits, ``z >> 52``.
+# A word's guide bucket is its top 12 bits, ``z >> 52``; the finalizer's last
+# xorshift ``z ^ (z >> 31)`` does not change them, so ``inverse_cdf`` reads
+# them from the word before that xorshift.
 _BUCKET_LOW = np.uint64((1 << 52) - 1)
 
 
@@ -140,13 +162,32 @@ def cdf_thresholds(cdf: np.ndarray) -> CdfThresholds:
     return CdfThresholds(thresholds, np.where(lo == hi, lo, -1).astype(np.int64))
 
 
-def inverse_cdf(table: CdfThresholds, words: np.ndarray) -> np.ndarray:
-    """Atom indices (int64) of the uint64 stream ``words`` under
-    ``cdf_thresholds``: the guide entry of each word's bucket, and for the
-    words in split buckets a binary search among the thresholds, counting the
-    ones at or below the word."""
-    d = table.guide.take((words >> _U52).view(np.int64))
+def inverse_cdf(table: CdfThresholds, z: np.ndarray, t: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Atom indices (int64) under ``cdf_thresholds`` of the stream words
+    ``z ^ (z >> 31)``, given the uint64 words ``z`` short of that last
+    xorshift (see ``_mix_head``): the guide entry of each word's bucket,
+    read from ``z`` itself, and for the words in split buckets, finished
+    first, a binary search among the thresholds, counting the ones at or
+    below the word.  ``t`` (uint64) and ``out`` (int64) are optional
+    buffers of ``z``'s shape; ``z`` is only read.
+    """
+    t = np.right_shift(z, _U52, out=t)
+    d = np.take(table.guide, t.view(np.int64), out=out, mode="clip")  # every bucket is < 4096
     miss = np.flatnonzero(d < 0)
     if miss.size:
-        d.put(miss, np.searchsorted(table.thresholds, words.take(miss), side="right"))
+        w = z.take(miss)
+        d.put(miss, np.searchsorted(table.thresholds, w ^ (w >> _U31), side="right"))
     return d
+
+
+def draw(table: CdfThresholds, seed, counter, out=None) -> np.ndarray:
+    """Atoms (int64) of word ``counter`` of the streams ``seed`` under
+    ``table``, the two broadcast against each other as in ``stream_array``.
+
+    ``out`` is an optional triple of buffers of the broadcast shape, two
+    uint64 and one int64, that the draw is mixed in and returned in.
+    """
+    z, t, d = (None, None, None) if out is None else out
+    z, t = _mix_head(seed, counter, z, t)
+    return inverse_cdf(table, z, t, d)

@@ -162,9 +162,8 @@ def _backward(model: Model, policy: "FeedbackPolicy | None" = None):
     n_ctrl, width, successors = tab.n_ctrl, tab.u_max, tab.next_state.__getitem__
     if policy is not None:
         choice = _policy_choice_array(model, policy)
-        rows = np.arange(tab.n_states + 1)
         n_ctrl, width = np.broadcast_to(np.int64(1), choice.shape), 1
-        successors = lambda k: tab.next_state[k][rows, choice[k], None]
+        successors = lambda k: _policy_successors(tab, choice, k)[:, None]
 
     table = np.zeros((tab.steps + 1, tab.n_states + 1))
     table[tab.steps] = terminal_slice(model).values
@@ -208,6 +207,12 @@ def _policy_choice_array(model: Model, policy: "FeedbackPolicy") -> np.ndarray:
             f"(t={tab.t0 + k}, x={x}); {int(tab.n_ctrl[k, x])} controls admissible"
         )
     return choice
+
+
+def _policy_successors(tab, choice: np.ndarray, k: int) -> np.ndarray:
+    """``(n_total, W)`` successors at stage ``k`` of every state under the
+    control slots ``choice[k]`` of a validated ``_policy_choice_array``."""
+    return tab.next_state[k][np.arange(tab.n_states + 1), choice[k]]
 
 
 def evaluate_policy(model: Model, policy: "FeedbackPolicy") -> ValueFunction:

@@ -17,14 +17,19 @@ words in a bucket that a threshold splits are fixed up by a binary search,
 so a draw costs about the same for any number of atoms.  ``sample_scenario``
 and the closed-loop walk share it.
 
-The walk takes the samples in blocks of ``_BLOCK`` and reads each successor
-with one gather from the stage's flat successor slab.  The offset of a
-state's row and policy control in that slab is made once per call, so a
-stage is two gathers and an add: ``flat[base[k, x] + d]``.  On the
-``three-state`` benchmark (10^6 walks x 40 stages) the guide and the offsets
-took the walk from 49.2 to 78.8 million steps a second (medians of ten
-alternating perfbench runs each), with every output bit unchanged
-(``BENCH_16.json``).
+The walk takes the samples in blocks of ``_BLOCK``.  Once per call it
+builds one policy successor table, ``q[k][x * W + d]``: W times the
+successor of state ``x`` under atom ``d`` and the policy's control at stage
+``k``, one table shared by the stages that read the same stored successor
+slab, constraint row and policy row.  A walk is kept as ``y = x * W``, so a
+stage is one add and one gather, ``y = q[k][y + d]``.  An estimate records
+nothing, so its table sends a successor outside its constraint set to one
+extra absorbing "failed" row, and a walk succeeds exactly when it does not
+end there; no per-stage membership test is made.  The words of a stage are
+mixed in place in buffers kept for the block.  On the ``three-state``
+benchmark (10^6 walks x 40 stages) this took the walk from 77.2 to 115.2
+million steps a second (medians of ten alternating perfbench pairs), with
+every output bit unchanged (``BENCH_19.json``).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .dp import TABLE_BYTES_GUARD, _policy_choice_array
+from .dp import TABLE_BYTES_GUARD, _policy_choice_array, _policy_successors
 from .kernel import FeedbackPolicy
 from .model import DisturbanceLaw, Model, ModelError, _check_x0
 
@@ -106,8 +111,8 @@ def sample_scenario(noise: DisturbanceLaw, n_steps: int, seed: int) -> Scenario:
     """Independent inverse-cdf draws from the marginal, one per transition."""
     if n_steps < 0:
         raise ModelError(f"n_steps must be non-negative, got {n_steps}")
-    words = _rng.stream_array(seed & _rng.MASK64, np.arange(n_steps))
-    return Scenario(_rng.inverse_cdf(_rng.cdf_thresholds(noise.cdf), words))
+    return Scenario(_rng.draw(_rng.cdf_thresholds(noise.cdf), seed & _rng.MASK64,
+                              np.arange(n_steps)))
 
 
 def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
@@ -116,18 +121,29 @@ def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
     gives the stream seeds of samples start..stop-1, and the draw of stage
     ``k`` is word ``k`` of a sample's stream.
 
+    A walk is kept as ``y = x * W`` for its state ``x`` and W atoms, and
+    ``q[k][x * W + d]`` is ``W`` times the policy's successor of ``x`` under
+    atom ``d`` at stage ``k``, so a stage is ``y = q[k].take(y + d)``: one
+    add and one gather.  When nothing is recorded, a successor outside its
+    constraint set is the absorbing row ``failed`` instead, and a walk
+    succeeds exactly when it ends elsewhere; the walk from ``x0`` outside
+    ``A(t0)`` is not taken at all.  A recorded walk keeps the real states and
+    checks each one against its constraint set.
+
     The samples go in blocks of ``_BLOCK``, each advanced through every stage
     before the next block starts, so the block state stays in cache.  Returns
     the ``(states, controls, draws, success)`` paths when ``record`` is set,
     and otherwise the number of successes, keeping nothing beyond one block.
     Recorded paths larger than ``TABLE_BYTES_GUARD`` are refused before
-    anything of their size is allocated.
+    anything of their size is allocated.  ``q`` holds one table per distinct
+    stage, each the size of a stage of ``next_state`` over its control slots,
+    with one row more.
     """
     if n < 1:
         raise ModelError(f"need n >= 1 samples, got {n}")
     choice = _policy_choice_array(model, policy)
     tab = model.tables
-    thresholds = _rng.cdf_thresholds(model.noise.cdf)
+    width = tab.n_atoms
     if record:
         nbytes = n * (3 * tab.steps + 1) * 8 + n
         if nbytes > TABLE_BYTES_GUARD:
@@ -141,27 +157,47 @@ def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
         draws = np.empty((n, tab.steps), dtype=np.int64)
         success = np.empty(n, dtype=bool)
         states[:, 0] = x0
-    # the successor of x at stage k under the policy is the flat slab entry
-    # base[k, x] + d: x's row, then its control slot's run of atoms
-    base = np.arange(tab.n_states + 1) * (tab.u_max * tab.n_atoms) + choice * tab.n_atoms
+    elif not tab.member[0, x0]:
+        return 0
+    failed = tab.n_states + 1
+    scaled = np.arange(failed) * width
+    # stages that read the same stored successor slab, constraint row and
+    # policy row share one table: a stationary part is one stored row
+    q, shared = [], {}
+    for k in range(tab.steps):
+        key = (k * tab.next_state.strides[0], (k + 1) * tab.member.strides[0], choice[k].tobytes())
+        if key not in shared:
+            # W times each successor, or W times `failed` for one outside its set
+            to = scaled if record else np.where(tab.member[k + 1], scaled, failed * width)
+            shared[key] = np.append(to.take(_policy_successors(tab, choice, k)),
+                                    np.full(width, failed * width))
+        q.append(shared[key])
+    thresholds = _rng.cdf_thresholds(model.noise.cdf)
+    buffers = (np.empty(_BLOCK, dtype=np.uint64), np.empty(_BLOCK, dtype=np.uint64),
+               np.empty(_BLOCK, dtype=np.int64))
     successes = 0
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
+        out = tuple(b[: stop - start] for b in buffers)
         seeds = seeds_of(start, stop)
         x = np.full(stop - start, x0, dtype=np.int64)
-        ok = np.full(stop - start, bool(tab.member[0, x0]))
+        y = x * width
+        if record:
+            ok = np.full(stop - start, bool(tab.member[0, x0]))
         for k in range(tab.steps):
-            d = _rng.inverse_cdf(thresholds, _rng.stream_array(seeds, k))
+            d = _rng.draw(thresholds, seeds, k, out)
             if record:
                 controls[start:stop, k] = choice[k].take(x)
                 draws[start:stop, k] = d
-            x = tab.next_state[k].reshape(-1).take(base[k].take(x) + d)
-            ok &= tab.member[k + 1].take(x)
+            y = q[k].take(np.add(y, d, out=d))
             if record:
+                x = y // width
                 states[start:stop, k + 1] = x
+                ok &= tab.member[k + 1].take(x)
         if record:
             success[start:stop] = ok
-        successes += int(np.count_nonzero(ok))
+        else:
+            successes += int(np.count_nonzero(y != failed * width))
     return (states, controls, draws, success) if record else successes
 
 

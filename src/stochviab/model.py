@@ -165,19 +165,25 @@ def project_to_grid(states: StateSpace, point) -> Union[int, np.ndarray]:
         raise ModelError(f"point has dimension {pts.shape[1]}, state space has {states.dim}")
     if not all(-np.inf < v[0] and v[-1] < np.inf for v in states._index[0]):  # NaN last
         raise ModelError("StateSpace: grid points must be finite")
-    m, half = states.n_points, states.min_spacing / 2.0
+    m, half, grid = states.n_points, states.min_spacing / 2.0, states.points
     out = np.empty(pts.shape[0], dtype=np.int64)
     # a squared distance that overflows is inf, outside a capture radius whose
     # square is finite
     with np.errstate(over="ignore"):
         # a scan when it is no wider, or where the squares overflow or underflow
         narrow = states.min_spacing * states.min_spacing > half * half and 2 ** states.dim < m
+        if np.isinf(half * half) and np.isfinite(half):
+            # a spacing above about 2.7e154, always scanned: measure in units of
+            # a power of two near it, an exact rescale, so that the radius's
+            # square is finite
+            scale = np.ldexp(1.0, -int(np.frexp(half)[1]))
+            half, grid, pts = half * scale, grid * scale, pts * scale
         step = max(1, _PROJECT_CHUNK // ((2 ** states.dim if narrow else m) * max(1, states.dim)))
         for lo in range(0, pts.shape[0], step):
             chunk = pts[lo : lo + step]
             cand = _neighbours(states, chunk) if narrow else np.arange(m)[None, :]
             # np.sum((points - p) ** 2, axis=1) for each row p, in numpy's order
-            d2 = np.sum((states.points[cand] - chunk[:, None, :]) ** 2, axis=-1)
+            d2 = np.sum((grid[cand] - chunk[:, None, :]) ** 2, axis=-1)
             best = d2.min(axis=1)
             i = np.where(d2 == best[:, None], cand, m).min(axis=1)  # the smallest index
             out[lo : lo + step] = np.where(best <= half * half, i, m)

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_model, random_policy
 from stochviab import mc
@@ -11,6 +13,7 @@ from stochviab._rng import (
     cdf_thresholds,
     derive_seed,
     derive_seed_array,
+    draw,
     inverse_cdf,
     stream_array,
 )
@@ -24,9 +27,15 @@ from stochviab.mc import (
     wilson_interval,
 )
 from stochviab.model import (
+    ConstraintSets,
+    ControlMap,
     DisturbanceLaw,
+    ExprDynamics,
     Model,
     ModelError,
+    StateSpace,
+    TableDynamics,
+    TimeGrid,
     make_three_state_example,
 )
 
@@ -61,6 +70,12 @@ class TestSampleScenario:
         sc = sample_scenario(example_model.noise, example_model.time.steps, 5)
         assert sc.draws.shape == (40,)
         assert np.all((0 <= sc.draws) & (sc.draws < 3))
+
+
+def _head(words):
+    """The words short of SplitMix64's last xorshift ``z ^ (z >> 31)``, which
+    ``inverse_cdf`` takes: that xorshift's exact inverse."""
+    return words ^ (words >> np.uint64(31)) ^ (words >> np.uint64(62))
 
 
 def _float_inverse_cdf(cdf, words):
@@ -103,10 +118,14 @@ def test_integer_inverse_cdf_equals_float_search(cdf):
     # the last and first word of every guide bucket
     words.update(w for b in range(4097) for w in ((b << 52) - 1, b << 52) if 0 <= w < 2**64)
     words = np.array(sorted(words), dtype=np.uint64)
-    got = inverse_cdf(cdf_thresholds(cdf), words)
+    head = _head(words)
+    assert np.array_equal(head ^ (head >> np.uint64(31)), words)
+    got = inverse_cdf(cdf_thresholds(cdf), head)
     assert np.array_equal(got, _float_inverse_cdf(cdf, words))
     rand = stream_array(12345, np.arange(10_000))
-    assert np.array_equal(inverse_cdf(cdf_thresholds(cdf), rand), _float_inverse_cdf(cdf, rand))
+    want = _float_inverse_cdf(cdf, rand)
+    assert np.array_equal(inverse_cdf(cdf_thresholds(cdf), _head(rand)), want)
+    assert np.array_equal(draw(cdf_thresholds(cdf), 12345, np.arange(10_000)), want)
 
 
 def test_inverse_cdf_cases_cover_their_edges():
@@ -261,18 +280,38 @@ class TestBlocks:
         assert large <= 2 * small, (small, large)
 
 
-def _many_atom_model():
-    """The three-state walk under a 40-atom law on [-1.2, 1.2]: every other
-    atom within 0.3 of 0 (they project to w = 0) shares the mass, and the
-    other atoms carry 1e-5 or 0, so that several cdf thresholds share a guide
-    bucket."""
+def _many_atom_model(model=None, reach=0.3):
+    """A walk ``x + u + w`` on an integer grid (by default the three-state
+    example) under a 40-atom law on [-1.2, 1.2]: every other atom within
+    ``reach`` of 0 (by default those that project to w = 0) shares the mass,
+    and the other atoms carry 1e-5 or 0, so that several cdf thresholds share
+    a guide bucket."""
     support = np.linspace(-1.2, 1.2, 40)
     probs = np.full(40, 1e-5)
     probs[::7] = 0.0
-    heavy = np.flatnonzero(np.abs(support) < 0.3)[::2]
+    heavy = np.flatnonzero(np.abs(support) < reach)[::2]
     probs[heavy] = 0.0
     probs[heavy] = (1.0 - probs.sum()) / heavy.size
-    return _with_noise(make_three_state_example(0.01, 0, 40), support[:, None], probs)
+    model = make_three_state_example(0.01, 0, 40) if model is None else model
+    return _with_noise(model, support[:, None], probs)
+
+
+def _strict_sets_model():
+    """A walk ``x + u + w`` on the points 0..6 over 12 stages, controls
+    {-1, 0, 1} and noise {-1, 0, 1} with probabilities (0.25, 0.5, 0.25),
+    whose constraint sets are strict subsets of the grid that change with the
+    stage: A(t) leaves out (2 + t) % 7 and (5 + 2t) % 7."""
+    n, steps = 7, 12
+    per_stage = tuple(tuple(set(range(n)) - {(2 + t) % n, (5 + 2 * t) % n})
+                      for t in range(steps + 1))
+    return Model(
+        time=TimeGrid(0, steps),
+        states=StateSpace(np.arange(n, dtype=np.float64)[:, None]),
+        controls=ControlMap.shared([[-1.0], [0.0], [1.0]], n),
+        noise=DisturbanceLaw([[-1.0], [0.0], [1.0]], [0.25, 0.5, 0.25]),
+        dynamics=ExprDynamics(("x + u + w",)),
+        constraints=ConstraintSets("set", per_stage=per_stage),
+    )
 
 
 class TestBlocksManyAtoms(TestBlocks):
@@ -295,6 +334,101 @@ class TestBlocksManyAtoms(TestBlocks):
         # its six split buckets hold about 1/700 of a stage's words
         words = stream_array(derive_seed_array(2024, 0, 2 * self.B + 3), 5)
         assert np.count_nonzero(table.guide[words >> np.uint64(52)] < 0) > 10
+
+
+class TestBlocksStrictSets(TestBlocks):
+    """The same where the constraint sets are strict subsets of the grid that
+    change with the stage, so that the walk that records nothing sends many
+    samples to its absorbing failed row, some of them from states that the
+    recorded walk leaves and comes back to."""
+
+    @pytest.fixture(scope="class")
+    def walk(self):
+        model = _strict_sets_model()
+        _, am = solve(model)
+        return model, select_feedback(am)
+
+    def test_paths_leave_their_sets_and_come_back(self, walk):
+        model, fb = walk
+        states, _, _, ok = simulate_batch(model, fb, 1, 5000, 3)
+        member = model.tables.member[np.arange(model.time.steps + 1), states]
+        # every set is a strict subset of the grid, and the sets differ
+        grid = model.tables.member[:, : model.states.n_points]
+        assert not grid.all(axis=1).any()
+        assert len({tuple(row) for row in grid}) > 1
+        outside = ~member & (states != model.states.sink)
+        # a state outside its set, and a later state inside its own
+        back = (np.cumsum(outside, axis=1)[:, :-1] > 0) & member[:, 1:]
+        assert np.count_nonzero(back.any(axis=1)) > 100
+        assert 0.1 < np.count_nonzero(ok) / ok.size < 0.9
+
+    def test_x0_outside_first_set_never_succeeds(self, walk):
+        model, fb = walk
+        assert not model.tables.member[0, 2]
+        for n in (1, self.B + 1):
+            assert estimate_probability(model, fb, 2, n, 5).mean == 0.0
+            assert not simulate_batch(model, fb, 2, n, 5)[3].any()
+
+    def test_estimate_matches_exact_value(self, walk):
+        model, fb = walk
+        exact = evaluate_policy(model, fb).value(0, 1)
+        n = 2 * self.B + 3
+        est = estimate_probability(model, fb, 1, n, 77)
+        assert abs(est.mean - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / n)
+
+
+class TestBlocksStageDynamics(TestBlocks):
+    """The same on table dynamics that change with the stage under a policy
+    whose control is the same at every stage, so that no two stages may
+    share a walk table, though their policy and constraint rows agree."""
+
+    @pytest.fixture(scope="class")
+    def walk(self):
+        n, steps = 9, 12
+        drift = np.array([1, -1, 0, 2, -2, 1, 0, -1, 1, 0, -2, 2])
+        x, u, w = np.ogrid[:n, -1:2, -1:2]
+        succ = x + u + w + drift[:, None, None, None]
+        table = np.where((succ >= 0) & (succ < n), succ, n)
+        model = Model(
+            time=TimeGrid(0, steps),
+            states=StateSpace(np.arange(n, dtype=np.float64)[:, None]),
+            controls=ControlMap.shared([[-1.0], [0.0], [1.0]], n),
+            noise=DisturbanceLaw([[-1.0], [0.0], [1.0]], [0.25, 0.5, 0.25]),
+            dynamics=TableDynamics(np.concatenate(
+                [table, np.full((steps, 1, 3, 3), n)], axis=1)),
+            constraints=ConstraintSets("set", stationary=range(1, n - 1)),
+        )
+        return model, FeedbackPolicy.constant(model, [0.0])
+
+
+class TestBlocksStrictSetsManyAtoms(TestBlocksStrictSets):
+    """The strict, stage-dependent sets under a 40-atom law whose heavy atoms
+    project to every one of w = -1, 0, 1."""
+
+    @pytest.fixture(scope="class")
+    def walk(self):
+        model = _many_atom_model(_strict_sets_model(), reach=2.0)
+        _, am = solve(model)
+        return model, select_feedback(am)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_last_xorshift_keeps_the_guide_bucket(words):
+    z = np.array(words, dtype=np.uint64)
+    assert np.array_equal((z ^ (z >> np.uint64(31))) >> np.uint64(52), z >> np.uint64(52))
+
+
+def test_draw_into_buffers_equals_fresh_draw():
+    table = cdf_thresholds(_many_atom_model().noise.cdf)
+    seeds = derive_seed_array(8, 0, 1000)
+    out = (np.empty(1000, np.uint64), np.empty(1000, np.uint64), np.empty(1000, np.int64))
+    for k in range(3):
+        d = draw(table, seeds, k, out)
+        assert d is out[2]
+        assert np.array_equal(d, draw(table, seeds, k))
+        assert np.array_equal(d, _float_inverse_cdf(_many_atom_model().noise.cdf,
+                                                    stream_array(seeds, k)))
 
 
 class TestEstimate:

@@ -83,6 +83,15 @@ class TestProjectToGrid:
             assert tab.next_state[k, :3].tolist() == [
                 [[3, 3, 3], [3, 3, 3]], [[3, 0, 1], [1, 2, 3]], [[3, 3, 3], [3, 3, 3]]]
 
+    def test_radius_whose_square_overflows_still_captures_exactly(self):
+        # spacing 1e200: the capture radius is 5e199, whose square overflows
+        grid = StateSpace(np.array([[0.0], [1e200], [-1e300]]))
+        pts = [[1e308], [np.inf], [3e200], [4e199], [1.2e200]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(project_to_grid(grid, pts)) == [3, 3, 3, 0, 1]
+            assert [project_to_grid(grid, p) for p in pts] == [3, 3, 3, 0, 1]
+
 
 class TestValidate:
     def test_example_is_valid(self):
