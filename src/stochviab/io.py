@@ -10,7 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-import math
+from bisect import bisect_left
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -31,6 +31,7 @@ from .model import (
     StateSpace,
     TableDynamics,
     TimeGrid,
+    _first_refused,
 )
 
 __all__ = [
@@ -291,8 +292,15 @@ def _model_doc(model: Model, table_body) -> dict:
     }
 
 
+def _read_text(path: PathLike) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ModelFormatError(f"{path}: not UTF-8: {err.reason} at byte {err.start}") from None
+
+
 def load_model(path: PathLike) -> Model:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
 
     def non_finite(name: str):
         raise ModelFormatError(f"{path}: {name} is not a JSON number; numbers must be finite")
@@ -410,11 +418,15 @@ def read_value_csv(path: PathLike) -> ValueFunction:
     in any order.
 
     The rows are read by columns: each distinct cell text is converted once,
-    by ``int`` or ``float``, and the checks run on whole arrays.  A file that
-    fails any of them goes to :func:`_value_csv_fault`, which names the first
-    fault.  A state's coordinates are those of its first row in line order.
+    by ``int`` or ``float``, and the checks run on whole columns, in the
+    order in which a walk in line order checks each row.  A check that fails
+    keeps only the rows before its first failure; the later checks run on
+    those, so a fault they find lies on an earlier line and replaces it.  The
+    last fault found is raised, with its line number in the file, blank lines
+    included; the checks of the whole file run only when no row fails.  A
+    state's coordinates are those of its first row in line order.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     lines = text.splitlines()
     start = next((i for i, ln in enumerate(lines) if ln), len(lines))
     if start == len(lines):
@@ -423,103 +435,94 @@ def read_value_csv(path: PathLike) -> ValueFunction:
     if header[:2] != ["t", "state_index"] or header[-1] != "value" or len(header) < 4:
         raise ModelFormatError(f"{path}: unexpected value header {lines[start]!r}")
 
-    def fault() -> ModelFormatError:
-        return _value_csv_fault(path, text.splitlines())
-
     n = len(header)
     rows = list(filter(None, lines[start + 1:]))
-    if not rows or set(map(str.count, rows, repeat(","))) != {n - 1}:
-        raise fault()
+    if not rows:
+        raise ModelFormatError(f"{path}: no value rows")
+    fault = None  # (row, message) of the first fault found yet
+    r = _first_refused((n - 1).__eq__, str.count, rows, repeat(","))
+    if r is not None:
+        fault, rows = (r, f"{rows[r].count(',') + 1} fields, expected {n}"), rows[:r]
     # the row texts, their join and the flat cell list are let go as soon as
     # they are used, so that each is alive beside the next one only
     n_rows, cells = len(rows), ",".join(rows)
     del lines, rows
-    cells = cells.split(",")
-    t_cells, x_cells, *coord_cells, value_cells = (cells[j::n] for j in range(n))
+    cells = cells.split(",") if n_rows else []
+    texts = [cells[j::n] for j in range(n)]
+    t_cells, x_cells, *coord_cells, value_cells = texts
     del cells
-    try:
-        stage_of, x_of = _distinct(int, t_cells), _distinct(int, x_cells)
-        coord_of = _distinct(float, chain.from_iterable(coord_cells))
-        value_of = _distinct(float, value_cells)
-    except ValueError:
-        raise fault() from None
 
-    # the stage and state counts, from the distinct cells alone, so that
-    # nothing of the size they imply is allocated before they are checked
-    stages, states = set(stage_of.values()), set(x_of.values())
-    t0, T, m = min(stages), max(stages), max(states) + 1
-    if min(states) < 0 or T - t0 + 1 != len(stages) or len(stages) * m != n_rows:
-        raise fault()
+    def cut(bad: np.ndarray, message) -> None:
+        """Keep the rows before the first of ``bad``; ``message(row)`` names its fault."""
+        nonlocal fault, n_rows
+        if bad[:n_rows].any():
+            r = int(bad[:n_rows].argmax())
+            fault, n_rows = (r, message(r)), r
+
+    def line(r: int) -> str:
+        return ",".join(column[r] for column in texts)
+
+    (stage_of, bad_t), (x_of, bad_x) = _distinct(int, [t_cells]), _distinct(int, [x_cells])
+    (coord_of, bad_c), (value_of, bad_v) = (_distinct(float, coord_cells),
+                                            _distinct(float, [value_cells]))
+    cut(bad_t | bad_x | bad_c | bad_v, lambda r: f"malformed number in {line(r)!r}")
 
     def column(convert: dict, texts: list, dtype) -> np.ndarray:
         return np.fromiter(map(convert.__getitem__, texts), dtype, n_rows)
 
     value = column(value_of, value_cells, np.float64)
     coords = np.stack([column(coord_of, c, np.float64) for c in coord_cells], axis=1)
-    x = column(x_of, x_cells, np.int64)
-    k = column({s: t - t0 for s, t in stage_of.items()}, t_cells, np.int64)
-    if not (np.isfinite(coords).all() and np.isfinite(value).all()
-            and ((0.0 <= value) & (value <= 1.0)).all()
-            and np.bincount(k * m + x, minlength=n_rows).max() == 1):
-        raise fault()
-    # every state has a row at every stage, so ``first`` lists all m of them
-    first = np.unique(x, return_index=True)[1]
-    points = coords[first]
-    if not (coords == points[x]).all():
-        raise fault()
+
+    def ranks(values: dict, texts: list) -> tuple[list, np.ndarray]:
+        """The distinct values in order, and each row's rank among them, which
+        is below the number of rows however far apart the values are."""
+        order = sorted(set(values.values()))
+        rank = dict(zip(order, range(len(order))))
+        return order, column({s: rank[v] for s, v in values.items()}, texts, np.int64)
+
+    (stages, k), (states, x) = ranks(stage_of, t_cells), ranks(x_of, x_cells)
+    cut(~(np.isfinite(value) & np.isfinite(coords).all(axis=1)),
+        lambda r: f"non-finite number in {line(r)!r}")
+    cut(~((0.0 <= value) & (value <= 1.0)),
+        lambda r: f"value {value_cells[r]} is not a probability in [0, 1]")
+    cut(x < bisect_left(states, 0), lambda r: f"negative state_index {states[x[r]]}")
+    # a file without repeats or gaps has one row per (stage, state) pair of ranks
+    key, span = k * len(states) + x, len(stages) * len(states)
+    if span != key.size or np.bincount(key, minlength=span).max(initial=0) > 1:
+        again = np.ones(key.size, dtype=bool)
+        again[np.unique(key, return_index=True)[1]] = False
+        cut(again, lambda r: f"second row for (t={stages[k[r]]}, state_index={states[x[r]]})")
+    first, inverse = np.unique(x, return_index=True, return_inverse=True)[1:]
+    cut((coords != coords[first][inverse]).any(axis=1),
+        lambda r: f"coordinates of state_index {states[x[r]]} differ from an earlier row")
+
+    if fault is not None:
+        numbered = np.flatnonzero(np.fromiter(map(bool, text.splitlines()), bool))
+        raise ModelFormatError(f"{path}: line {numbered[fault[0] + 1] + 1}: {fault[1]}")
+    t0, T, m = stages[0], stages[-1], states[-1] + 1
+    if T - t0 + 1 != len(stages):  # distinct, so none is missing
+        raise ModelFormatError(f"{path}: stages are not contiguous")
+    if len(stages) * m != n_rows:  # the keys are distinct, so none is missing
+        raise ModelFormatError(f"{path}: missing (stage, state) rows")
+    # every state has a row at every stage, so its rank is its index
     table = np.zeros((T - t0 + 1, m + 1))
     table[k, x] = value
-    return ValueFunction(t0, T, points, table)
+    return ValueFunction(t0, T, coords[first], table)
 
 
-def _distinct(convert, texts: Iterable[str]) -> dict:
-    """``convert`` of each distinct text of ``texts``, keyed by that text."""
-    return {s: convert(s) for s in set(texts)}
-
-
-def _value_csv_fault(path: PathLike, lines: list[str]) -> ModelFormatError:
-    """The error for the first fault of a value file that
-    :func:`read_value_csv` refused, for its ``splitlines()``: the first row in
-    line order that fails a check, else the first failing check of the whole
-    file.  Lines are numbered as in the file, blank lines included."""
-    numbered = [(i, ln) for i, ln in enumerate(lines, start=1) if ln]
-    n = len(numbered[0][1].split(","))
-    dim = n - 3
-
-    rows = {}  # (t, state_index) -> value
-    coords_of = {}  # state_index -> coordinates, the same at every stage
-    for i, ln in numbered[1:]:
-        parts = ln.split(",")
-        if len(parts) != n:
-            return ModelFormatError(f"{path}: line {i}: {len(parts)} fields, expected {n}")
+def _distinct(convert, columns: list[list[str]]) -> tuple[dict, np.ndarray]:
+    """``convert`` of each distinct text of ``columns``, keyed by that text,
+    and for each row whether ``convert`` refuses one of its texts there."""
+    values, failed = {}, set()
+    for s in set(chain.from_iterable(columns)):
         try:
-            t, x = int(parts[0]), int(parts[1])
-            coords, value = [float(c) for c in parts[2:2 + dim]], float(parts[-1])
+            values[s] = convert(s)
         except ValueError:
-            return ModelFormatError(f"{path}: line {i}: malformed number in {ln!r}")
-        if not (math.isfinite(value) and all(map(math.isfinite, coords))):
-            return ModelFormatError(f"{path}: line {i}: non-finite number in {ln!r}")
-        if not 0.0 <= value <= 1.0:
-            return ModelFormatError(
-                f"{path}: line {i}: value {parts[-1]} is not a probability in [0, 1]")
-        if x < 0:
-            return ModelFormatError(f"{path}: line {i}: negative state_index {x}")
-        if (t, x) in rows:
-            return ModelFormatError(f"{path}: line {i}: second row for (t={t}, state_index={x})")
-        if coords_of.setdefault(x, coords) != coords:
-            return ModelFormatError(
-                f"{path}: line {i}: coordinates of state_index {x} differ from an earlier row")
-        rows[t, x] = value
-    if not rows:
-        return ModelFormatError(f"{path}: no value rows")
-
-    stages = {t for t, _ in rows}
-    if max(stages) - min(stages) + 1 != len(stages):  # distinct, so none is missing
-        return ModelFormatError(f"{path}: stages are not contiguous")
-    m = max(x for _, x in rows) + 1
-    if len(rows) != len(stages) * m:  # the keys are distinct, so none is missing
-        return ModelFormatError(f"{path}: missing (stage, state) rows")
-    raise AssertionError(f"{path}: read_value_csv refused a value file without a fault")
+            failed.add(s)
+    bad = np.zeros(len(columns[0]), dtype=bool)
+    for column in columns if failed else ():
+        bad |= np.fromiter(map(failed.__contains__, column), bool, len(column))
+    return values, bad
 
 
 # --- policy / kernel / trajectory CSV ---

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import Union
 
 import numpy as np
@@ -370,12 +370,12 @@ class TableDynamics:
         that many control rows, so ``u_max`` is ``max(1, counts.max())``.
         Entries may use ``-1`` for the sink; the sink row is synthesized as
         absorbing, and control slots past a state's count hold the sink.
+        A body that fails a check raises :class:`ModelError` for its first
+        fault in (t, x, u, w) order, found from the checks on whole levels.
         """
         counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), (steps, n_states))
         u_max = max(1, int(counts.max(initial=0)))
-        rows = _nested_rows(nested, n_states, counts, n_atoms, steps)
-        if rows is None:
-            raise _first_fault(nested, n_states, counts, u_max, n_atoms, steps)
+        rows = _nested_rows(nested, n_states, counts, u_max, n_atoms, steps)
         sink = n_states
         table = np.full((steps, n_states + 1, u_max, n_atoms), sink, dtype=np.int64)
         listed = np.arange(u_max) < counts[..., None]  # the (t, x, u) slots of the rows
@@ -384,89 +384,83 @@ class TableDynamics:
         return cls(table)
 
 
-def _nested_rows(nested, n_states: int, counts: np.ndarray, n_atoms: int, steps: int):
+def _first_refused(ok, key, *items):
+    """The index of the first of ``map(key, *items)`` that ``ok`` refuses, or
+    None.  ``ok`` sees each distinct key once, and only a refused key makes a
+    second pass over the items."""
+    refused = set(filterfalse(ok, set(map(key, *items))))
+    if not refused:
+        return None
+    return int(np.fromiter(map(refused.__contains__, map(key, *items)), bool).argmax())
+
+
+def _nested_rows(nested, n_states: int, counts: np.ndarray, u_max: int, n_atoms: int,
+                 steps: int) -> np.ndarray:
     """The control rows of ``nested``, in (t, x, u) order, as one
-    ``(rows, n_atoms)`` int64 array of entries in ``-1..n_states``; None if
-    any level, count or entry is wrong."""
+    ``(rows, n_atoms)`` int64 array of entries in ``-1..n_states``.
 
-    def lists(items) -> bool:
-        return all(issubclass(t, (list, tuple)) for t in set(map(type, items)))
+    The levels (the body, stages, states, control rows, entries) are checked
+    whole, in the order in which a walk in (t, x, u, w) order checks each
+    item.  A check that fails keeps only the items before its first failure;
+    the later checks run on those, so a fault they find lies on an earlier
+    path and replaces it.  The last fault found is raised; the states' counts
+    of control rows are checked only when no item fails.
+    """
+    levels, fault = [], None  # the kept items of each level checked
 
-    if not (isinstance(nested, (list, tuple)) and len(nested) == steps and lists(nested)
-            and all(len(row) == n_states for row in nested)):
-        return None
-    cells = list(chain.from_iterable(nested))
-    if not (lists(cells) and np.array_equal(
-            np.fromiter(map(len, cells), np.int64, len(cells)), counts.ravel())):
-        return None
-    rows = list(chain.from_iterable(cells))
-    if not (lists(rows) and set(map(len, rows)) <= {n_atoms}):
-        return None
+    def where(depth: int, i: int) -> str:
+        """Where item ``i`` of level ``depth`` lies: the body, its stage, or its (t, x, u, w)."""
+        path = [i]
+        for items in reversed(levels[1:depth]):
+            ends = np.cumsum(np.fromiter(map(len, items), np.int64, len(items)))
+            p = int(np.searchsorted(ends, path[0], "right"))
+            path[:1] = [p, path[0] - int(ends[p]) + len(items[p])]
+        if depth < 2:
+            return f" stage {i}" if depth else ""
+        return " at (" + ", ".join(map("{}={}".format, "txuw", path)) + ")"
+
+    def keep(items: list, i, error) -> list:
+        """``items`` before item ``i``, if one fails; ``error(item, where)`` names it."""
+        nonlocal fault
+        if i is None:
+            return items
+        fault = error(items[i], where(len(levels), i))
+        return items[:i]
+
+    items = [nested]
+    for what, ok, tail in (
+        ("stages", lambda n: n == steps, f", expected {steps}"),
+        ("states", lambda n: n == n_states, f", expected {n_states}"),
+        ("control rows", lambda n: n <= u_max, f" exceed u_max={u_max}"),
+        ("disturbance entries", lambda n: n == n_atoms, f", expected {n_atoms}"),
+    ):
+        items = keep(items, _first_refused(lambda t: issubclass(t, (list, tuple)), type, items),
+                     lambda v, at: ModelError(
+                         f"dynamics table{at}: expected a list of {what}, got {v!r}"))
+        items = keep(items, _first_refused(ok, len, items),
+                     lambda v, at: ModelError(f"dynamics table{at}: {len(v)} {what}{tail}"))
+        levels.append(items)
+        items = list(chain.from_iterable(items))
     # the types _is_int accepts; ``true`` would otherwise convert to 1
-    types = set(map(type, chain.from_iterable(rows)))
-    if not all(t is int or issubclass(t, np.integer) for t in types):
-        return None
+    items = keep(items, _first_refused(lambda t: t is int or issubclass(t, np.integer), type,
+                                       items),
+                 lambda v, at: ModelError(f"dynamics table entry {v!r}{at} is not an integer"))
     try:
-        entries = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * n_atoms)
-    except OverflowError:
-        return None
-    if entries.size and not (entries.min() >= -1 and entries.max() <= n_states):
-        return None
-    return entries.reshape(len(rows), n_atoms)
-
-
-def _first_fault(nested, n_states: int, counts: np.ndarray, u_max: int, n_atoms: int,
-                 steps: int) -> ModelError:
-    """The error for the first fault of a body that :func:`_nested_rows`
-    refused: the first malformed level or entry in (t, x, u, w) order, else
-    the first state whose control rows differ from its count."""
-    sink = n_states
-
-    def not_list(value, where: str, items: str) -> ModelError:
-        return ModelError(f"dynamics table{where}: expected a list of {items}, got {value!r}")
-
-    if not isinstance(nested, (list, tuple)):
-        return not_list(nested, "", "stages")
-    if len(nested) != steps:
-        return ModelError(f"dynamics table: {len(nested)} stages, expected {steps}")
-    for t, row in enumerate(nested):
-        if not isinstance(row, (list, tuple)):
-            return not_list(row, f" stage {t}", "states")
-        if len(row) != n_states:
-            return ModelError(f"dynamics table stage {t}: {len(row)} states, expected {n_states}")
-        for x, per_u in enumerate(row):
-            if not isinstance(per_u, (list, tuple)):
-                return not_list(per_u, f" at (t={t}, x={x})", "control rows")
-            if len(per_u) > u_max:
-                return ModelError(
-                    f"dynamics table at (t={t}, x={x}): {len(per_u)} control rows "
-                    f"exceed u_max={u_max}"
-                )
-            for u, per_w in enumerate(per_u):
-                if not isinstance(per_w, (list, tuple)):
-                    return not_list(per_w, f" at (t={t}, x={x}, u={u})", "disturbance entries")
-                if len(per_w) != n_atoms:
-                    return ModelError(
-                        f"dynamics table at (t={t}, x={x}, u={u}): "
-                        f"{len(per_w)} disturbance entries, expected {n_atoms}"
-                    )
-                for w, nxt in enumerate(per_w):
-                    if not _is_int(nxt):
-                        return ModelError(
-                            f"dynamics table entry {nxt!r} at (t={t}, x={x}, u={u}, "
-                            f"w={w}) is not an integer"
-                        )
-                    if not (-1 <= nxt <= sink):
-                        return ModelError(
-                            f"dynamics table entry {nxt} out of range at "
-                            f"(t={t}, x={x}, u={u}, w={w})"
-                        )
-    t, x = np.argwhere(np.fromiter(map(len, chain.from_iterable(nested)), np.int64)
-                       .reshape(steps, n_states) != counts)[0].tolist()
-    return ModelError(
-        f"dynamics table at (t={t}, x={x}): {len(nested[t][x])} control rows, "
-        f"expected {counts[t, x]}"
-    )
+        entries = np.fromiter(items, np.int64, len(items))
+    except OverflowError:  # an entry past int64 is out of range: compare the ints themselves
+        entries = np.array(items, dtype=object)
+    out = (entries < -1) | (entries > n_states)
+    keep(items, int(out.argmax()) if out.any() else None,
+         lambda v, at: ModelError(f"dynamics table entry {v} out of range{at}"))
+    if fault is not None:
+        raise fault
+    n_rows = np.fromiter(map(len, levels[2]), np.int64, counts.size)
+    differ = n_rows != counts.ravel()  # checked once every level is whole
+    if differ.any():
+        i = int(differ.argmax())
+        raise ModelError(f"dynamics table{where(2, i)}: {n_rows[i]} control rows, "
+                         f"expected {counts.flat[i]}")
+    return entries.reshape(len(levels[3]), n_atoms)
 
 
 @dataclass(frozen=True, eq=False)

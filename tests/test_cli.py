@@ -211,6 +211,21 @@ def test_value_rejects_x0_outside_the_states(model_path, tmp_path, capsys, sourc
     assert captured.err == f"error: x0 must be a non-sink state index in 0..2, got {x0}\n"
 
 
+@pytest.mark.parametrize("source", ["--model", "--values"])
+def test_files_that_are_not_utf8(model_path, tmp_path, capsys, source):
+    path, bad = model_path, tmp_path / "bad"
+    args = ["solve", "--model", str(bad), "--out", str(tmp_path / "o")]
+    if source == "--values":
+        assert main(["solve", "--model", str(model_path), "--out", str(tmp_path / "s")]) == 0
+        path, args = tmp_path / "s" / "value.csv", ["value", "--values", str(bad), "--time", "0"]
+    bad.write_bytes(path.read_bytes()[:40] + b"\xff" + path.read_bytes()[41:])
+    capsys.readouterr()
+    rc = main(args)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: {bad}: not UTF-8: invalid start byte at byte 40\n"
+
+
 def test_policy_export(model_path, tmp_path):
     out = tmp_path / "policy.csv"
     assert main(["policy", "--model", str(model_path), "--out", str(out)]) == 0

@@ -13,7 +13,6 @@ from stochviab.cli import _write_plot_data
 from stochviab.dp import ArgmaxPolicy, PolicyError, ValueFunction, solve
 from stochviab.io import (
     ModelFormatError,
-    _value_csv_fault,
     format_estimate,
     load_model,
     model_from_dict,
@@ -208,6 +207,14 @@ class TestModelJson:
              "dynamics table entry 3 out of range at (t=1, x=1, u=0, w=1)"),
             (("dynamics", "body", 0, 1, 0, 1), "[0]",
              "dynamics table entry [0] at (t=0, x=1, u=0, w=1) is not an integer"),
+            # an entry fault anywhere is named before a count of control rows
+            (("dynamics", "body"), "[[[], [[0, -1]]], [[[0, 0]], [[1, true]]]]",
+             "dynamics table entry True at (t=1, x=1, u=0, w=1) is not an integer"),
+            # the walk in (t, x, u, w) order meets stage 0's entries before stage 1
+            (("dynamics", "body"), "[[[[1, 0]], [[0, 5]]], 5]",
+             "dynamics table entry 5 out of range at (t=0, x=1, u=0, w=1)"),
+            (("dynamics", "body"), '[[[[1, 0]], [[0, -1], 2]], [[[0]], "x"]]',
+             "dynamics table at (t=0, x=1): 2 control rows exceed u_max=1"),
         ],
     )
     def test_integer_entries_read_strictly(self, tmp_path, keys, literal, message):
@@ -293,6 +300,13 @@ class TestValueCsv:
             # the first row in line order is of a later stage
             (2, "1,0,-0.5,0.5\n0,0,-1,0.5",
              "line 3: coordinates of state_index 0 differ from an earlier row"),
+            # a row's first fault is named before any fault of a later row
+            (2, "0,0,-1,1.5\n0,1,0", "line 2: value 1.5 is not a probability in [0, 1]"),
+            (3, "0,1,0,zero\n0,0,-1,0.5", "line 3: malformed number in '0,1,0,zero'"),
+            (3, "0,0,-1,0.5\n0,1,0,zero", "line 3: second row for (t=0, state_index=0)"),
+            (5, "1,0,-0.5,0.5\n1,-1,0,nan\n1,2", "line 5: coordinates of state_index 0 "
+             "differ from an earlier row"),
+            (3, "0,1,0,inf\n0,-1,0,0.5", "line 3: non-finite number in '0,1,0,inf'"),
         ],
     )
     def test_malformed_rows_rejected(self, tmp_path, example_model, line, text, message):
@@ -364,22 +378,17 @@ class TestValueCsv:
 
     def test_far_apart_stages_fail_without_allocating(self, tmp_path):
         path = tmp_path / "value.csv"
-        path.write_text(f"t,state_index,x1,value\n0,0,0,0.5\n{10**18},0,0,0.5\n")
-        tracemalloc.start()
-        try:
-            with pytest.raises(ModelFormatError, match=re.escape(
-                    f"{path}: stages are not contiguous")):
-                read_value_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-    def test_fault_walk_raises_on_a_valid_file(self, tmp_path, example_model):
-        path = tmp_path / "value.csv"
-        write_value_csv(solve(example_model)[0], path)
-        with pytest.raises(AssertionError, match="without a fault"):
-            _value_csv_fault(path, path.read_text().splitlines())
+        for rows, message in [(f"0,0,0,0.5\n{10**18},0,0,0.5", "stages are not contiguous"),
+                              (f"0,0,0,0.5\n0,{10**18},1,0.5", "missing (stage, state) rows")]:
+            path.write_text(f"t,state_index,x1,value\n{rows}\n")
+            tracemalloc.start()
+            try:
+                with pytest.raises(ModelFormatError, match=re.escape(f"{path}: {message}")):
+                    read_value_csv(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
 
 def test_policy_and_argmax_csv(tmp_path, example_model):

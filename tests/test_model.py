@@ -374,6 +374,16 @@ class TestTableFromNested:
             # a malformed entry anywhere is named before a missing row
             ([[[], [[1]]], [[[0]], [[True]]]], (1, 1),
              "dynamics table entry True at (t=1, x=1, u=0, w=0) is not an integer"),
+            # a fault's (t, x, u, w) past a state with two control rows
+            ([[[[0], [1]], [[1]]], [[[0], [1]], [[7]]]], (2, 1),
+             "dynamics table entry 7 out of range at (t=1, x=1, u=0, w=0)"),
+            ([[[[0], [1, 1]], [[1]]]], (2, 1),
+             "dynamics table at (t=0, x=0, u=1): 2 disturbance entries, expected 1"),
+            # a deeper fault on an earlier path is named first
+            ([[[[0], 5], "x"]], (2, 1),
+             "dynamics table at (t=0, x=0, u=1): expected a list of disturbance entries, got 5"),
+            ([[[[0], [1]], [[1.0]]], 7], (2, 1),
+             "dynamics table entry 1.0 at (t=0, x=1, u=0, w=0) is not an integer"),
         ],
     )
     def test_row_counts_checked(self, nested, counts, message):
