@@ -22,13 +22,15 @@ from .model import InvalidModelError, Model, ModelError, _check_x0, make_three_s
 
 
 def _solve_file(path: str) -> tuple:
-    """(model, ValueFunction, ArgmaxPolicy) for a model file; validation
-    failures name the file and list every violation."""
+    """(model, ValueFunction, ArgmaxPolicy) for a model file; every model
+    error names the file, and a validation failure lists every violation."""
     model = io.load_model(path)
     try:
         vf, am = solve(model)
     except InvalidModelError as err:
         raise ModelError(f"{path}: " + "; ".join(err.violations)) from None
+    except ModelError as err:  # a failed evaluation of the dynamics, or the table guard
+        raise ModelError(f"{path}: {err}") from None
     return model, vf, am
 
 

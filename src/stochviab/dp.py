@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import Model, ModelError, _check_x0
+from .model import Model, ModelError, _check_index, _check_x0
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import FeedbackPolicy
@@ -116,15 +116,13 @@ class ValueFunction:
         return self.n_states
 
     def stage_index(self, t: int) -> int:
-        if not (self.t0 <= t <= self.T):
-            raise ModelError(f"stage {t} outside [{self.t0}, {self.T}]")
-        return t - self.t0
+        return _check_index(t, self.t0, self.T)[0]
 
     def slice(self, t: int) -> ValueSlice:
         return ValueSlice(t, self.table[self.stage_index(t)])
 
     def value(self, t: int, x: int) -> float:
-        return float(self.table[self.stage_index(t), x])
+        return float(self.table[_check_index(t, self.t0, self.T, x, self.sink)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +139,7 @@ class ArgmaxPolicy:
     counts: np.ndarray  # int64 (steps, m + 1)
 
     def viable(self, t: int, x: int) -> tuple[int, ...]:
-        if not (self.t0 <= t < self.T):
-            raise ModelError(f"stage {t} outside [{self.t0}, {self.T - 1}]")
-        row = self.mask[t - self.t0, x]
+        row = self.mask[_check_index(t, self.t0, self.T - 1, x, self.mask.shape[1] - 1)]
         return tuple(int(j) for j in np.nonzero(row)[0])
 
 

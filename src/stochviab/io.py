@@ -139,11 +139,24 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _is_number(t: type) -> bool:
+    """Whether ``t`` is a type of number: ``int`` or ``float``, not ``bool``
+    or ``str``, which ``np.asarray`` would convert too."""
+    return t is int or t is float or issubclass(t, (np.integer, np.floating))
+
+
 def _floats(value, where: str) -> np.ndarray:
     try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as err:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as err:  # OverflowError: an int past a double
         raise ModelFormatError(f"{where}: expected numbers in equal-length rows ({err})") from None
+    leaves = [value]
+    for _ in range(arr.ndim):
+        leaves = list(chain.from_iterable(leaves))
+    r = _first_refused(_is_number, type, leaves)
+    if r is not None:
+        raise ModelFormatError(f"{where}: expected a number, got {leaves[r]!r}")
+    return arr
 
 
 def model_from_dict(doc: dict) -> Model:
@@ -293,8 +306,9 @@ def _model_doc(model: Model, table_body) -> dict:
 
 
 def _read_text(path: PathLike) -> str:
+    """The file's text, its line ends untranslated."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as err:
         raise ModelFormatError(f"{path}: not UTF-8: {err.reason} at byte {err.start}") from None
 
@@ -307,7 +321,9 @@ def load_model(path: PathLike) -> Model:
 
     try:
         doc = json.loads(text, parse_constant=non_finite)
-    except json.JSONDecodeError as err:
+    except ModelFormatError:
+        raise
+    except ValueError as err:  # a JSONDecodeError, or an integer of over 4300 digits
         raise ModelFormatError(f"{path}: not valid JSON: {err}") from None
     except RecursionError:
         raise ModelFormatError(f"{path}: JSON nested too deeply to read") from None
@@ -424,16 +440,21 @@ def read_value_csv(path: PathLike) -> ValueFunction:
     those, so a fault they find lies on an earlier line and replaces it.  The
     last fault found is raised, with its line number in the file, blank lines
     included; the checks of the whole file run only when no row fails.  A
-    state's coordinates are those of its first row in line order.
+    state's coordinates are those of its first row in line order.  Lines end
+    in ``\n`` or ``\r\n``, so they are numbered as ``wc -l`` counts them.
     """
     text = _read_text(path)
-    lines = text.splitlines()
+    if "\r" in text:  # \r\n line ends; a lone \r stays in its line
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
     start = next((i for i, ln in enumerate(lines) if ln), len(lines))
     if start == len(lines):
         raise ModelFormatError(f"{path}: empty value file")
     header = lines[start].split(",")
     if header[:2] != ["t", "state_index"] or header[-1] != "value" or len(header) < 4:
-        raise ModelFormatError(f"{path}: unexpected value header {lines[start]!r}")
+        head = lines[start]  # the whole file when its lines end in a lone \r
+        quoted = repr(head) if len(head) <= 200 else f"{head[:200]!r}..."
+        raise ModelFormatError(f"{path}: unexpected value header {quoted}")
 
     n = len(header)
     rows = list(filter(None, lines[start + 1:]))
@@ -497,7 +518,7 @@ def read_value_csv(path: PathLike) -> ValueFunction:
         lambda r: f"coordinates of state_index {states[x[r]]} differ from an earlier row")
 
     if fault is not None:
-        numbered = np.flatnonzero(np.fromiter(map(bool, text.splitlines()), bool))
+        numbered = np.flatnonzero(np.fromiter(map(bool, text.split("\n")), bool))
         raise ModelFormatError(f"{path}: line {numbered[fault[0] + 1] + 1}: {fault[1]}")
     t0, T, m = stages[0], stages[-1], states[-1] + 1
     if T - t0 + 1 != len(stages):  # distinct, so none is missing
@@ -512,10 +533,14 @@ def read_value_csv(path: PathLike) -> ValueFunction:
 
 def _distinct(convert, columns: list[list[str]]) -> tuple[dict, np.ndarray]:
     """``convert`` of each distinct text of ``columns``, keyed by that text,
-    and for each row whether ``convert`` refuses one of its texts there."""
+    and for each row whether one of its texts there is refused: by
+    ``convert``, or, as the writer never makes it, for a character that is
+    not ASCII, an ``_`` or whitespace, all of which ``int`` and ``float`` take."""
     values, failed = {}, set()
     for s in set(chain.from_iterable(columns)):
         try:
+            if not s.isascii() or "_" in s or s.strip() != s:
+                raise ValueError(s)
             values[s] = convert(s)
         except ValueError:
             failed.add(s)

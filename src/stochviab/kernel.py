@@ -16,7 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .dp import ArgmaxPolicy, PolicyError, ValueFunction, _policy_choice_array, evaluate_policy
-from .model import Model, ModelError, _is_int
+from .model import Model, ModelError, _check_index, _check_x0, _is_int
 
 __all__ = [
     "KernelSlice",
@@ -60,9 +60,7 @@ class FeedbackPolicy:
     choice: np.ndarray  # int64 (steps, m + 1)
 
     def choose(self, t: int, x: int) -> int:
-        if not (self.t0 <= t < self.T):
-            raise ModelError(f"stage {t} outside [{self.t0}, {self.T - 1}]")
-        return int(self.choice[t - self.t0, x])
+        return int(self.choice[_check_index(t, self.t0, self.T - 1, x, self.choice.shape[1] - 1)])
 
     @classmethod
     def from_array(cls, model: Model, choice: np.ndarray) -> "FeedbackPolicy":
@@ -136,7 +134,7 @@ def viable_feedback_check(model: Model, valuefn: ValueFunction,
     the set of viable feedbacks; ``valuefn`` only pins the expected stage
     range.
     """
-    if not (valuefn.t0 <= t0 <= valuefn.T):
-        raise ModelError(f"stage {t0} outside [{valuefn.t0}, {valuefn.T}]")
+    valuefn.stage_index(t0)
+    x0 = _check_x0(model.states.n_points, x0)
     achieved = evaluate_policy(model, policy).value(t0, x0)
     return achieved >= beta

@@ -139,6 +139,16 @@ def _check_x0(m: int, x0: int) -> int:
     return int(x0)
 
 
+def _check_index(t, t0: int, last: int, x=0, sink: int = 0) -> tuple[int, int]:
+    """``(t - t0, x)`` as ints, if ``t`` is an integer stage in ``t0..last``
+    and ``x`` an integer state in ``0..sink``, the sink included."""
+    if not (_is_int(t) and t0 <= t <= last):
+        raise ModelError(f"stage {t} outside [{t0}, {last}]")
+    if not (_is_int(x) and 0 <= x <= sink):
+        raise ModelError(f"x must be a state index in 0..{sink} ({sink} is the sink), got {x}")
+    return int(t) - t0, int(x)
+
+
 # Rows of points projected per chunk, so that each temporary holds at most
 # about this many doubles.
 _PROJECT_CHUNK = 1 << 17

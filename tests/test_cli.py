@@ -119,6 +119,20 @@ def test_solve_diagnostics_on_invalid_model(model_path, tmp_path, capsys):
                      id="body-true"),
         pytest.param(("dynamics", "body"), "[null]", "dynamics.body[0]: expected a string",
                      id="body-null"),
+        # a number is a JSON number: not a string, a boolean or an integer past a double
+        (("noise", "probs"), '["0.01", "0.98", "0.01"]',
+         "noise.probs: expected a number, got '0.01'"),
+        (("states", "points"), "[[-1.0], [false], [true]]",
+         "states.points: expected a number, got False"),
+        pytest.param(("states", "points"), "[[-1.0], [0.0], [1" + "0" * 400 + "]]",
+                     "states.points: expected numbers in equal-length rows "
+                     "(int too large to convert to float)", id="points-400-digits"),
+        # errors of compiling the model name the file too
+        (("dynamics", "body"), '["x + u + w + 1 / x"]',
+         "dynamics evaluation failed at (t=0, x=1, u=0, w=0): division by zero"),
+        (("time", "T"), "100000000",
+         "transition table needs 19200000000 bytes (100000000 stages x 4 states x 2 control "
+         "slots x 3 atoms x 8 B), over the guard of 2147483648 bytes"),
         # the later duplicate "mode" key wins; state 0 lists 1 of its 2 controls
         pytest.param(("dynamics", "body"),
                      "[" + ", ".join(["[[[0, 0, 0]], [[1, 1, 1], [1, 1, 1]], "

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_model, signed_zero_model
+from conftest import random_model, signed_zero_model, walk_model
 from stochviab.cli import _write_plot_data
 from stochviab.dp import ArgmaxPolicy, PolicyError, ValueFunction, solve
 from stochviab.io import (
@@ -132,7 +132,8 @@ class TestModelJson:
         save_model(example_model, path)
         for literal in ("NaN", "Infinity", "-Infinity"):
             path.write_text(path.read_text().replace("0.98", literal, 1))
-            with pytest.raises(ModelFormatError, match=re.escape(f"{path}: {literal} is not")):
+            message = re.escape(f"{path}: {literal} is not")
+            with pytest.raises(ModelFormatError, match="^" + message):
                 load_model(path)
             save_model(example_model, path)
 
@@ -228,6 +229,58 @@ class TestModelJson:
         with pytest.raises(ModelFormatError, match="^" + re.escape(f"{path}: {message}")):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "model,keys,literal,message",
+        [
+            # np.asarray would read a numeric string as its number, and true as 1
+            ("example", ("noise", "probs", 1), '"0.98"',
+             "noise.probs: expected a number, got '0.98'"),
+            ("example", ("states", "points", 1, 0), "false",
+             "states.points: expected a number, got False"),
+            ("example", ("states", "points", 2), "[true]",
+             "states.points: expected a number, got True"),
+            ("example", ("states", "points", 2, 0), "1" + "0" * 400,
+             "states.points: expected numbers in equal-length rows "
+             "(int too large to convert to float)"),
+            ("example", ("noise", "support", 0, 0), "null",
+             "noise.support: expected a number, got None"),
+            ("example", ("controls", "lists", 1, 0), '"1"', "controls: expected a number, got '1'"),
+            ("ragged", ("controls", "lists", 2, 1, 0), "true",
+             "controls list 2: expected a number, got True"),
+            ("box", ("constraints", "stationary", "lower", 0), '"0.2"',
+             "constraints.stationary.lower: expected a number, got '0.2'"),
+            ("box", ("constraints", "stationary", "upper", 0), "-" + "9" * 309,
+             "constraints.stationary.upper: expected numbers in equal-length rows "
+             "(int too large to convert to float)"),
+            # integers and floats of any JSON spelling are numbers
+            ("example", ("noise", "probs", 1), "98e-2", None),
+            ("example", ("states", "points", 1, 0), "0", None),
+            ("box", ("constraints", "stationary", "upper", 0), "1" + "0" * 300, None),
+        ],
+    )
+    def test_number_fields_read_strictly(self, tmp_path, model, keys, literal, message):
+        doc = model_to_dict({"example": make_three_state_example(0.01),
+                             "ragged": ragged_table_model(), "box": walk_model(5, 2)}[model])
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = "@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        if message is None:
+            assert validate(load_model(path)) == []
+            return
+        with pytest.raises(ModelFormatError, match="^" + re.escape(f"{path}: {message}") + "$"):
+            load_model(path)
+
+    def test_integer_past_the_json_readers_digit_limit(self, tmp_path, example_model):
+        """Python 3.10.7 and later refuse to read it, as a ValueError."""
+        path = tmp_path / "bad.json"
+        save_model(example_model, path)
+        path.write_text(path.read_text().replace("0.98", "1" * 5000, 1))
+        with pytest.raises(ModelFormatError, match="^" + re.escape(f"{path}: ")):
+            load_model(path)
+
     @pytest.mark.parametrize("name", [*WRITTEN_MODELS, *(f"random-{s}" for s in range(200))])
     def test_save_model_writes_the_indented_json(self, tmp_path, name):
         """The spliced table body gives the bytes of ``json.dumps(indent=2)``."""
@@ -307,6 +360,16 @@ class TestValueCsv:
             (5, "1,0,-0.5,0.5\n1,-1,0,nan\n1,2", "line 5: coordinates of state_index 0 "
              "differ from an earlier row"),
             (3, "0,1,0,inf\n0,-1,0,0.5", "line 3: non-finite number in '0,1,0,inf'"),
+            # texts that int and float take, but the writer never makes
+            (3, "0,\u0661,0,0.5", "line 3: malformed number in '0,\u0661,0,0.5'"),
+            (3, "0,1,0,0.2_5", "line 3: malformed number in '0,1,0,0.2_5'"),
+            (3, "0,1, 0,0.5", "line 3: malformed number in '0,1, 0,0.5'"),
+            (3, "\t0,1,0,0.5", "line 3: malformed number in '\\t0,1,0,0.5'"),
+            (3, "0,1,0,0.5\u2003", "line 3: malformed number in '0,1,0,0.5\\u2003'"),
+            # only \n ends a line, as wc -l counts them
+            (2, "0,0,-1,0.5\x85\n0,1,0,zero", "line 2: malformed number in '0,0,-1,0.5\\x85'"),
+            (3, "\x0b\n0,1,0,zero", "line 3: 1 fields, expected 4"),
+            (3, "0,1,0,0.5\r0,2,1,zero", "line 3: 7 fields, expected 4"),
         ],
     )
     def test_malformed_rows_rejected(self, tmp_path, example_model, line, text, message):
@@ -320,6 +383,29 @@ class TestValueCsv:
             lines[line - 1] = text
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelFormatError, match="^" + re.escape(f"{path}: {message}")):
+            read_value_csv(path)
+
+    def test_lone_carriage_returns_end_no_line(self, tmp_path, example_model):
+        vf, _ = solve(example_model)
+        path = tmp_path / "value.csv"
+        write_value_csv(vf, path)
+        text = path.read_text()
+        path.write_bytes(text.replace("\n", "\r").encode())
+        message = f"{path}: unexpected value header {text.replace(chr(10), chr(13))[:200]!r}..."
+        with pytest.raises(ModelFormatError, match="^" + re.escape(message) + "$"):
+            read_value_csv(path)
+
+    def test_crlf_line_ends(self, tmp_path, example_model):
+        vf, _ = solve(example_model)
+        path = tmp_path / "value.csv"
+        write_value_csv(vf, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        self.assert_bit_equal(read_value_csv(path), vf)
+        lines = path.read_bytes().split(b"\r\n")
+        lines[2] = b"0,1,0,zero"
+        path.write_bytes(b"\r\n".join(lines))
+        message = re.escape(f"{path}: line 3: malformed number in '0,1,0,zero'")
+        with pytest.raises(ModelFormatError, match="^" + message):
             read_value_csv(path)
 
     def test_missing_rows_detected(self, tmp_path, example_model):

@@ -178,3 +178,56 @@ class TestFeedbackPolicy:
         fb = select_feedback(am)
         with pytest.raises(ModelError):
             fb.choose(40, 0)
+
+
+class TestAccessorArguments:
+    """A stage is an integer in range and a state an integer in 0..m, the
+    sink m included; anything else raises, never reads another entry."""
+
+    @pytest.fixture()
+    def solved(self, example_model):
+        vf, am = solve(example_model)
+        return vf, am, select_feedback(am)
+
+    @pytest.mark.parametrize("x", [-1, -4, 4, 99, 1.0, True, "1"])
+    def test_states_outside_0_to_the_sink(self, solved, x):
+        vf, am, fb = solved
+        message = f"^x must be a state index in 0..3 \\(3 is the sink\\), got {x}$"
+        for access in (vf.value, am.viable, fb.choose):
+            with pytest.raises(ModelError, match=message):
+                access(0, x)
+
+    def test_the_sink_is_a_state(self, solved):
+        vf, am, fb = solved
+        assert vf.value(0, 3) == 0.0 and vf.value(40, np.int64(3)) == 0.0
+        assert am.viable(0, 3) == () and fb.choose(39, 3) == 0
+
+    @pytest.mark.parametrize("t", [2.5, True, -1, 41, "0", 0.0])
+    def test_stages_that_are_not_integers_in_range(self, solved, t):
+        vf, am, fb = solved
+        for access, last in ((vf.value, 40), (am.viable, 39), (fb.choose, 39)):
+            with pytest.raises(ModelError, match=f"^stage {t} outside \\[0, {last}\\]$"):
+                access(t, 1)
+        with pytest.raises(ModelError, match=f"^stage {t} outside \\[0, 40\\]$"):
+            vf.stage_index(t)
+        with pytest.raises(ModelError, match=f"^stage {t} outside \\[0, 40\\]$"):
+            kernel_slice(vf, t, 0.5)
+
+    def test_integer_stages_of_numpy(self, solved):
+        vf, am, fb = solved
+        assert vf.stage_index(np.int64(40)) == 40
+        assert vf.value(np.int32(0), 1) == vf.table[0, 1]
+        assert am.viable(np.int64(0), 1) == am.viable(0, 1)
+
+    @pytest.mark.parametrize("x0", [-1, 3, 99, 1.0, True])
+    def test_feedback_check_takes_a_non_sink_start(self, example_model, solved, x0):
+        vf, _, fb = solved
+        with pytest.raises(ModelError, match=f"^x0 must be a non-sink state index in 0..2, "
+                                             f"got {x0}$"):
+            viable_feedback_check(example_model, vf, fb, 0, x0, 0.5)
+
+    @pytest.mark.parametrize("t0", [2.5, True, 41])
+    def test_feedback_check_takes_a_stage_in_range(self, example_model, solved, t0):
+        vf, _, fb = solved
+        with pytest.raises(ModelError, match=f"^stage {t0} outside \\[0, 40\\]$"):
+            viable_feedback_check(example_model, vf, fb, t0, 1, 0.5)

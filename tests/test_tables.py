@@ -8,6 +8,8 @@ bit for bit, and raise the same error at the same point.
 
 from __future__ import annotations
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -282,15 +284,16 @@ def test_projection_equals_a_scan_of_every_point(case):
     assert got.tolist() == want
 
 
-def _one_dim_model(source: str, T: int = 1) -> Model:
-    states = StateSpace(np.array([[0.0], [1.0], [2.0]]))
+def _expr_model(sources, T: int = 1, points=((0.0,), (1.0,), (2.0,)), atoms=(0.0,)) -> Model:
+    """Dynamics ``sources`` under one control 0 and equally likely ``atoms``."""
+    states = StateSpace(np.array(points, dtype=np.float64))
     return Model(
         time=TimeGrid(0, T),
         states=states,
-        controls=ControlMap.shared([[0.0]], 3),
-        noise=DisturbanceLaw([[0.0]], [1.0]),
-        dynamics=ExprDynamics((source,)),
-        constraints=ConstraintSets("set", stationary=(0, 1, 2)),
+        controls=ControlMap.shared([[0.0]], states.n_points),
+        noise=DisturbanceLaw([[w] for w in atoms], np.full(len(atoms), 1.0 / len(atoms))),
+        dynamics=ExprDynamics(tuple(sources)),
+        constraints=ConstraintSets("set", stationary=tuple(range(states.n_points))),
     )
 
 
@@ -301,13 +304,47 @@ def _one_dim_model(source: str, T: int = 1) -> Model:
         ("x ^ -1", 1, "(t=0, x=0, u=0, w=0): '^' failed for 0.0 ^ -1.0: math domain error"),
         ("x * 1e308 * 10", 1, "(t=0, x=1, u=0, w=0): non-finite result from '*'"),
         ("x / (t - 2)", 4, "(t=2, x=0, u=0, w=0): division by zero"),
+        # the array evaluation fails first at x = 2, in the first term
+        ("1 / (x - 2) + 1 / x", 1, "(t=0, x=0, u=0, w=0): division by zero"),
     ],
 )
 def test_failed_evaluation_names_first_point(source, T, message):
     with pytest.raises(ModelError) as err:
-        _one_dim_model(source, T).tables
+        _expr_model([source], T).tables
     assert str(err.value) == f"dynamics evaluation failed at {message}"
     assert isinstance(err.value.__cause__, expr.EvalError)
+
+
+@pytest.mark.parametrize(
+    "model,message",
+    [
+        # the array evaluation fails first in the first expression, at x1 = 2
+        (_expr_model(["x1 + 1 / (x1 - 2)", "x2 + x1 ^ -1"],
+                     points=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+         "(t=0, x=0, u=0, w=0): '^' failed for 0.0 ^ -1.0: math domain error"),
+        (_expr_model(["x + 1 / (w - 1)"], atoms=(0.0, 1.0, 2.0)),
+         "(t=0, x=0, u=0, w=1): division by zero"),
+    ],
+)
+def test_first_failing_point_in_walk_order(model, message):
+    with pytest.raises(ModelError) as err:
+        model.tables
+    assert str(err.value) == f"dynamics evaluation failed at {message}"
+    assert isinstance(err.value.__cause__, expr.EvalError)
+
+
+def test_failing_point_is_found_in_few_evaluations(monkeypatch):
+    """A failure at the last of 2001 states takes a logarithmic number of
+    array evaluations, not one per point."""
+    n = 2001
+    model = _expr_model([f"x + u + w + 1 / (x - {n - 1})"], points=np.arange(n)[:, None])
+    calls = []
+    evaluate = expr.evaluate
+    monkeypatch.setattr(expr, "evaluate", lambda *a: calls.append(a) or evaluate(*a))
+    with pytest.raises(ModelError, match=re.escape(f"(t=0, x={n - 1}, u=0, w=0): division")):
+        model.tables
+    rows, atoms, n_asts = n, 1, 1
+    assert len(calls) <= 2 * n_asts * (math.ceil(math.log2(rows)) + math.ceil(math.log2(atoms)) + 2)
 
 
 def test_table_size_guard_fails_before_allocating():
