@@ -13,7 +13,7 @@ import json
 from bisect import bisect_left
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -249,15 +249,16 @@ def model_to_dict(model: Model) -> dict:
 
 
 def _nested_body(body: np.ndarray, counts: np.ndarray) -> list:
-    """``body[t][x][:counts[x]]`` as nested lists."""
+    """``body[t][x][:counts[x]]`` as nested lists, with ``-1`` for the sink."""
     counts = counts.tolist()
+    body = np.where(body == body.shape[1], -1, body)
     return [[per_u[:n] for per_u, n in zip(row, counts)] for row in body.tolist()]
 
 
 def _model_doc(model: Model, table_body) -> dict:
     """The model document; a table model's body is ``table_body(body,
-    counts)`` of its ``(steps, m, u_max, W)`` table, with ``-1`` for the sink,
-    and its per-state control counts."""
+    counts)`` of its ``(steps, m, u_max, W)`` successor table without the
+    sink's row, in which ``m`` is the sink, and its per-state control counts."""
     ctl = model.controls
     if ctl.kind == "shared":
         controls = {"mode": "shared", "lists": ctl.admissible(model.time.t0, 0).tolist()}
@@ -279,8 +280,7 @@ def _model_doc(model: Model, table_body) -> dict:
                 f"dynamics table has {tab.shape[2]} control slots, "
                 f"but up to {counts.max()} controls are admissible"
             )
-        body = np.where(tab == m, -1, tab)[:, :m]
-        dynamics = {"mode": "table", "body": table_body(body, counts)}
+        dynamics = {"mode": "table", "body": table_body(tab[:, :m], counts)}
 
     cons = model.constraints
 
@@ -341,9 +341,9 @@ _SPLICE = "\0table body"
 def save_model(model: Model, path: PathLike) -> None:
     """Write ``json.dumps(model_to_dict(model), indent=2)`` and a newline.
 
-    A table body is not encoded by ``json``: its text is built from the array,
-    one stage at a time, and written in place of the body in the encoded rest
-    of the document.
+    A table body is not encoded by ``json``: its text is built from the array
+    and written one stage at a time, in place of the body in the encoded rest
+    of the document, so that no more than one stage's text is held at once.
     """
     bodies = []
 
@@ -359,57 +359,37 @@ def save_model(model: Model, path: PathLike) -> None:
         fh.write(tail + "\n")
 
 
-def _table_body_pieces(body: np.ndarray, counts: np.ndarray) -> list[str]:
+def _json_list(items: list[str], level: int) -> str:
+    """The text ``json.dumps(doc, indent=2)`` gives a list of the item texts
+    that lies ``level`` lists and objects deep in ``doc``."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+
+
+def _table_body_pieces(body: np.ndarray, counts: np.ndarray) -> Iterator[str]:
     """The text of ``_nested_body(body, counts)`` in ``json.dumps(doc,
-    indent=2)``, in pieces of about one stage, built from the array.
+    indent=2)``, where the body is ``doc["dynamics"]["body"]``, yielded one
+    stage at a time.
 
-    The text is a run of items: the entries, and ``[]`` for a list without
-    elements.  An item of depth ``d`` is an element of a list of level
-    ``d - 1``, where level 0 is ``body``.  The separator between two items
-    closes the lists of the first down to the level that both share, writes
-    a comma, and opens the lists of the second; it is one of a few fixed
-    strings, picked by the two depths and that level.  Every stage has the
-    same items, so it has the same separators.
+    Every stage lays out the same lists, so one stage's text is built once
+    with a NUL in place of each entry and split at the NULs; each stage's
+    text is those pieces with its own entries between them.
     """
-    _, _, u_max, n_atoms = body.shape
-    indent = 4  # the body's closing bracket: it is a field of "dynamics"
-
-    def opens(lo: int, hi: int) -> str:  # the lists of levels lo..hi-1
-        return "".join("[\n" + " " * (indent + 2 * level + 2) for level in range(lo, hi))
-
-    def closes(hi: int, lo: int) -> str:  # the lists of levels hi-1 down to lo
-        return "".join("\n" + " " * (indent + 2 * level) + "]" for level in range(lo, hi)[::-1])
-
-    def separator(a: int, level: int, b: int) -> str:
-        return closes(a, level + 1) + ",\n" + " " * (indent + 2 * level + 2) + opens(level + 1, b)
-
-    # a stage's items: per state, its entries; one [] per row without atoms;
-    # one [] without rows
-    depth = np.where(counts == 0, 2, 3 if n_atoms == 0 else 4)
-    n_rows, n_items = np.where(depth >= 3, counts, 1), np.where(depth == 4, n_atoms, 1)
-    slots = ((np.arange(max(u_max, 1))[:, None] < n_rows[:, None, None])
-             & (np.arange(max(n_atoms, 1)) < n_items[:, None, None]))
-    path = np.nonzero(slots)  # (x, u, w) of each item
-    depth = depth[path[0]]
-    leaf = depth == 4
-    # an entry e of -1..m-1 is written as names[e + 1]
-    names = np.array(list(map(str, range(-1, body.shape[1]))), dtype=object)
-    entries = names[body[(slice(None),) + tuple(p[leaf] for p in path)] + 1]  # (steps, leaves)
-
-    # neighbours share the lists above the first index where their paths differ
-    index = np.stack(path)
-    shared = 1 + (index[:, 1:] != index[:, :-1]).argmax(axis=0)
-    separators = np.array([separator(a, level, b) for a in range(5) for level in range(4)
-                           for b in range(5)], dtype=object)
-    items = np.full(2 * depth.size - 1, "[]", dtype=object)
-    items[1::2] = separators[(depth[:-1] * 4 + shared) * 5 + depth[1:]]
-    text = items[0::2]  # a view: the stage's entries go in through it
-    pieces, between = [opens(0, depth[0])], separator(depth[-1], 0, depth[0])
-    for stage in entries:
-        text[leaf] = stage
-        pieces += ["".join(items.tolist()), between]
-    pieces[-1] = closes(depth[-1], 0)
-    return pieces
+    steps, m, u_max, n_atoms = body.shape
+    row = _json_list(["\0"] * n_atoms, 5)
+    pieces = _json_list([_json_list([row] * n, 4) for n in counts.tolist()], 3).split("\0")
+    text = [""] * (2 * len(pieces) - 1)
+    text[::2] = pieces
+    names = np.array([*map(str, range(m)), "-1"], dtype=object)  # the sink m is -1
+    rows = np.arange(u_max) < counts[:, None]  # the (x, u) rows a stage lists
+    around = _json_list(["\0"] * steps, 2).split("\0")  # the body's list around its stages
+    for before, stage in zip(around, body):
+        text[1::2] = names[stage[rows]].ravel().tolist()
+        yield before
+        yield "".join(text)
+    yield around[-1]
 
 
 # --- value function CSV ---

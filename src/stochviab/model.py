@@ -132,10 +132,16 @@ class StateSpace:
         return tuple(axes), tuple(keys), first
 
 
+def _shown(value) -> str:
+    """An integer's text, or the ``repr`` of another value, so that ``"1"``
+    does not read as the number 1."""
+    return str(value) if _is_int(value) else repr(value)
+
+
 def _check_x0(m: int, x0: int) -> int:
     """``x0`` as an int, if it is an integer naming one of the ``m`` non-sink states."""
     if not (_is_int(x0) and 0 <= x0 < m):
-        raise ModelError(f"x0 must be a non-sink state index in 0..{m - 1}, got {x0}")
+        raise ModelError(f"x0 must be a non-sink state index in 0..{m - 1}, got {_shown(x0)}")
     return int(x0)
 
 
@@ -143,9 +149,10 @@ def _check_index(t, t0: int, last: int, x=0, sink: int = 0) -> tuple[int, int]:
     """``(t - t0, x)`` as ints, if ``t`` is an integer stage in ``t0..last``
     and ``x`` an integer state in ``0..sink``, the sink included."""
     if not (_is_int(t) and t0 <= t <= last):
-        raise ModelError(f"stage {t} outside [{t0}, {last}]")
+        raise ModelError(f"stage {_shown(t)} outside [{t0}, {last}]")
     if not (_is_int(x) and 0 <= x <= sink):
-        raise ModelError(f"x must be a state index in 0..{sink} ({sink} is the sink), got {x}")
+        raise ModelError(
+            f"x must be a state index in 0..{sink} ({sink} is the sink), got {_shown(x)}")
     return int(t) - t0, int(x)
 
 

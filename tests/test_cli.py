@@ -80,11 +80,20 @@ def test_solve_diagnostics_on_invalid_model(model_path, tmp_path, capsys):
 @pytest.mark.parametrize(
     "field,value,message",
     [
-        (("noise", "probs"), "[0.01, NaN, 0.01]", "NaN is not a JSON number"),
-        (("noise", "probs"), "[0.01, 1e999, 0.01]", "probabilities must be finite"),
-        (("controls", "lists"), "[[1.0], [1.0, 2.0]]", "controls: expected numbers"),
-        (("states", "points"), '[[-1.0], ["zero"], [1.0]]', "states.points: expected numbers"),
-        (("time", "t0"), "0.5", "time.t0: expected an integer"),
+        (("noise", "probs"), "[0.01, NaN, 0.01]",
+         "NaN is not a JSON number; numbers must be finite"),
+        (("noise", "probs"), "[0.01, 1e999, 0.01]",
+         "DisturbanceLaw: probabilities must be finite; "
+         "DisturbanceLaw: probabilities must lie in [0, 1]; "
+         "DisturbanceLaw: probabilities sum to inf, expected 1 within 1e-12 (normalization)"),
+        (("controls", "lists"), "[[1.0], [1.0, 2.0]]",
+         "controls: expected numbers in equal-length rows (setting an array element with a "
+         "sequence. The requested array has an inhomogeneous shape after 1 dimensions. The "
+         "detected shape was (2,) + inhomogeneous part.)"),
+        (("states", "points"), '[[-1.0], ["zero"], [1.0]]',
+         "states.points: expected numbers in equal-length rows "
+         "(could not convert string to float: 'zero')"),
+        (("time", "t0"), "0.5", "time.t0: expected an integer, got 0.5"),
         (("time", "T"), "-1", "TimeGrid requires t0 < T, got t0=0, T=-1"),
         (("noise", "probs"), "[0.5, 0.5]", "noise: 3 support atoms but 2 probabilities"),
         # the later duplicate "mode" key wins, so the constraint becomes a box
@@ -149,9 +158,7 @@ def test_solve_rejects_malformed_numbers(model_path, tmp_path, capsys, field, va
     rc = main(["solve", "--model", str(bad), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err.startswith(f"error: {bad}: ")
-    assert message in captured.err
-    assert captured.err.count("\n") == 1
+    assert captured.err == f"error: {bad}: {message}\n"
     assert captured.out == ""
 
 

@@ -296,6 +296,24 @@ class TestModelJson:
         want = json.dumps(model_to_dict(model), indent=2) + "\n"
         assert (tmp_path / "m.json").read_text() == want
 
+    def test_save_model_writes_one_stage_at_a_time(self, tmp_path):
+        """Its memory peak stays below the successor table and a few stages'
+        text, far below the text of the whole body."""
+        n, steps = 201, 100
+        rng = np.random.default_rng(5)
+        model = replace(walk_model(n, steps), dynamics=TableDynamics(
+            rng.integers(0, n + 1, size=(steps, n + 1, 3, 5))))
+        path = tmp_path / "m.json"
+        tracemalloc.start()
+        try:
+            save_model(model, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table, stage_text = model.dynamics.table.nbytes, path.stat().st_size // steps
+        assert peak < table + 4 * stage_text
+        assert path.read_text() == json.dumps(model_to_dict(model), indent=2) + "\n"
+
     def test_per_state_model_round_trip(self, tmp_path):
         save_model(ragged_table_model(), tmp_path / "a.json")
         save_model(load_model(tmp_path / "a.json"), tmp_path / "b.json")

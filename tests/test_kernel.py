@@ -192,7 +192,7 @@ class TestAccessorArguments:
     @pytest.mark.parametrize("x", [-1, -4, 4, 99, 1.0, True, "1"])
     def test_states_outside_0_to_the_sink(self, solved, x):
         vf, am, fb = solved
-        message = f"^x must be a state index in 0..3 \\(3 is the sink\\), got {x}$"
+        message = f"^x must be a state index in 0..3 \\(3 is the sink\\), got {x!r}$"
         for access in (vf.value, am.viable, fb.choose):
             with pytest.raises(ModelError, match=message):
                 access(0, x)
@@ -206,11 +206,11 @@ class TestAccessorArguments:
     def test_stages_that_are_not_integers_in_range(self, solved, t):
         vf, am, fb = solved
         for access, last in ((vf.value, 40), (am.viable, 39), (fb.choose, 39)):
-            with pytest.raises(ModelError, match=f"^stage {t} outside \\[0, {last}\\]$"):
+            with pytest.raises(ModelError, match=f"^stage {t!r} outside \\[0, {last}\\]$"):
                 access(t, 1)
-        with pytest.raises(ModelError, match=f"^stage {t} outside \\[0, 40\\]$"):
+        with pytest.raises(ModelError, match=f"^stage {t!r} outside \\[0, 40\\]$"):
             vf.stage_index(t)
-        with pytest.raises(ModelError, match=f"^stage {t} outside \\[0, 40\\]$"):
+        with pytest.raises(ModelError, match=f"^stage {t!r} outside \\[0, 40\\]$"):
             kernel_slice(vf, t, 0.5)
 
     def test_integer_stages_of_numpy(self, solved):
@@ -218,12 +218,18 @@ class TestAccessorArguments:
         assert vf.stage_index(np.int64(40)) == 40
         assert vf.value(np.int32(0), 1) == vf.table[0, 1]
         assert am.viable(np.int64(0), 1) == am.viable(0, 1)
+        # and read as plain numbers when out of range
+        with pytest.raises(ModelError, match=r"^stage 41 outside \[0, 40\]$"):
+            vf.value(np.int64(41), 1)
+        with pytest.raises(ModelError, match=r"^x must be a state index in 0..3 "
+                                             r"\(3 is the sink\), got 4$"):
+            vf.value(0, np.int64(4))
 
-    @pytest.mark.parametrize("x0", [-1, 3, 99, 1.0, True])
+    @pytest.mark.parametrize("x0", [-1, 3, 99, 1.0, True, "1"])
     def test_feedback_check_takes_a_non_sink_start(self, example_model, solved, x0):
         vf, _, fb = solved
         with pytest.raises(ModelError, match=f"^x0 must be a non-sink state index in 0..2, "
-                                             f"got {x0}$"):
+                                             f"got {x0!r}$"):
             viable_feedback_check(example_model, vf, fb, 0, x0, 0.5)
 
     @pytest.mark.parametrize("t0", [2.5, True, 41])
