@@ -73,11 +73,9 @@ def build_tables(model: Model) -> Tables:
     steps = time.steps
     n_atoms = model.noise.n_atoms
 
-    rows = ctl.stage_rows(time)
-    counts = ctl.counts[rows]  # one row, or one per stage
     table = isinstance(model.dynamics, TableDynamics)
     # valid: every state has a control, and a table has a slot for each
-    u_max = model.dynamics.table.shape[2] if table else int(counts.max())
+    u_max = model.dynamics.table.shape[2] if table else int(ctl.counts.max())
     nbytes = steps * n_total * u_max * n_atoms * 8
     if nbytes > TABLE_BYTES_GUARD:
         raise ModelError(
@@ -86,11 +84,11 @@ def build_tables(model: Model) -> Tables:
             f"{TABLE_BYTES_GUARD} bytes"
         )
 
-    n_ctrl = np.pad(counts, [(0, 0), (0, 1)], constant_values=1)  # the sink's dummy control
+    n_ctrl = np.pad(ctl.counts, [(0, 0), (0, 1)], constant_values=1)  # the sink's dummy control
     if table:
         nxt = model.dynamics.table.copy()  # slots past a state's count are masked by n_ctrl
     else:
-        nxt = _expr_table(model, rows, u_max)
+        nxt = _expr_table(model, u_max)
 
     return Tables(
         t0=time.t0,
@@ -103,21 +101,23 @@ def build_tables(model: Model) -> Tables:
     )
 
 
-def _expr_table(model: Model, rows: np.ndarray, u_max: int) -> np.ndarray:
+def _expr_table(model: Model, u_max: int) -> np.ndarray:
     """Successors of expression dynamics: one slab per stage, or one in all."""
     asts = model.expr_trees
     states, noise, time, ctl = model.states, model.noise, model.time, model.controls
-    once = rows.size == 1 and not any("t" in _expr.variables(a) for a in asts)
+    once = ctl.kind != "per_stage_state" and not any("t" in _expr.variables(a) for a in asts)
     slabs = 1 if once else time.steps
     nxt = np.full((slabs, states.n_total, u_max, noise.n_atoms), states.sink, dtype=np.int64)
+    # the control rows, one or one per stage, broadcast over the slabs
+    vectors, counts = (np.broadcast_to(a, (slabs,) + a.shape[1:])
+                       for a in (ctl.vectors, ctl.counts))
     for k in range(slabs):
-        r = rows[k] if rows.size > 1 else rows[0]
-        xs, js = np.nonzero(np.arange(u_max) < ctl.counts[r][:, None])
+        xs, js = np.nonzero(np.arange(u_max) < counts[k][:, None])
         shape = (xs.size, noise.n_atoms)
         bindings = _mesh_bindings(
             float(time.t0 + k),
             states.points[xs][:, None, :],
-            ctl.vectors[r, xs, js, : ctl.dim][:, None, :],
+            vectors[k, xs, js][:, None, :],
             noise.support[None, :, :],
         )
         try:

@@ -146,16 +146,29 @@ def _is_number(t: type) -> bool:
 
 
 def _floats(value, where: str) -> np.ndarray:
+    """``value`` as a float64 array, if it is numbers in lists of equal length;
+    else the first fault, level by level: a row of another length than its
+    level's first, a leaf that is not a number, or an integer past a double."""
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as err:  # OverflowError: an int past a double
-        raise ModelFormatError(f"{where}: expected numbers in equal-length rows ({err})") from None
-    leaves = [value]
-    for _ in range(arr.ndim):
+    except (TypeError, ValueError, OverflowError):  # numpy's words differ per version
+        arr = None
+    leaves, shape = [value], []
+    while (len(shape) < arr.ndim) if arr is not None else (
+            leaves and all(isinstance(v, (list, tuple)) for v in leaves)):
+        r = _first_refused(len(leaves[0]).__eq__, len, leaves)
+        if r is not None:  # never in the top level, of one item
+            at = "".join(map("[{}]".format, np.unravel_index(r, shape)))
+            raise ModelFormatError(f"{where}: row {at} has {len(leaves[r])} entries, "
+                                   f"row {'[0]' * len(shape)} has {len(leaves[0])}")
+        shape.append(len(leaves[0]))
         leaves = list(chain.from_iterable(leaves))
     r = _first_refused(_is_number, type, leaves)
     if r is not None:
         raise ModelFormatError(f"{where}: expected a number, got {leaves[r]!r}")
+    if arr is None:  # numbers in even rows: the largest is an integer past a double
+        digits = len(str(abs(max(leaves, key=abs))))
+        raise ModelFormatError(f"{where}: integer of {digits} digits is past the range of a double")
     return arr
 
 
@@ -260,15 +273,11 @@ def _model_doc(model: Model, table_body) -> dict:
     counts)`` of its ``(steps, m, u_max, W)`` successor table without the
     sink's row, in which ``m`` is the sink, and its per-state control counts."""
     ctl = model.controls
-    if ctl.kind == "shared":
-        controls = {"mode": "shared", "lists": ctl.admissible(model.time.t0, 0).tolist()}
-    elif ctl.kind == "per_state":
-        lists = zip(ctl.vectors[0], ctl.counts[0], ctl.widths[0])
-        controls = {"mode": "per_state", "lists": [v[:c, :w].tolist() for v, c, w in lists]}
-    else:
-        raise ModelFormatError(
-            "the model file format stores shared or per_state controls only"
-        )
+    if ctl.kind == "per_stage_state":
+        raise ModelFormatError("the model file format stores shared or per_state controls only")
+    shared = ctl.kind == "shared"  # one list, broadcast to the states
+    lists = [v[:c].tolist() for v, c in zip(ctl.vectors[0, : 1 if shared else None], ctl.counts[0])]
+    controls = {"mode": ctl.kind, "lists": lists[0] if shared else lists}
 
     if isinstance(model.dynamics, ExprDynamics):
         dynamics = {"mode": "expr", "body": list(model.dynamics.sources)}
@@ -538,19 +547,18 @@ def write_argmax_csv(model: Model, argmax: ArgmaxPolicy, path: PathLike) -> None
     _check_stages(model, argmax, argmax.mask.shape[:2])
     ctl = model.controls
     ks, xs, js = np.nonzero(argmax.mask[:, : model.states.n_points])
-    rows = np.broadcast_to(ctl.stage_rows(model.time), model.time.steps)
-    texts, coords = _codes(ctl.vectors[..., : ctl.dim])
+    texts, coords = _codes(ctl.vectors)  # one row, or one per stage
+    coords = np.broadcast_to(coords, (model.time.steps,) + coords.shape[1:])
     _write_csv(path, ["t", "state_index", "control_index", *_coord_header(ctl.dim, "u")],
-               [_codes(argmax.t0 + ks), _codes(xs), _codes(js),
-                (texts, coords[rows[ks], xs, js])])
+               [_codes(argmax.t0 + ks), _codes(xs), _codes(js), (texts, coords[ks, xs, js])])
 
 
 def write_policy_csv(model: Model, policy: FeedbackPolicy, path: PathLike) -> None:
     """One row per (stage, non-sink state) with the selected control."""
     ctl, m = model.controls, model.states.n_points
     choice = _policy_choice_array(model, policy)[:, :m]
-    rows = ctl.stage_rows(model.time)[:, None]  # broadcasts over the stages
-    texts, coords = _codes(ctl.vectors[..., : ctl.dim])
+    texts, coords = _codes(ctl.vectors)  # one row, or one per stage
+    rows = np.arange(len(coords))[:, None]  # broadcasts over the stages
     coords = coords[rows, np.arange(m), choice].reshape(-1, ctl.dim)
     k, x = np.divmod(np.arange(choice.size), m)
     _write_csv(path, ["t", "state_index", "control_index", *_coord_header(ctl.dim, "u")],

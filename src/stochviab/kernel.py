@@ -73,14 +73,14 @@ class FeedbackPolicy:
     def constant(cls, model: Model, control: Sequence[float]) -> "FeedbackPolicy":
         """The policy applying one fixed control vector everywhere.
 
-        Fails where that vector is not in the admissible list.
+        Fails for a vector of another width than the controls', or where it is not admissible.
         """
         want = np.asarray(control, dtype=np.float64).reshape(-1)
         tab, ctl = model.tables, model.controls
-        slots = np.arange(ctl.vectors.shape[2])
-        hits = np.all(ctl.vectors[..., : ctl.dim] == want, axis=-1)
-        hits &= slots < ctl.counts[..., None]
-        hits = hits[ctl.stage_rows(model.time)]  # one row broadcasts over the stages
+        if want.size != ctl.dim:
+            raise PolicyError(f"control {want.tolist()} has {want.size} coordinates, not {ctl.dim}")
+        hits = np.all(ctl.vectors == want, axis=-1)  # one row broadcasts over the stages
+        hits &= np.arange(ctl.vectors.shape[2]) < ctl.counts[..., None]
         missing = np.argwhere(~hits.any(axis=-1))
         if missing.size:
             k, x = map(int, missing[0])

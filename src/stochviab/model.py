@@ -6,11 +6,12 @@ disturbance law, the dynamics (explicit transition table or coordinate
 expressions projected back to the grid), and per-stage constraint sets whose
 final stage acts as the target set.
 
-Construction checks structural coherence (shapes, index ranges) and raises
-:class:`ModelError` when the object cannot even be stored.  Semantic
-invariants (probability normalization, non-empty control lists, absorbing
-sink, ...) are reported by :func:`validate`, which returns diagnostics
-instead of raising so that a flawed model file can be inspected.
+Construction checks structural coherence (shapes, index ranges, one control
+width, a control table row per stage) and raises :class:`ModelError` when the
+object cannot even be stored.  Semantic invariants (probability normalization,
+non-empty control lists, absorbing sink, ...) are reported by :func:`validate`,
+which returns diagnostics instead of raising so that a flawed model file can
+be inspected.
 """
 
 from __future__ import annotations
@@ -225,25 +226,22 @@ class ControlMap:
 
     ``kind`` is one of ``"shared"`` (one list everywhere), ``"per_state"``
     (one list per state, stationary in time) or ``"per_stage_state"``
-    (full table ``data[t - t0][x]``).  The sink always gets a singleton
-    dummy control so closed-loop recursions never block there.
+    (``data[k][x]`` at stage ``t0 + k`` of the model).  The sink always gets
+    a singleton dummy control so closed-loop recursions never block there.
 
     The lists are stored once, at construction, as one zero-padded array:
-    ``vectors[r, x, j]`` is control ``j`` of state ``x`` in row ``r``, with
-    ``counts[r, x]`` controls of ``widths[r, x]`` coordinates each.  There is
-    one row per stage for ``per_stage_state`` controls and a single row
-    otherwise; ``shared`` controls are a broadcast view of their one list.
-    ``vectors[..., :dim]`` zero-fills a list narrower than ``dim`` and cuts a
-    wider one.
+    ``vectors[r, x, j]`` is control ``j`` of the ``counts[r, x]`` of state
+    ``x`` in row ``r``.  ``per_stage_state`` controls have one row per stage
+    and the others one row, so the rows broadcast over the stages; ``shared``
+    controls are a broadcast view of their one list.  Every non-empty list
+    holds vectors of ``dim >= 1`` coordinates, or :class:`ModelError` is raised.
     """
 
     kind: str
     data: InitVar[object]
     n_states: int
-    t0: int = 0
-    vectors: np.ndarray = field(init=False)  # float64 (R, n_states, u_max, w_max)
+    vectors: np.ndarray = field(init=False)  # float64 (R, n_states, u_max, dim)
     counts: np.ndarray = field(init=False)  # int64 (R, n_states)
-    widths: np.ndarray = field(init=False)  # int64 (R, n_states)
 
     def __post_init__(self, data):
         m = self.n_states
@@ -260,17 +258,22 @@ class ControlMap:
         shapes = np.array([[a.shape for a in row] for row in rows], dtype=np.int64)
         shapes = shapes.reshape(len(rows), 1 if self.kind == "shared" else m, 2)
         counts, widths = shapes[..., 0], shapes[..., 1]
-        u_max, w_max = counts.max(initial=0), max(1, widths.max(initial=0))
-        vectors = np.zeros(shapes.shape[:2] + (u_max, w_max))
-        for r, row in enumerate(rows):
-            for x, a in enumerate(row):
-                vectors[r, x, : a.shape[0], : a.shape[1]] = a
+        sized = counts > 0
+        dim = int(widths[sized][0]) if sized.any() else 1
+        odd = np.argwhere(sized & ((widths != dim) | (widths == 0)))
+        if odd.size:
+            r, x = odd[0].tolist()
+            earlier = f", an earlier one {dim}" if widths[r, x] else ""
+            raise ModelError(f"{self.kind} controls: the list at (row {r}, x={x}) holds "
+                             f"vectors of {widths[r, x]} coordinates{earlier}")
+        vectors = np.zeros(shapes.shape[:2] + (counts.max(initial=0), dim))
+        for r, x in np.argwhere(sized).tolist():
+            vectors[r, x, : counts[r, x]] = rows[r][x]
         if self.kind == "shared":
             vectors = np.broadcast_to(vectors, (1, m) + vectors.shape[2:])
-            counts, widths = (np.broadcast_to(a, (1, m)) for a in (counts, widths))
+            counts = np.broadcast_to(counts, (1, m))
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "widths", widths)
 
     def _repr_pretty_(self, p, cycle) -> None:
         p.text(repr(self))  # pretty-printers would print every init field, ``data`` too
@@ -284,36 +287,12 @@ class ControlMap:
         return cls("per_state", lists, n_states)
 
     @classmethod
-    def per_stage_state(cls, table, n_states: int, t0: int = 0) -> "ControlMap":
-        return cls("per_stage_state", table, n_states, t0)
+    def per_stage_state(cls, table, n_states: int) -> "ControlMap":
+        return cls("per_stage_state", table, n_states)
 
-    @cached_property
+    @property
     def dim(self) -> int:
-        """Width of the first non-empty list in (row, state) order, else 1."""
-        sized = np.flatnonzero(self.counts * self.widths)
-        return int(self.widths.flat[sized[0]]) if sized.size else 1
-
-    def stage_rows(self, time: TimeGrid) -> np.ndarray:
-        """Rows of ``vectors`` in force at stages t0..T-1, with -1 where a
-        ``per_stage_state`` table has no row for the stage.  The stationary
-        kinds give the single entry ``[0]``, which broadcasts over the stages."""
-        if self.kind != "per_stage_state":
-            return np.zeros(1, dtype=np.int64)
-        r = np.arange(time.t0, time.T) - self.t0
-        return np.where((r >= 0) & (r < self.counts.shape[0]), r, -1)
-
-    def admissible(self, t: int, x: int) -> np.ndarray:
-        """Ordered (k, p) array of admissible control vectors at (t, x)."""
-        if x == self.n_states:  # sink: singleton dummy control
-            return np.zeros((1, self.dim))
-        if not (0 <= x < self.n_states):
-            raise ModelError(f"state index {x} out of range")
-        r = 0
-        if self.kind == "per_stage_state":
-            r = t - self.t0
-            if not (0 <= r < self.counts.shape[0]):
-                raise ModelError(f"no control table row for stage {t}")
-        return self.vectors[r, x, : self.counts[r, x], : self.widths[r, x]]
+        return self.vectors.shape[3]
 
 
 def _is_int(value) -> bool:
@@ -577,6 +556,9 @@ class Model:
             raise ModelError(
                 f"controls declare {self.controls.n_states} states, model has {m}"
             )
+        rows = self.controls.counts.shape[0]
+        if self.controls.kind == "per_stage_state" and rows != self.time.steps:
+            raise ModelError(f"controls: {rows} stage rows, expected {self.time.steps}")
         if isinstance(self.dynamics, TableDynamics):
             shape = self.dynamics.table.shape
             if shape[0] != self.time.steps or shape[1] != m + 1:
@@ -620,6 +602,14 @@ class Model:
         """(state, control, disturbance) dimensions."""
         return (self.states.dim, self.controls.dim, self.noise.dim)
 
+    def admissible(self, t: int, x: int) -> np.ndarray:
+        """Ordered (k, p) array of admissible control vectors at (t, x); the sink has one dummy."""
+        k, x = _check_index(t, self.time.t0, self.time.T - 1, x, self.states.sink)
+        ctl, r = self.controls, k if self.controls.kind == "per_stage_state" else 0
+        if x == ctl.n_states:
+            return np.zeros((1, ctl.dim))
+        return ctl.vectors[r, x, : ctl.counts[r, x]]
+
     @cached_property
     def tables(self):
         from ._tables import build_tables
@@ -654,35 +644,16 @@ def validate(model: Model) -> list[str]:
     ctl = model.controls
     if not np.all(np.isfinite(ctl.vectors)):
         out.append("ControlMap: admissible control entries must be finite")
-    rows = ctl.stage_rows(time)
-    empty = ctl.counts == 0
-    narrow = ~empty & (ctl.widths != ctl.dim)
-    # row -1, a stage with no control table row, is a fault at every state
-    fault = np.vstack([empty | narrow, np.ones((1, m), dtype=bool)])[rows]
-    if fault.any():  # only the faulty (stage, state) pairs are visited
-        stage_row = np.broadcast_to(rows, time.steps)
-        for k, x in np.argwhere(np.broadcast_to(fault, (time.steps, m))).tolist():
-            t, r = time.t0 + k, stage_row[k]
-            if r < 0:
-                out.append(f"ControlMap: no control table row for stage {t}")
-            elif empty[r, x]:
-                out.append(
-                    f"ControlMap: empty admissible control list at (t={t}, x={x}); "
-                    "a non-empty list is required"
-                )
-            else:
-                out.append(
-                    f"ControlMap: control dimension {ctl.widths[r, x]} at (t={t}, x={x}) "
-                    f"differs from {ctl.dim}"
-                )
+    empty = ctl.counts == 0  # one row, or one per stage; spread over the stages only if one is
+    for k, x in np.argwhere(np.broadcast_to(empty, (time.steps, m))) if empty.any() else ():
+        out.append(f"ControlMap: empty admissible control list at (t={time.t0 + k}, x={x}); "
+                   "a non-empty list is required")
 
     if isinstance(model.dynamics, TableDynamics):
         tab = model.dynamics.table
         if tab.shape[2] and not np.all(tab[:, m, :, :] == m):
             out.append("Dynamics: sink row is not absorbing (all transitions must stay at sink)")
-        # row -1 (none) needs no slot; the table already holds every stage
-        need = np.vstack([ctl.counts, np.zeros((1, m), dtype=np.int64)])[rows]
-        need = np.broadcast_to(need, (time.steps, m))
+        need = np.broadcast_to(ctl.counts, (time.steps, m))  # the table holds every stage
         for k, x in np.argwhere(need > tab.shape[2]):
             out.append(
                 f"Dynamics: table has {tab.shape[2]} control slots at "

@@ -73,7 +73,7 @@ def random_model(seed: int, deterministic: bool = False) -> Model:
     return Model(
         time=TimeGrid(t0, t0 + steps),
         states=StateSpace(np.array(points)),
-        controls=ControlMap.per_stage_state(ctable, m, t0),
+        controls=ControlMap.per_stage_state(ctable, m),
         noise=DisturbanceLaw(np.array(support), np.array(probs)),
         dynamics=TableDynamics.from_nested(nested, m, counts, n_atoms, steps),
         constraints=ConstraintSets("set", per_stage=tuple(per_stage)),

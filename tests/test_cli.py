@@ -87,12 +87,9 @@ def test_solve_diagnostics_on_invalid_model(model_path, tmp_path, capsys):
          "DisturbanceLaw: probabilities must lie in [0, 1]; "
          "DisturbanceLaw: probabilities sum to inf, expected 1 within 1e-12 (normalization)"),
         (("controls", "lists"), "[[1.0], [1.0, 2.0]]",
-         "controls: expected numbers in equal-length rows (setting an array element with a "
-         "sequence. The requested array has an inhomogeneous shape after 1 dimensions. The "
-         "detected shape was (2,) + inhomogeneous part.)"),
+         "controls: row [1] has 2 entries, row [0] has 1"),
         (("states", "points"), '[[-1.0], ["zero"], [1.0]]',
-         "states.points: expected numbers in equal-length rows "
-         "(could not convert string to float: 'zero')"),
+         "states.points: expected a number, got 'zero'"),
         (("time", "t0"), "0.5", "time.t0: expected an integer, got 0.5"),
         (("time", "T"), "-1", "TimeGrid requires t0 < T, got t0=0, T=-1"),
         (("noise", "probs"), "[0.5, 0.5]", "noise: 3 support atoms but 2 probabilities"),
@@ -134,8 +131,8 @@ def test_solve_diagnostics_on_invalid_model(model_path, tmp_path, capsys):
         (("states", "points"), "[[-1.0], [false], [true]]",
          "states.points: expected a number, got False"),
         pytest.param(("states", "points"), "[[-1.0], [0.0], [1" + "0" * 400 + "]]",
-                     "states.points: expected numbers in equal-length rows "
-                     "(int too large to convert to float)", id="points-400-digits"),
+                     "states.points: integer of 401 digits is past the range of a double",
+                     id="points-400-digits"),
         # errors of compiling the model name the file too
         (("dynamics", "body"), '["x + u + w + 1 / x"]',
          "dynamics evaluation failed at (t=0, x=1, u=0, w=0): division by zero"),
@@ -216,6 +213,26 @@ def test_kernel_stage_out_of_horizon(model_path, capsys):
 def test_value_query(model_path, capsys):
     assert main(["value", "--model", str(model_path), "--time", "40", "--x0", "1"]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def test_value_prints_the_whole_stage_without_x0(model_path, capsys):
+    assert main(["value", "--model", str(model_path), "--time", "39"]) == 0
+    assert capsys.readouterr().out == "0 1\n1 0.98999999999999999\n2 1\n"
+
+
+def test_value_needs_a_source(capsys):
+    assert main(["value", "--time", "0", "--x0", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: one of --values or --model is required\n"
+
+
+def test_kernel_out_writes_the_slice(model_path, tmp_path, capsys):
+    out = tmp_path / "kernel.csv"
+    assert main(["kernel", "--model", str(model_path), "--time", "39", "--beta", "0.995",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "-1\n1\n"
+    assert out.read_text() == "t,beta,state_index,x1\n39,0.995,0,-1\n39,0.995,2,1\n"
 
 
 @pytest.mark.parametrize("x0", [-4, -1, 3, 99])

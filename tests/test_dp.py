@@ -206,31 +206,31 @@ class TestEvaluatePolicy:
         """Solving the model whose only admissible control at each (stage,
         state) is the policy's gives the evaluation table, bit for bit."""
         for model in (example_model, *(random_model(seed) for seed in range(40))):
-            tab, ctl = model.tables, model.controls
-            m, rows = tab.n_states, ctl.stage_rows(model.time)  # one row if stationary
+            tab, m = model.tables, model.states.n_points
             _, am = solve(model)
             for rule in ("smallest", "largest"):
                 policy = select_feedback(am, rule)
                 choice = policy.choice
-                vectors = [[[ctl.vectors[rows[k % rows.size], x, choice[k, x], : ctl.dim]]
-                            for x in range(m)] for k in range(tab.steps)]
+                vectors = [[[model.admissible(tab.t0 + k, x)[choice[k, x]]] for x in range(m)]
+                           for k in range(tab.steps)]
                 table = np.stack([tab.next_state[k][np.arange(m + 1), choice[k], None]
                                   for k in range(tab.steps)])
                 restricted = Model(
                     model.time, model.states,
-                    ControlMap.per_stage_state(vectors, m, model.time.t0),
+                    ControlMap.per_stage_state(vectors, m),
                     model.noise, TableDynamics(table), model.constraints,
                 )
                 assert np.array_equal(solve(restricted)[0].table,
                                       evaluate_policy(model, policy).table)
 
     def test_invalid_model_listed_before_tables_are_built(self):
-        """A per_stage_state table with one row for three stages: both
-        backward inductions list every violation, not the table build's."""
+        """A per_stage_state table with two empty lists in each of three
+        stages: both backward inductions list every violation, not the table
+        build's."""
         base = make_three_state_example(0.01, 0, 3)
         bad = Model(
             base.time, base.states,
-            ControlMap.per_stage_state([[[[-1.0], [1.0]]] * 3], 3, 0),
+            ControlMap.per_stage_state([[[], [[-1.0], [1.0]], []]] * 3, 3),
             base.noise, base.dynamics, base.constraints,
         )
         policy = FeedbackPolicy(0, 3, np.zeros((3, 4), dtype=np.int64))

@@ -140,8 +140,10 @@ class TestModelJson:
     @pytest.mark.parametrize(
         "field,value,message",
         [
-            (("controls", "lists"), [[1.0], [1.0, 2.0]], "controls: expected numbers"),
-            (("states", "points"), [[-1.0], ["zero"], [1.0]], "states.points: expected numbers"),
+            (("controls", "lists"), [[1.0], [1.0, 2.0]],
+             "controls: row [1] has 2 entries, row [0] has 1"),
+            (("states", "points"), [[-1.0], ["zero"], [1.0]],
+             "states.points: expected a number, got 'zero'"),
             (("time", "t0"), 0.5, "time.t0: expected an integer, got 0.5"),
             (("time", "T"), "40", "time.T: expected an integer, got '40'"),
             (("dynamics", "body"), [5], "dynamics.body[0]: expected a string"),
@@ -240,8 +242,7 @@ class TestModelJson:
             ("example", ("states", "points", 2), "[true]",
              "states.points: expected a number, got True"),
             ("example", ("states", "points", 2, 0), "1" + "0" * 400,
-             "states.points: expected numbers in equal-length rows "
-             "(int too large to convert to float)"),
+             "states.points: integer of 401 digits is past the range of a double"),
             ("example", ("noise", "support", 0, 0), "null",
              "noise.support: expected a number, got None"),
             ("example", ("controls", "lists", 1, 0), '"1"', "controls: expected a number, got '1'"),
@@ -250,8 +251,8 @@ class TestModelJson:
             ("box", ("constraints", "stationary", "lower", 0), '"0.2"',
              "constraints.stationary.lower: expected a number, got '0.2'"),
             ("box", ("constraints", "stationary", "upper", 0), "-" + "9" * 309,
-             "constraints.stationary.upper: expected numbers in equal-length rows "
-             "(int too large to convert to float)"),
+             "constraints.stationary.upper: integer of 309 digits is past the range of a "
+             "double"),
             # integers and floats of any JSON spelling are numbers
             ("example", ("noise", "probs", 1), "98e-2", None),
             ("example", ("states", "points", 1, 0), "0", None),
@@ -288,7 +289,7 @@ class TestModelJson:
             model = random_model(int(name[7:]))
             # the file holds per_state controls: take those in force at t0
             model = replace(model, controls=_per_state(
-                [model.controls.admissible(model.time.t0, x)
+                [model.admissible(model.time.t0, x)
                  for x in range(model.states.n_points)]))
         else:
             model = WRITTEN_MODELS[name]()

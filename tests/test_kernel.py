@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,13 @@ class TestFeedbackPolicy:
     def test_constant_requires_admissible_vector(self, example_model):
         with pytest.raises(PolicyError):
             FeedbackPolicy.constant(example_model, [0.5])
+
+    @pytest.mark.parametrize("control", [[1.0, 1.0], [1.0, 2.0, 3.0], []])
+    def test_constant_requires_the_control_width(self, example_model, control):
+        """A vector of two coordinates once matched the 1-wide control ``[1.0]``."""
+        message = f"control {control} has {len(control)} coordinates, not 1"
+        with pytest.raises(PolicyError, match="^" + re.escape(message) + "$"):
+            FeedbackPolicy.constant(example_model, control)
 
     def test_from_array_shape_check(self, example_model):
         with pytest.raises(PolicyError):

@@ -117,7 +117,7 @@ class TestValidate:
         ]
         bad = Model(
             m.time, m.states,
-            ControlMap.per_stage_state(ctable, 3, 0),
+            ControlMap.per_stage_state(ctable, 3),
             m.noise, m.dynamics, m.constraints,
         )
         issues = validate(bad)
@@ -183,7 +183,7 @@ class TestThreeStateExample:
     def test_shapes(self):
         m = make_three_state_example(0.01, 0, 40)
         assert m.states.n_total == 4
-        assert m.controls.admissible(0, 0).shape == (2, 1)
+        assert m.admissible(0, 0).shape == (2, 1)
         assert m.noise.n_atoms == 3
 
     def test_probs_substitution(self):
@@ -285,45 +285,65 @@ class TestValidateDiagnostics:
         ]
 
     def test_per_state_narrow_list_and_stationary_set(self):
-        controls = ControlMap.per_state([[[1.0, 0.0], [0.0, 1.0]], [[1.0]], [[0.0, 0.0]]], 3)
+        # a list narrower than the first is refused when it is stored
+        with pytest.raises(ModelError, match="^" + re.escape(
+                "per_state controls: the list at (row 0, x=1) holds vectors of 1 coordinates, "
+                "an earlier one 2") + "$"):
+            ControlMap.per_state([[[1.0, 0.0], [0.0, 1.0]], [[1.0]], [[0.0, 0.0]]], 3)
+        controls = ControlMap.per_state([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0]], [[0.0, 0.0]]], 3)
         model = _line_model(
             controls, ("x + u1 - u2 + w",),
             constraints=ConstraintSets("set", stationary=(0, 1, 5)),
         )
         assert validate(model) == [
-            "ControlMap: control dimension 1 at (t=0, x=1) differs from 2",
-            "ControlMap: control dimension 1 at (t=1, x=1) differs from 2",
-            *[
-                f"ConstraintSets: stage index {k} references invalid state "
-                "indices [5] (the sink is never a member)"
-                for k in range(3)
-            ],
+            f"ConstraintSets: stage index {k} references invalid state "
+            "indices [5] (the sink is never a member)"
+            for k in range(3)
         ]
 
     def test_per_stage_state_missing_row(self):
-        controls = ControlMap.per_stage_state([[[[0.0]], [[1.0]], [[0.0]]]], 3, 0)
-        assert validate(_line_model(controls)) == [
-            "ControlMap: no control table row for stage 1",
-            "ControlMap: no control table row for stage 1",
-            "ControlMap: no control table row for stage 1",
-        ]
+        # one row for two stages, and three rows for two
+        for rows in (1, 3):
+            controls = ControlMap.per_stage_state([[[[0.0]], [[1.0]], [[0.0]]]] * rows, 3)
+            with pytest.raises(ModelError, match=f"^controls: {rows} stage rows, expected 2$"):
+                _line_model(controls)
 
     def test_per_stage_state_missing_row_with_table_dynamics(self):
-        # the slot check once asked the missing row and raised instead
-        model = Model(
-            TimeGrid(0, 2),
-            StateSpace(np.array([[0.0], [1.0]])),
-            ControlMap.per_stage_state([[[[0.0]], [[1.0]]]], 2, 0),
-            DisturbanceLaw(np.array([[0.0]]), np.array([1.0])),
-            TableDynamics.from_nested([[[[0]], [[1]]], [[[1]], [[0]]]], 2, [1, 1], 1, 2),
-            ConstraintSets("set", stationary=(0, 1)),
-        )
-        assert validate(model) == [
-            "ControlMap: no control table row for stage 1",
-            "ControlMap: no control table row for stage 1",
-        ]
-        with pytest.raises(ModelError, match="no control table row for stage 1"):
-            model.tables
+        with pytest.raises(ModelError, match="^controls: 1 stage rows, expected 2$"):
+            Model(
+                TimeGrid(0, 2),
+                StateSpace(np.array([[0.0], [1.0]])),
+                ControlMap.per_stage_state([[[[0.0]], [[1.0]]]], 2),
+                DisturbanceLaw(np.array([[0.0]]), np.array([1.0])),
+                TableDynamics.from_nested([[[[0]], [[1]]], [[[1]], [[0]]]], 2, [1, 1], 1, 2),
+                ConstraintSets("set", stationary=(0, 1)),
+            )
+
+    @pytest.mark.parametrize(
+        "kind,data,message",
+        [
+            ("shared", [[]], "shared controls: the list at (row 0, x=0) holds vectors of "
+                             "0 coordinates"),
+            ("per_state", [[[1.0]], [[]], []],
+             "per_state controls: the list at (row 0, x=1) holds vectors of 0 coordinates"),
+            # the first non-empty list fixes the width, here of the state after an empty one
+            ("per_state", [[], [[1.0, 2.0]], [[1.0, 2.0, 3.0]]],
+             "per_state controls: the list at (row 0, x=2) holds vectors of 3 coordinates, "
+             "an earlier one 2"),
+            ("per_stage_state", [[[[1.0]], [[1.0]], [[1.0]]], [[[1.0]], [[1.0]], [[1.0, 0.0]]]],
+             "per_stage_state controls: the list at (row 1, x=2) holds vectors of 2 "
+             "coordinates, an earlier one 1"),
+        ],
+    )
+    def test_control_width_refused_when_stored(self, kind, data, message):
+        with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+            ControlMap(kind, data, 3)
+
+    def test_empty_lists_take_any_width(self):
+        """An empty list holds no vector, so its width is not compared."""
+        controls = ControlMap.per_state([np.zeros((0, 3)), [[1.0, 2.0]], []], 3)
+        assert controls.dim == 2 and controls.counts.tolist() == [[0, 1, 0]]
+        assert ControlMap.per_state([[], [], []], 3).dim == 1
 
     def test_repeated_grid_points(self):
         m = make_three_state_example(0.1, 0, 2)
@@ -410,10 +430,59 @@ class TestTableFromNested:
         assert np.array_equal(TableDynamics.from_nested(same, 2, (2, 1), 2, 1).table, want)
         assert want.tolist() == [[[[1, 2], [0, 0]], [[2, 1], [2, 2]], [[2, 2], [2, 2]]]]
 
+    def test_entry_past_int64(self):
+        message = "dynamics table entry 100000000000000000000 out of range at (t=0, x=0, u=0, w=1)"
+        with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+            TableDynamics.from_nested([[[[0, 10**20]], [[1, 0]]]], 2, (1, 1), 2, 1)
+
     def test_per_stage_counts(self):
         table = TableDynamics.from_nested(
             [[[[0]], [[1]]], [[[0]], []]], 2, [[1, 1], [1, 0]], 1, 2).table
         assert table[:, :2].tolist() == [[[[0]], [[1]]], [[[0]], [[2]]]]
+
+
+def _two_state_parts(**changed) -> dict:
+    """The parts of a valid two-state, two-stage table model, some replaced."""
+    parts = dict(
+        time=TimeGrid(0, 2),
+        states=StateSpace(np.array([[0.0], [1.0]])),
+        controls=ControlMap.shared([[0.0]], 2),
+        noise=DisturbanceLaw(np.array([[0.0], [1.0]]), np.array([0.5, 0.5])),
+        dynamics=TableDynamics(np.full((2, 3, 1, 2), 2)),
+        constraints=ConstraintSets("set", stationary=(0, 1)),
+    )
+    return {**parts, **changed}
+
+
+class TestStructureRefused:
+    """``Model`` refuses parts that cannot be stored together."""
+
+    def test_parts_fit(self):
+        assert validate(Model(**_two_state_parts())) == []
+
+    @pytest.mark.parametrize(
+        "changed,message",
+        [
+            (dict(dynamics=TableDynamics(np.full((1, 3, 1, 2), 2))),
+             "dynamics table shape (1, 3, 1, 2) does not match 2 steps and 3 states"),
+            (dict(dynamics=TableDynamics(np.full((2, 4, 1, 2), 2))),
+             "dynamics table shape (2, 4, 1, 2) does not match 2 steps and 3 states"),
+            (dict(dynamics=TableDynamics(np.full((2, 3, 1, 3), 2))),
+             "dynamics table has 3 disturbance entries, noise has 2"),
+            (dict(dynamics=TableDynamics(np.pad(np.full((2, 3, 1, 1), 2), [(0, 0)] * 3 + [(0, 1)],
+                                                constant_values=3))),
+             "dynamics table entries must lie in 0..n_states"),
+            (dict(dynamics=TableDynamics(np.full((2, 3, 1, 2), -1))),
+             "dynamics table entries must lie in 0..n_states"),
+            (dict(constraints=ConstraintSets("set", per_stage=((0,), (1,)))),
+             "constraints: 2 stage payloads, expected 3"),
+            (dict(controls=ControlMap.per_stage_state([[[[0.0]], [[1.0]]]] * 3, 2)),
+             "controls: 3 stage rows, expected 2"),
+        ],
+    )
+    def test_mismatch_raises(self, changed, message):
+        with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+            Model(**_two_state_parts(**changed))
 
 
 class TestNonFinite:

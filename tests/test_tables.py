@@ -48,7 +48,7 @@ def reference_bindings(t, coords, u_vec, w_vec, n, p, q) -> dict[str, float]:
     for i in range(n):
         b[f"x{i + 1}"] = float(coords[i])
     for i in range(p):
-        b[f"u{i + 1}"] = float(u_vec[i]) if i < len(u_vec) else 0.0
+        b[f"u{i + 1}"] = float(u_vec[i])
     for i in range(q):
         b[f"w{i + 1}"] = float(w_vec[i])
     if n == 1:
@@ -66,7 +66,7 @@ def reference_tables(model: Model) -> tuple[np.ndarray, np.ndarray]:
     m, steps = states.n_points, time.steps
     n, p, q = model.dims
     n_ctrl = np.ones((steps, m + 1), dtype=np.int64)
-    lists = [[model.controls.admissible(time.t0 + k, x) for x in range(m)]
+    lists = [[model.admissible(time.t0 + k, x) for x in range(m)]
              for k in range(steps)]
     for k in range(steps):
         for x in range(m):
@@ -131,24 +131,30 @@ def grids(draw, n):
 
 @st.composite
 def expr_models(draw):
+    """``(controls, parts, refusal)``: ``ControlMap(*controls)`` and the other
+    parts of a model, or the :class:`ModelError` text ``refusal`` with which
+    ``ControlMap`` refuses control lists of mixed widths."""
     n, p, q = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
     states = draw(grids(n))
     m = states.n_points
     t0 = draw(st.integers(-1, 1))
     steps = draw(st.integers(1, 3))
 
-    def control_list():  # ragged lengths; vectors shorter than p make the model invalid
+    def control_list():  # ragged lengths; vectors shorter than p are refused
         return _vectors(draw, draw(st.integers(1, 3)), draw(st.integers(1, p)))
 
     kind = draw(st.sampled_from(["shared", "per_state", "per_stage_state"]))
     width_first = _vectors(draw, draw(st.integers(1, 3)), p)  # fixes controls.dim = p
     if kind == "shared":
-        controls = ControlMap.shared(width_first, m)
-    elif kind == "per_state":
-        controls = ControlMap.per_state([width_first] + [control_list() for _ in range(m - 1)], m)
+        rows, data = [[width_first]], width_first
     else:
-        table = [[width_first] + [control_list() for _ in range(m - 1)] for _ in range(steps)]
-        controls = ControlMap.per_stage_state(table, m, t0)
+        rows = [[width_first] + [control_list() for _ in range(m - 1)]
+                for _ in range(1 if kind == "per_state" else steps)]
+        data = rows[0] if kind == "per_state" else rows
+    narrow = [(r, x, len(lst[0])) for r, row in enumerate(rows) for x, lst in enumerate(row)
+              if len(lst[0]) != p]
+    refusal = narrow and (f"{kind} controls: the list at (row {narrow[0][0]}, x={narrow[0][1]}) "
+                          f"holds vectors of {narrow[0][2]} coordinates, an earlier one {p}")
 
     n_atoms = draw(st.integers(1, 3))
     noise = DisturbanceLaw(np.array(_vectors(draw, n_atoms, q)), np.full(n_atoms, 1.0 / n_atoms))
@@ -159,19 +165,25 @@ def expr_models(draw):
         body = expr.to_source(draw(_asts(names)))
         # often x_c + a small term, so successors stay near the grid
         sources.append(f"x{c + 1} + ({body})" if draw(st.booleans()) else body)
-    return Model(
+    parts = dict(
         time=TimeGrid(t0, t0 + steps),
         states=states,
-        controls=controls,
         noise=noise,
         dynamics=ExprDynamics(sources),
         constraints=ConstraintSets("set", stationary=tuple(range(m))),
     )
+    return (kind, data, m), parts, refusal or None
 
 
 @settings(max_examples=300, deadline=None)
 @given(expr_models())
-def test_array_build_matches_point_by_point_build(model):
+def test_array_build_matches_point_by_point_build(drawn):
+    controls, parts, refusal = drawn
+    if refusal:  # only lists of one width are stored
+        with pytest.raises(ModelError, match="^" + re.escape(refusal) + "$"):
+            ControlMap(*controls)
+        return
+    model = Model(controls=ControlMap(*controls), **parts)
     violations = validate(model)
     if violations:  # only a valid model compiles
         with pytest.raises(InvalidModelError) as got:

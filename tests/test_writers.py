@@ -55,17 +55,17 @@ def ref_value(vf: ValueFunction) -> bytes:
 
 
 def ref_argmax(model: Model, am) -> bytes:
-    ctl, m = model.controls, model.states.n_points
-    return _csv(["t", "state_index", "control_index", *_xs(ctl.dim, "u")],
-                [[_i(t), _i(x), _i(j), *map(_f, ctl.admissible(t, x)[j])]
+    m = model.states.n_points
+    return _csv(["t", "state_index", "control_index", *_xs(model.controls.dim, "u")],
+                [[_i(t), _i(x), _i(j), *map(_f, model.admissible(t, x)[j])]
                  for k, t in enumerate(range(model.time.t0, model.time.T)) for x in range(m)
                  for j in np.flatnonzero(am.mask[k, x])])
 
 
 def ref_policy(model: Model, fb: FeedbackPolicy) -> bytes:
-    ctl, m = model.controls, model.states.n_points
-    return _csv(["t", "state_index", "control_index", *_xs(ctl.dim, "u")],
-                [[_i(t), _i(x), _i(j), *map(_f, ctl.admissible(t, x)[j])]
+    m = model.states.n_points
+    return _csv(["t", "state_index", "control_index", *_xs(model.controls.dim, "u")],
+                [[_i(t), _i(x), _i(j), *map(_f, model.admissible(t, x)[j])]
                  for t in range(model.time.t0, model.time.T) for x in range(m)
                  for j in [fb.choose(t, x)]])
 
