@@ -18,11 +18,7 @@ Asau, 1974): the top 12 bits of a word pick one of 4096 buckets, and a bucket
 that no threshold splits holds its atom, so one gather answers almost every
 word.  Only words in a bucket that a threshold splits fall back to a binary
 search.  At most one bucket per threshold is split, so with few thresholds
-next to 4096 buckets a draw costs about the same for any number of atoms: on
-16 384 words, 49–53 µs for 2, 4 or 32 thresholds, where one binary search per
-word took 119, 211 and 639 µs.  With 999 thresholds a quarter of the words
-take the search, and it took 453 against 1413 µs (best of 7 timeit runs, one
-CPU of an x86-64 Linux machine, numpy 2.4).
+next to 4096 buckets a draw costs about the same for any number of atoms.
 
 The finalizer's last step, ``z ^ (z >> 31)``, leaves a word's top 31 bits as
 they are, so a word's guide bucket is already known before that step.

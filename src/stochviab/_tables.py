@@ -18,9 +18,9 @@ evaluated once per stage over the mesh of admissible (state, control slot)
 pairs by disturbance atoms, and once in all when no expression reads ``t``
 and the control lists do not change with the stage.  The successors are
 projected to the grid in one array call, through at most ``2**dim`` neighbours
-each (1.2 ms on ``expr-2d``, against 10.8 ms for a scan).  Unused control
-slots stay the sink and are never evaluated.  A failed mesh evaluation names
-its first failing point, found by bisecting the mesh with the same evaluation.
+each.  Unused control slots stay the sink and are never evaluated.  A failed
+mesh evaluation names its first failing point, found by bisecting the mesh
+with the same evaluation.
 """
 
 from __future__ import annotations

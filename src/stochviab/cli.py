@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import closed_form, io, kernel as kern, mc
-from .dp import solve
+from .dp import ValueFunction, solve
 from .kernel import select_feedback
 from .model import InvalidModelError, Model, ModelError, _check_x0, make_three_state_example
 
@@ -34,14 +34,12 @@ def _solve_file(path: str) -> tuple:
     return model, vf, am
 
 
-def _value_source(args) -> tuple:
-    """(points, ValueFunction) from --values, falling back to --model."""
+def _value_source(args) -> ValueFunction:
+    """The value function of --values, falling back to solving --model."""
     if args.values:
-        vf = io.read_value_csv(args.values)
-        return vf.points, vf
+        return io.read_value_csv(args.values)
     if args.model:
-        _, vf, _ = _solve_file(args.model)
-        return vf.points, vf
+        return _solve_file(args.model)[1]
     raise ModelError("one of --values or --model is required")
 
 
@@ -66,7 +64,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_value(args) -> int:
-    _, vf = _value_source(args)
+    vf = _value_source(args)
     k = vf.stage_index(args.time)
     if args.x0 is not None:
         print(io._fmt(vf.table[k, _check_x0(vf.n_states, args.x0)]))
@@ -77,12 +75,12 @@ def cmd_value(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    points, vf = _value_source(args)
+    vf = _value_source(args)
     sl = kern.kernel_slice(vf, args.time, args.beta)
     for x in sl.members:
-        print(" ".join(io._fmt(c) for c in points[x]))
+        print(" ".join(io._fmt(c) for c in vf.points[x]))
     if args.out:
-        io.write_kernel_csv([sl], points, args.out)
+        io.write_kernel_csv([sl], vf.points, args.out)
     return 0
 
 

@@ -26,10 +26,7 @@ stage is one add and one gather, ``y = q[k][y + d]``.  An estimate records
 nothing, so its table sends a successor outside its constraint set to one
 extra absorbing "failed" row, and a walk succeeds exactly when it does not
 end there; no per-stage membership test is made.  The words of a stage are
-mixed in place in buffers kept for the block.  On the ``three-state``
-benchmark (10^6 walks x 40 stages) this took the walk from 77.2 to 115.2
-million steps a second (medians of ten alternating perfbench pairs), with
-every output bit unchanged (``BENCH_19.json``).
+mixed in place in buffers kept for the block.
 """
 
 from __future__ import annotations

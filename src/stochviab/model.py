@@ -83,7 +83,8 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class StateSpace:
-    """Ordered grid points plus one absorbing sink at index ``n_points``."""
+    """Ordered grid points of ``dim >= 1`` coordinates plus one absorbing sink
+    at index ``n_points``."""
 
     points: np.ndarray  # (m, dim) float64
 
@@ -93,6 +94,9 @@ class StateSpace:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ModelError("StateSpace needs a non-empty (m, dim) point array")
+        if pts.shape[1] == 0:
+            raise ModelError(f"StateSpace needs points of at least one coordinate, "
+                             f"got shape {pts.shape}")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -173,7 +177,7 @@ def project_to_grid(states: StateSpace, point) -> Union[int, np.ndarray]:
 
     Only the ``2**dim`` points built from the values either side of each
     coordinate are measured, as any other value is ``min_spacing`` or more
-    away: 1.2 ms on ``expr-2d``, against 10.8 ms for a scan of every point.
+    away.
     """
     pts = np.asarray(point, dtype=np.float64)
     single, pts = pts.ndim < 2, np.atleast_2d(pts)
@@ -644,52 +648,48 @@ def validate(model: Model) -> list[str]:
     ctl = model.controls
     if not np.all(np.isfinite(ctl.vectors)):
         out.append("ControlMap: admissible control entries must be finite")
-    empty = ctl.counts == 0  # one row, or one per stage; spread over the stages only if one is
-    for k, x in np.argwhere(np.broadcast_to(empty, (time.steps, m))) if empty.any() else ():
-        out.append(f"ControlMap: empty admissible control list at (t={time.t0 + k}, x={x}); "
+    # each stored row once: one row per stage, or one that every stage reads
+    stages = partial(_stages, len(ctl.counts), time.t0, time.T - 1)
+    for r, x in np.argwhere(ctl.counts == 0).tolist():
+        out.append(f"ControlMap: empty admissible control list at (t={stages(r)}, x={x}); "
                    "a non-empty list is required")
 
     if isinstance(model.dynamics, TableDynamics):
         tab = model.dynamics.table
         if tab.shape[2] and not np.all(tab[:, m, :, :] == m):
             out.append("Dynamics: sink row is not absorbing (all transitions must stay at sink)")
-        need = np.broadcast_to(ctl.counts, (time.steps, m))  # the table holds every stage
-        for k, x in np.argwhere(need > tab.shape[2]):
+        for r, x in np.argwhere(ctl.counts > tab.shape[2]).tolist():
             out.append(
                 f"Dynamics: table has {tab.shape[2]} control slots at "
-                f"(t={time.t0 + k}, x={x}) but {need[k, x]} controls are admissible"
+                f"(t={stages(r)}, x={x}) but {ctl.counts[r, x]} controls are admissible"
             )
 
     cons = model.constraints
-    if cons.stationary is None:
-        for k, payload in enumerate(cons.per_stage):
-            out.extend(f"{head} {k} {tail}" for head, tail in _payload_faults(model, payload))
-    else:  # found once, reported at every stage
-        faults = _payload_faults(model, cons.stationary)
-        for k in range(time.steps + 1) if faults else ():
-            out.extend(f"{head} {k} {tail}" for head, tail in faults)
+    payloads = (cons.stationary,) if cons.per_stage is None else cons.per_stage
+    for k, payload in enumerate(payloads):
+        out.extend(_payload_faults(model, payload, _stages(len(payloads), 0, time.steps, k)))
     return out
 
 
-def _payload_faults(model: Model, payload) -> list[tuple[str, str]]:
-    """Diagnostics of one constraint payload, each split around its stage index."""
+def _stages(rows: int, first: int, last: int, r: int) -> str:
+    """The stages of ``first..last`` that row ``r`` of ``rows`` stored rows
+    holds: its own stage when each stage has a row, else all of them."""
+    return str(first + r) if rows == last - first + 1 else f"{first}..{last}"
+
+
+def _payload_faults(model: Model, payload, stages: str) -> list[str]:
+    """Diagnostics of one constraint payload, which holds ``stages``."""
     if model.constraints.kind == "set":
         bad = [i for i in payload if not (0 <= i < model.states.n_points)]
-        if bad:
-            return [(
-                "ConstraintSets: stage index",
-                f"references invalid state indices {bad} (the sink is never a member)",
-            )]
-        return []
+        return [f"ConstraintSets: stage index {stages} references invalid state indices "
+                f"{bad} (the sink is never a member)"] if bad else []
     lo, hi = payload
     out = []
     if lo.shape[0] != model.states.dim:
-        out.append((
-            "ConstraintSets: box at stage index",
-            f"has dimension {lo.shape[0]}, states have {model.states.dim}",
-        ))
+        out.append(f"ConstraintSets: box at stage index {stages} has dimension {lo.shape[0]}, "
+                   f"states have {model.states.dim}")
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        out.append(("ConstraintSets: box at stage index", "has non-finite bounds"))
+        out.append(f"ConstraintSets: box at stage index {stages} has non-finite bounds")
     return out
 
 

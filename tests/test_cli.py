@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from stochviab.cli import main
 from stochviab.dp import solve
 from stochviab.io import load_model, read_value_csv, save_model
 from stochviab.kernel import kernel_slice
+from stochviab.model import validate
 
 
 @pytest.fixture()
@@ -145,6 +147,10 @@ def test_solve_diagnostics_on_invalid_model(model_path, tmp_path, capsys):
                                       "[[2, 2, 2], [2, 2, 2]]]"] * 40) + '], "mode": "table"',
                      "dynamics table at (t=0, x=0): 1 control rows, expected 2",
                      id="table-missing-row"),
+        # the later duplicate "dim" key wins: one state of no coordinate
+        pytest.param(("states", "points"), '[[]], "dim": 0',
+                     "StateSpace needs points of at least one coordinate, got shape (1, 0)",
+                     id="points-of-no-coordinate"),
     ],
 )
 def test_solve_rejects_malformed_numbers(model_path, tmp_path, capsys, field, value, message):
@@ -157,6 +163,34 @@ def test_solve_rejects_malformed_numbers(model_path, tmp_path, capsys, field, va
     assert rc == 2
     assert captured.err == f"error: {bad}: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "part,value,message",
+    [
+        ("constraints", {"mode": "set", "stationary": [0, 1, 2, 7]},
+         "ConstraintSets: stage index 0..1000000000000 references invalid state indices [7] "
+         "(the sink is never a member)"),
+        ("controls", {"mode": "per_state", "lists": [[[-1.0], [1.0]], [], [[-1.0], [1.0]]]},
+         "ControlMap: empty admissible control list at (t=0..999999999999, x=1); "
+         "a non-empty list is required"),
+    ],
+)
+def test_one_stationary_fault_over_10_12_stages(model_path, tmp_path, capsys, part, value,
+                                                message):
+    """A fault of a part stored once is named once, with the stages that read it."""
+    doc = json.loads(model_path.read_text())
+    doc["time"]["T"] = 10**12
+    doc[part] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    model = load_model(bad)
+    start = time.perf_counter()
+    assert validate(model) == [message]
+    assert time.perf_counter() - start < 1.0
+    assert main(["solve", "--model", str(bad), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {bad}: {message}\n")
 
 
 def test_solve_missing_file_is_io_error(tmp_path, capsys):

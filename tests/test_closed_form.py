@@ -107,3 +107,5 @@ def test_parameter_guards():
         kernel_closed_form(0.1, 5, 0, 0.0)
     with pytest.raises(ModelError):
         kernel_closed_form(0.1, 5, 0, 1.5)
+    with pytest.raises(ModelError, match="^stage t=6 exceeds horizon T=5$"):
+        kernel_closed_form(0.1, 5, 6, 0.5)

@@ -120,6 +120,13 @@ class TestSolve:
             assert np.all(vf.table[:, model.states.sink] == 0.0)
             assert np.all(vf.table[~model.tables.member] == 0.0)
 
+    def test_slice_is_one_stage_of_the_table(self, example_model):
+        vf, _ = solve(example_model)
+        sl = vf.slice(17)
+        assert sl.t == 17 and np.array_equal(sl.values, vf.table[17])
+        with pytest.raises(ModelError, match=r"^stage 41 outside \[0, 40\]$"):
+            vf.slice(41)
+
     def test_repeat_solves_bit_identical(self, example_model):
         vf1, _ = solve(example_model)
         vf2, _ = solve(example_model)

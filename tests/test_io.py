@@ -149,6 +149,10 @@ class TestModelJson:
             (("dynamics", "body"), [5], "dynamics.body[0]: expected a string"),
             (("dynamics", "body"), [True], "dynamics.body[0]: expected a string"),
             (("dynamics", "body"), [None], "dynamics.body[0]: expected a string"),
+            (("dynamics", "body"), "x + u + w", "dynamics.body: expected a list of expressions"),
+            (("dynamics", "mode"), "stochastic", "dynamics: unknown mode 'stochastic'"),
+            (("constraints", "mode"), "ball", "constraints: unknown mode 'ball'"),
+            (("states", "dim"), 2, "states: points of shape (3, 1) do not match dim 2"),
         ],
     )
     def test_malformed_fields_rejected(self, tmp_path, example_model, field, value, message):
@@ -218,6 +222,14 @@ class TestModelJson:
              "dynamics table entry 5 out of range at (t=0, x=1, u=0, w=1)"),
             (("dynamics", "body"), '[[[[1, 0]], [[0, -1], 2]], [[[0]], "x"]]',
              "dynamics table at (t=0, x=1): 2 control rows exceed u_max=1"),
+            (("time",), "5", "time: expected an object"),
+            (("states",), '{"dim": 0, "points": [[], []]}',
+             "StateSpace needs points of at least one coordinate, got shape (2, 0)"),
+            (("constraints", "stationary"), "[0]",
+             "constraints: exactly one of stationary/per_stage required"),
+            (("constraints", "per_stage"), "5", "constraints.per_stage: expected a list"),
+            (("constraints", "per_stage", 1), "5",
+             "constraints.per_stage[1]: expected a list of state indices"),
         ],
     )
     def test_integer_entries_read_strictly(self, tmp_path, keys, literal, message):
@@ -257,6 +269,8 @@ class TestModelJson:
             ("example", ("noise", "probs", 1), "98e-2", None),
             ("example", ("states", "points", 1, 0), "0", None),
             ("box", ("constraints", "stationary", "upper", 0), "1" + "0" * 300, None),
+            # the points of a one-coordinate space may be given flat
+            ("example", ("states", "points"), "[-1.0, 0.0, 1.0]", None),
         ],
     )
     def test_number_fields_read_strictly(self, tmp_path, model, keys, literal, message):
@@ -314,6 +328,21 @@ class TestModelJson:
         table, stage_text = model.dynamics.table.nbytes, path.stat().st_size // steps
         assert peak < table + 4 * stage_text
         assert path.read_text() == json.dumps(model_to_dict(model), indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "controls,message",
+        [
+            (ControlMap.per_stage_state([[[[1.0]], [[1.0]]]] * 2, 2),
+             "the model file format stores shared or per_state controls only"),
+            (_per_state([[[1.0], [2.0]], [[1.0]]]),
+             "dynamics table has 1 control slots, but up to 2 controls are admissible"),
+        ],
+    )
+    def test_save_model_refuses_what_a_file_cannot_hold(self, tmp_path, controls, message):
+        model = replace(table_model(), controls=controls)
+        with pytest.raises(ModelFormatError, match="^" + re.escape(message) + "$"):
+            save_model(model, tmp_path / "m.json")
+        assert not list(tmp_path.iterdir())
 
     def test_per_state_model_round_trip(self, tmp_path):
         save_model(ragged_table_model(), tmp_path / "a.json")
@@ -538,6 +567,9 @@ def test_kernel_csv(tmp_path, example_model):
     assert lines[0] == "t,beta,state_index,x1"
     assert lines[1] == "39,0.995,0,-1"
     assert lines[2] == "39,0.995,2,1"
+    # the points of a one-coordinate space may be given flat
+    write_kernel_csv([sl], vf.points[:, 0], tmp_path / "flat.csv")
+    assert (tmp_path / "flat.csv").read_bytes() == path.read_bytes()
 
 
 def test_trajectories_csv(tmp_path, example_model):

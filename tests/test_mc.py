@@ -70,6 +70,8 @@ class TestSampleScenario:
         sc = sample_scenario(example_model.noise, example_model.time.steps, 5)
         assert sc.draws.shape == (40,)
         assert np.all((0 <= sc.draws) & (sc.draws < 3))
+        with pytest.raises(ModelError, match="^n_steps must be non-negative, got -1$"):
+            sample_scenario(example_model.noise, -1, 5)
 
 
 def _head(words):
@@ -502,6 +504,9 @@ class TestEstimate:
         fb = select_feedback(am)
         with pytest.raises(ModelError):
             estimate_probability(example_model, fb, 1, 0, 1)
+        for n in (0, -1):
+            with pytest.raises(ModelError, match="^interval needs at least one sample$"):
+                wilson_interval(0, n)
 
 
 class TestKnownAnswers:
