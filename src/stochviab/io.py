@@ -72,20 +72,22 @@ def _codes(values) -> tuple[np.ndarray, np.ndarray]:
 
     Doubles are ``.17g``, each distinct one formatted once; they are keyed on
     their 64-bit pattern, because ``-0.0 == 0.0`` but they print ``-0`` and
-    ``0``.  Integers and flags are decimal, from the texts of ``min..max``
-    without a sort: every integer column a writer passes spans at most a
-    model's stages, states, control slots or samples.
+    ``0``.  Integers and flags are decimal: from the texts of ``min..max``
+    without a sort when that span is no wider than the column, as it is for a
+    model's stages, states, control slots or samples; else, like doubles,
+    from their distinct values.
     """
     a = np.asarray(values)
     if a.dtype.kind == "f":
-        uniq, inverse = np.unique(np.ascontiguousarray(a, np.float64).view(np.int64),
-                                  return_inverse=True)
-        # numpy 1.x returns the inverse flat, numpy 2.x in the shape of ``a``
-        return (_bytes_array(map(b"%.17g".__mod__, uniq.view(np.float64).tolist())),
-                inverse.reshape(a.shape))
-    a = a.astype(np.int64, copy=False)
-    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, -1)
-    return _bytes_array(map(b"%d".__mod__, range(lo, hi + 1))), a - lo
+        keys, fmt, kind = np.ascontiguousarray(a, np.float64).view(np.int64), b"%.17g", np.float64
+    else:
+        keys, fmt, kind = a.astype(np.int64, copy=False), b"%d", np.int64
+        lo, hi = (int(keys.min()), int(keys.max())) if keys.size else (0, -1)
+        if hi - lo < keys.size:
+            return _bytes_array(map(fmt.__mod__, range(lo, hi + 1))), keys - lo
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    # numpy 1.x returns the inverse flat, numpy 2.x in the shape of ``a``
+    return _bytes_array(map(fmt.__mod__, uniq.view(kind).tolist())), inverse.reshape(a.shape)
 
 
 def _bytes_array(texts: Iterable[bytes]) -> np.ndarray:
@@ -258,20 +260,18 @@ def _constraints_from_dict(doc: dict) -> ConstraintSets:
 
 
 def model_to_dict(model: Model) -> dict:
-    return _model_doc(model, _nested_body)
+    """The document of the file :func:`save_model` writes: ``json.loads`` of
+    its text."""
+    return json.loads("".join(_model_text(model)))
 
 
-def _nested_body(body: np.ndarray, counts: np.ndarray) -> list:
-    """``body[t][x][:counts[x]]`` as nested lists, with ``-1`` for the sink."""
-    counts = counts.tolist()
-    body = np.where(body == body.shape[1], -1, body)
-    return [[per_u[:n] for per_u, n in zip(row, counts)] for row in body.tolist()]
+# Stands in for a table body in the document that _model_text encodes; no
+# other string of a table model's document can equal it.
+_SPLICE = "\0table body"
 
 
-def _model_doc(model: Model, table_body) -> dict:
-    """The model document; a table model's body is ``table_body(body,
-    counts)`` of its ``(steps, m, u_max, W)`` successor table without the
-    sink's row, in which ``m`` is the sink, and its per-state control counts."""
+def _model_doc(model: Model) -> dict:
+    """The model document, with ``_SPLICE`` for a table model's body."""
     ctl = model.controls
     if ctl.kind == "per_stage_state":
         raise ModelFormatError("the model file format stores shared or per_state controls only")
@@ -282,14 +282,13 @@ def _model_doc(model: Model, table_body) -> dict:
     if isinstance(model.dynamics, ExprDynamics):
         dynamics = {"mode": "expr", "body": list(model.dynamics.sources)}
     else:
-        m, tab = model.states.n_points, model.dynamics.table
-        counts = ctl.counts[0]
+        tab, counts = model.dynamics.table, ctl.counts[0]
         if counts.max() > tab.shape[2]:
             raise ModelFormatError(
                 f"dynamics table has {tab.shape[2]} control slots, "
                 f"but up to {counts.max()} controls are admissible"
             )
-        dynamics = {"mode": "table", "body": table_body(tab[:, :m], counts)}
+        dynamics = {"mode": "table", "body": _SPLICE}
 
     cons = model.constraints
 
@@ -342,30 +341,27 @@ def load_model(path: PathLike) -> Model:
         raise ModelFormatError(f"{path}: {err}") from None
 
 
-# Stands in for a table body in the document that save_model encodes; no
-# other string of a table model's document can equal it.
-_SPLICE = "\0table body"
-
-
 def save_model(model: Model, path: PathLike) -> None:
-    """Write ``json.dumps(model_to_dict(model), indent=2)`` and a newline.
+    """Write ``json.dumps(model_to_dict(model), indent=2)`` and a newline, one
+    piece of :func:`_model_text` at a time."""
+    pieces = _model_text(model)  # a model the format cannot hold is refused here
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
+
+
+def _model_text(model: Model) -> Iterator[str]:
+    """The pieces of the model file's text: ``json.dumps(doc, indent=2)`` of
+    the model document and a newline.
 
     A table body is not encoded by ``json``: its text is built from the array
-    and written one stage at a time, in place of the body in the encoded rest
-    of the document, so that no more than one stage's text is held at once.
+    one stage at a time, in place of ``_SPLICE`` in the encoded rest of the
+    document, so that no more than one stage's text is held at once.
+    ``_model_doc``'s refusals raise in this call, before any piece is read.
     """
-    bodies = []
-
-    def splice(body, counts):
-        bodies.append(_table_body_pieces(body, counts))
-        return _SPLICE
-
-    head, _, tail = json.dumps(_model_doc(model, splice), indent=2).partition(
-        json.dumps(_SPLICE))
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(head)
-        fh.writelines(chain.from_iterable(bodies))
-        fh.write(tail + "\n")
+    head, splice, tail = json.dumps(_model_doc(model), indent=2).partition(json.dumps(_SPLICE))
+    body = _table_body_pieces(model.dynamics.table[:, : model.states.n_points],
+                              model.controls.counts[0]) if splice else ()
+    return chain((head,), body, (tail + "\n",))
 
 
 def _json_list(items: list[str], level: int) -> str:
@@ -378,9 +374,9 @@ def _json_list(items: list[str], level: int) -> str:
 
 
 def _table_body_pieces(body: np.ndarray, counts: np.ndarray) -> Iterator[str]:
-    """The text of ``_nested_body(body, counts)`` in ``json.dumps(doc,
-    indent=2)``, where the body is ``doc["dynamics"]["body"]``, yielded one
-    stage at a time.
+    """The text of ``body[t][x][:counts[x]]`` as nested lists, ``-1`` for the
+    sink, in ``json.dumps(doc, indent=2)``, where the body is
+    ``doc["dynamics"]["body"]``, yielded one stage at a time.
 
     Every stage lays out the same lists, so one stage's text is built once
     with a NUL in place of each entry and split at the NULs; each stage's
@@ -545,24 +541,25 @@ def _distinct(convert, columns: list[list[str]]) -> tuple[dict, np.ndarray]:
 def write_argmax_csv(model: Model, argmax: ArgmaxPolicy, path: PathLike) -> None:
     """One row per maximizing control: t, state, slot, control coordinates."""
     _check_stages(model, argmax, argmax.mask.shape[:2])
-    ctl = model.controls
-    ks, xs, js = np.nonzero(argmax.mask[:, : model.states.n_points])
-    texts, coords = _codes(ctl.vectors)  # one row, or one per stage
-    coords = np.broadcast_to(coords, (model.time.steps,) + coords.shape[1:])
-    _write_csv(path, ["t", "state_index", "control_index", *_coord_header(ctl.dim, "u")],
-               [_codes(argmax.t0 + ks), _codes(xs), _codes(js), (texts, coords[ks, xs, js])])
+    _write_slots(model, path, *np.nonzero(argmax.mask[:, : model.states.n_points]))
 
 
 def write_policy_csv(model: Model, policy: FeedbackPolicy, path: PathLike) -> None:
     """One row per (stage, non-sink state) with the selected control."""
-    ctl, m = model.controls, model.states.n_points
+    m = model.states.n_points
     choice = _policy_choice_array(model, policy)[:, :m]
+    _write_slots(model, path, *np.divmod(np.arange(choice.size), m), choice.ravel())
+
+
+def _write_slots(model: Model, path: PathLike, ks: np.ndarray, xs: np.ndarray,
+                 js: np.ndarray) -> None:
+    """The rows ``t, state_index, control_index, u1..up`` of the control slots
+    ``js`` of the states ``xs`` at the stage indices ``ks``."""
+    ctl = model.controls
     texts, coords = _codes(ctl.vectors)  # one row, or one per stage
-    rows = np.arange(len(coords))[:, None]  # broadcasts over the stages
-    coords = coords[rows, np.arange(m), choice].reshape(-1, ctl.dim)
-    k, x = np.divmod(np.arange(choice.size), m)
+    coords = np.broadcast_to(coords, (model.time.steps,) + coords.shape[1:])
     _write_csv(path, ["t", "state_index", "control_index", *_coord_header(ctl.dim, "u")],
-               [_codes(policy.t0 + k), _codes(x), _codes(choice.ravel()), (texts, coords)])
+               [_codes(model.time.t0 + ks), _codes(xs), _codes(js), (texts, coords[ks, xs, js])])
 
 
 def write_kernel_csv(slices: Iterable[KernelSlice], points: np.ndarray,

@@ -38,10 +38,14 @@ class KernelSlice:
     members: tuple[int, ...]
 
 
-def kernel_slice(valuefn: ValueFunction, t: int, beta: float) -> KernelSlice:
-    """Level section {x : V(t, x) >= beta}; the sink is never a member."""
+def _check_beta(beta: float) -> None:
     if not (0.0 < beta <= 1.0):
         raise ModelError(f"beta must lie in (0, 1], got {beta}")
+
+
+def kernel_slice(valuefn: ValueFunction, t: int, beta: float) -> KernelSlice:
+    """Level section {x : V(t, x) >= beta}; the sink is never a member."""
+    _check_beta(beta)
     row = valuefn.table[valuefn.stage_index(t), : valuefn.n_states]
     members = tuple(int(x) for x in np.nonzero(row >= beta)[0])
     return KernelSlice(t, float(beta), members)
@@ -64,10 +68,10 @@ class FeedbackPolicy:
 
     @classmethod
     def from_array(cls, model: Model, choice: np.ndarray) -> "FeedbackPolicy":
-        """The policy of a ``(steps, n_total)`` slot array; each slot must be admissible."""
-        policy = cls(model.time.t0, model.time.T, np.array(choice, dtype=np.int64))
-        _policy_choice_array(model, policy)  # raises PolicyError
-        return policy
+        """The policy of a ``(steps, n_total)`` array of integer slots; each
+        slot must be admissible."""
+        policy = cls(model.time.t0, model.time.T, np.array(choice))
+        return cls(policy.t0, policy.T, _policy_choice_array(model, policy))  # raises PolicyError
 
     @classmethod
     def constant(cls, model: Model, control: Sequence[float]) -> "FeedbackPolicy":
@@ -94,34 +98,32 @@ class FeedbackPolicy:
 
 def select_feedback(argmax: ArgmaxPolicy, tie_break: TieBreak = "smallest"
                     ) -> FeedbackPolicy:
-    """One selection from the maximizer sets, resolved by ``tie_break``.
+    """One selection from the maximizer sets: at each (t, x), the first
+    maximizer in the slot order that ``tie_break`` names.
 
-    ``tie_break`` is ``"smallest"`` (default), ``"largest"``, or a preference
-    list of control slots tried in order (falling back to the smallest member
-    when none of the preferred slots maximizes).  Where the maximizer set is
+    ``tie_break`` is ``"smallest"`` (default: ascending slots), ``"largest"``
+    (descending slots), or a preference list of control slots, which is
+    followed by the ascending slots, so that the smallest maximizer is taken
+    when none of the preferred slots maximizes.  Where the maximizer set is
     empty -- states outside the constraint set, or inside it with value 0 --
     the first admissible control is used so that simulation never blocks;
     the achieved probability there is 0 under any choice.
     """
     mask = argmax.mask
-    rule = tie_break if isinstance(tie_break, str) else None  # None: a preference list
-    if rule not in ("smallest", "largest", None):
-        raise ModelError(f"unknown tie_break rule {tie_break!r}")
-
-    if rule == "largest":
-        choice = mask.shape[2] - 1 - np.argmax(mask[..., ::-1], axis=-1)
+    width = mask.shape[2]
+    if isinstance(tie_break, str):  # a preference list may be a numpy array
+        if tie_break not in ("smallest", "largest"):
+            raise ModelError(f"unknown tie_break rule {tie_break!r}")
+        order = np.arange(width, dtype=np.int64)[:: 1 if tie_break == "smallest" else -1]
     else:
-        choice = np.argmax(mask, axis=-1)  # the smallest maximizer
-    if rule is None:
         prefs = list(tie_break)
         for j in prefs:
-            if not (_is_int(j) and 0 <= j < mask.shape[2]):
-                raise ModelError(
-                    f"preference slot {j} must be an integer in 0..{mask.shape[2] - 1}"
-                )
-        for j in reversed(prefs):  # the first preferred maximizer wins
-            choice = np.where(mask[..., j], j, choice)
-    choice = np.where(mask.any(axis=-1), choice, 0).astype(np.int64)
+            if not (_is_int(j) and 0 <= j < width):
+                raise ModelError(f"preference slot {j} must be an integer in 0..{width - 1}")
+        # a slot's first place counts, so the order is a permutation of the slots
+        order = np.array(list(dict.fromkeys([*prefs, *range(width)])), dtype=np.int64)
+    first = order[np.argmax(mask[..., order], axis=-1)]  # the first maximizer in that order
+    choice = np.where(mask.any(axis=-1), first, 0)
     return FeedbackPolicy(argmax.t0, argmax.T, choice)
 
 
@@ -134,6 +136,7 @@ def viable_feedback_check(model: Model, valuefn: ValueFunction,
     the set of viable feedbacks; ``valuefn`` only pins the expected stage
     range.
     """
+    _check_beta(beta)
     valuefn.stage_index(t0)
     x0 = _check_x0(model.states.n_points, x0)
     achieved = evaluate_policy(model, policy).value(t0, x0)

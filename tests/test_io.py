@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -25,7 +26,7 @@ from stochviab.io import (
     write_trajectories_csv,
     write_value_csv,
 )
-from stochviab.kernel import FeedbackPolicy, kernel_slice, select_feedback
+from stochviab.kernel import FeedbackPolicy, KernelSlice, kernel_slice, select_feedback
 from stochviab.mc import ProbabilityEstimate, simulate_batch
 from stochviab.model import (
     ConstraintSets,
@@ -311,6 +312,19 @@ class TestModelJson:
         want = json.dumps(model_to_dict(model), indent=2) + "\n"
         assert (tmp_path / "m.json").read_text() == want
 
+    @pytest.mark.parametrize("name", [*WRITTEN_MODELS, "example", "box"])
+    def test_model_to_dict_is_the_document_of_the_file(self, tmp_path, name):
+        model = {"example": lambda: make_three_state_example(0.01),
+                 "box": lambda: walk_model(5, 2), **WRITTEN_MODELS}[name]()
+        save_model(model, tmp_path / "m.json")
+        doc = model_to_dict(model)
+        assert doc == json.loads((tmp_path / "m.json").read_text())
+        if isinstance(model.dynamics, TableDynamics):  # body[t][x][:counts[x]], -1 the sink
+            m, counts = model.states.n_points, model.controls.counts[0]
+            body = np.where(model.dynamics.table == m, -1, model.dynamics.table)
+            assert doc["dynamics"]["body"] == [[row[:n].tolist() for row, n in zip(stage, counts)]
+                                               for stage in body[:, :m]]
+
     def test_save_model_writes_one_stage_at_a_time(self, tmp_path):
         """Its memory peak stays below the successor table and a few stages'
         text, far below the text of the whole body."""
@@ -570,6 +584,17 @@ def test_kernel_csv(tmp_path, example_model):
     # the points of a one-coordinate space may be given flat
     write_kernel_csv([sl], vf.points[:, 0], tmp_path / "flat.csv")
     assert (tmp_path / "flat.csv").read_bytes() == path.read_bytes()
+
+
+def test_kernel_csv_of_stages_far_apart(tmp_path):
+    """Its stage column was once spelled from every integer between the first
+    and the last stage: 0.6 s for two slices 3 * 10**6 apart."""
+    slices = [KernelSlice(0, 0.5, (0,)), KernelSlice(10**12, 0.5, (1,))]
+    start = time.perf_counter()
+    write_kernel_csv(slices, np.array([[0.0], [1.0]]), tmp_path / "kernel.csv")
+    assert time.perf_counter() - start < 1.0
+    assert (tmp_path / "kernel.csv").read_text() == (
+        "t,beta,state_index,x1\n0,0.5,0,0\n1000000000000,0.5,1,1\n")
 
 
 def test_trajectories_csv(tmp_path, example_model):

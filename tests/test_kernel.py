@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from stochviab.dp import PolicyError, solve
+from stochviab.dp import PolicyError, evaluate_policy, solve
 from stochviab.kernel import (
     FeedbackPolicy,
     kernel_slice,
@@ -86,6 +86,28 @@ class TestSelectFeedback:
         # states with a unique maximizer ignore the rule
         assert largest.choose(0, 0) == 1 and prefer.choose(0, 0) == 1
         assert largest.choose(0, 2) == 0 and prefer.choose(0, 2) == 0
+
+    @pytest.mark.parametrize("prefs", [[1, 0], (1,), np.array([1, 0]), [np.int64(1)], [1, 1, 0],
+                                       [1] * 10**6])
+    def test_preference_list_of_any_sequence(self, example_model, prefs):
+        """A numpy array of slots is a preference list, not a rule name."""
+        _, am = solve(example_model)
+        want = select_feedback(am, "smallest").choice.copy()
+        want[:, 1] = 1  # the one state where both slots maximize
+        assert np.array_equal(select_feedback(am, prefs).choice, want)
+
+    def test_preferences_fall_back_to_the_smallest_maximizer(self):
+        """Slot order is the preference list, then the ascending slots."""
+        for seed in range(8):
+            model = random_model(seed)
+            _, am = solve(model)
+            width = am.mask.shape[2]
+            for prefs in ([], [width - 1], [width - 1, 0]):
+                got = select_feedback(am, prefs).choice
+                for (k, x), members in np.ndenumerate(am.mask.any(axis=-1)):
+                    order = [*prefs, *range(width)]
+                    want = next((j for j in order if am.mask[k, x, j]), 0) if members else 0
+                    assert got[k, x] == want
 
     @pytest.mark.parametrize("rule", ["alphabetical", [-1], [5], [1.7], [True]],
                              ids=["alphabetical", "slot-minus-1", "slot-5", "slot-1.7",
@@ -182,6 +204,29 @@ class TestFeedbackPolicy:
         ok = np.zeros((40, 4), dtype=np.int64)
         assert np.array_equal(FeedbackPolicy.from_array(example_model, ok).choice, ok)
 
+    @pytest.mark.parametrize("slot,dtype", [(1.9, np.float64), (1.0, np.float32), (True, bool)])
+    def test_slots_that_are_not_integers_are_refused(self, slot, dtype):
+        """A slot of 1.9 was once read as slot 1, through from_array and
+        through a policy built directly."""
+        model = make_three_state_example(0.01, 0, 3)
+        choice = np.zeros((3, 4), dtype=dtype)
+        choice[:, :3] = slot
+        message = f"^control slots of dtype {np.dtype(dtype)} are not integers$"
+        with pytest.raises(PolicyError, match=message):
+            FeedbackPolicy.from_array(model, choice)
+        with pytest.raises(PolicyError, match=message):
+            evaluate_policy(model, FeedbackPolicy(0, 3, choice))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    def test_from_array_stores_integer_slots_as_int64(self, dtype):
+        model = make_three_state_example(0.01, 0, 3)
+        choice = np.zeros((3, 4), dtype=dtype)
+        choice[:, :3] = 1  # the sink has one slot
+        policy = FeedbackPolicy.from_array(model, choice)
+        assert policy.choice.dtype == np.int64 and np.array_equal(policy.choice, choice)
+        choice[0, 0] = 0  # the policy holds its own copy
+        assert policy.choose(0, 0) == 1
+
     def test_choose_bounds(self, example_model):
         _, am = solve(example_model)
         fb = select_feedback(am)
@@ -240,6 +285,13 @@ class TestAccessorArguments:
         with pytest.raises(ModelError, match=f"^x0 must be a non-sink state index in 0..2, "
                                              f"got {x0!r}$"):
             viable_feedback_check(example_model, vf, fb, 0, x0, 0.5)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), 1.5])
+    def test_feedback_check_takes_a_beta_in_0_to_1(self, example_model, solved, beta):
+        """0 and -1 once passed every policy, and nan and 1.5 none."""
+        vf, _, fb = solved
+        with pytest.raises(ModelError, match=re.escape(f"beta must lie in (0, 1], got {beta}")):
+            viable_feedback_check(example_model, vf, fb, 0, 1, beta)
 
     @pytest.mark.parametrize("t0", [2.5, True, 41])
     def test_feedback_check_takes_a_stage_in_range(self, example_model, solved, t0):
