@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import closed_form, io, kernel as kern, mc
+from . import io, kernel as kern
 from .dp import ValueFunction, solve
 from .kernel import select_feedback
 from .model import InvalidModelError, Model, ModelError, _check_x0, make_three_state_example
@@ -93,7 +93,17 @@ def cmd_policy(args) -> int:
     return 0
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed that the library's 64-bit fold would map onto another seed's streams."""
+    top = (1 << 64) - 1
+    if not 0 <= seed <= top:
+        raise ModelError(f"--seed must lie in 0..{top}, got {seed}")
+
+
 def cmd_simulate(args) -> int:
+    from . import mc
+
+    _check_seed(args.seed)
     model, vf, am = _solve_file(args.model)
     fb = select_feedback(am)
     states, controls, draws, success = mc.simulate_batch(
@@ -126,6 +136,9 @@ def _write_plot_data(model: Model, states: np.ndarray, path: str) -> None:
 
 
 def cmd_estimate(args) -> int:
+    from . import mc
+
+    _check_seed(args.seed)
     model, vf, am = _solve_file(args.model)
     fb = select_feedback(am)
     est = mc.estimate_probability(model, fb, args.x0, args.samples, args.seed)
@@ -134,6 +147,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import closed_form
+
     if args.x0 is None and args.beta is None:
         raise ModelError("oracle needs --x0 (a coordinate in {-1,0,1}) or --beta")
     if args.x0 is not None:

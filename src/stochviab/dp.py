@@ -191,14 +191,11 @@ def _check_stages(model: Model, policy, shape: tuple) -> None:
 
 
 def _policy_choice_array(model: Model, policy: "FeedbackPolicy") -> np.ndarray:
-    """Validated (steps, n_total) int64 slot array for ``policy`` on ``model``;
-    slots of a float or bool array are refused, not truncated."""
+    """``policy.choice``, the (steps, n_total) int64 slot array that the policy
+    checked at construction, once its stages and slots fit ``model``."""
     tab = model.tables
-    choice = np.asarray(policy.choice)
+    choice = policy.choice
     _check_stages(model, policy, choice.shape)
-    if choice.dtype.kind not in "iu":
-        raise PolicyError(f"control slots of dtype {choice.dtype} are not integers")
-    choice = choice.astype(np.int64, copy=False)
     bad = (choice < 0) | (choice >= tab.n_ctrl)
     if np.any(bad):
         k, x = map(int, np.argwhere(bad)[0])

@@ -13,13 +13,12 @@ import json
 from bisect import bisect_left
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .dp import ArgmaxPolicy, ValueFunction, _check_stages, _policy_choice_array
 from .kernel import FeedbackPolicy, KernelSlice
-from .mc import ProbabilityEstimate
 from .model import (
     ConstraintSets,
     ControlMap,
@@ -33,6 +32,9 @@ from .model import (
     TimeGrid,
     _first_refused,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .mc import ProbabilityEstimate
 
 __all__ = [
     "ModelFormatError",

@@ -57,11 +57,21 @@ class FeedbackPolicy:
 
     ``choice[k, x]`` indexes the admissible control list at ``(t0 + k, x)``;
     the sink row is a dummy.  Instances are immutable and safe to share.
+    A ``choice`` that is not a 2-D integer array is refused; the policy
+    holds an int64 copy of it.
     """
 
     t0: int
     T: int
     choice: np.ndarray  # int64 (steps, m + 1)
+
+    def __post_init__(self) -> None:
+        choice = np.asarray(self.choice)
+        if choice.dtype.kind not in "iu":
+            raise PolicyError(f"control slots of dtype {choice.dtype} are not integers")
+        if choice.ndim != 2:
+            raise PolicyError(f"control slots of shape {choice.shape} are not a 2-D array")
+        object.__setattr__(self, "choice", choice.astype(np.int64))
 
     def choose(self, t: int, x: int) -> int:
         return int(self.choice[_check_index(t, self.t0, self.T - 1, x, self.choice.shape[1] - 1)])
@@ -70,8 +80,9 @@ class FeedbackPolicy:
     def from_array(cls, model: Model, choice: np.ndarray) -> "FeedbackPolicy":
         """The policy of a ``(steps, n_total)`` array of integer slots; each
         slot must be admissible."""
-        policy = cls(model.time.t0, model.time.T, np.array(choice))
-        return cls(policy.t0, policy.T, _policy_choice_array(model, policy))  # raises PolicyError
+        policy = cls(model.time.t0, model.time.T, choice)
+        _policy_choice_array(model, policy)  # raises PolicyError
+        return policy
 
     @classmethod
     def constant(cls, model: Model, control: Sequence[float]) -> "FeedbackPolicy":

@@ -371,6 +371,27 @@ def test_estimate_report_line(model_path, capsys):
     assert 0 <= lo <= mean <= hi <= 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "-18446744073709551616"])
+def test_seeds_outside_64_bits_are_refused(model_path, tmp_path, capsys, command, seed):
+    """Such a seed once walked the streams of its 64-bit fold (-1 those of 2^64 - 1)."""
+    out = tmp_path / "traj.csv"
+    extra = ["--out", str(out)] if command == "simulate" else []
+    rc = main([command, "--model", str(model_path), "--x0", "1", "--seed", seed, *extra])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err == f"error: --seed must lie in 0..18446744073709551615, got {seed}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+@pytest.mark.parametrize("seed", ["0", "18446744073709551615"])
+def test_seeds_at_the_ends_of_64_bits_are_taken(model_path, capsys, command, seed):
+    rc = main([command, "--model", str(model_path), "--x0", "1", "--samples", "20", "--seed", seed])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert captured.out.rstrip("\n").endswith(seed)
+
+
 def test_oracle_value_and_kernel(capsys):
     assert main(["oracle", "--p", "0.01", "--horizon", "40", "--time", "39",
                  "--x0", "0"]) == 0

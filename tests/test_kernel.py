@@ -217,6 +217,30 @@ class TestFeedbackPolicy:
         with pytest.raises(PolicyError, match=message):
             evaluate_policy(model, FeedbackPolicy(0, 3, choice))
 
+    @pytest.mark.parametrize("slot,dtype", [(1.9, np.float64), (1.0, np.float32), (True, bool)])
+    def test_slots_that_are_not_integers_are_refused_at_construction(self, slot, dtype):
+        """A policy built directly with a slot of 1.9 once answered choose(0, 0) == 1."""
+        choice = np.zeros((3, 4), dtype=dtype)
+        choice[:, :3] = slot
+        with pytest.raises(PolicyError, match=f"^control slots of dtype {np.dtype(dtype)} are not integers$"):
+            FeedbackPolicy(0, 3, choice)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 1), (3, 4, 2), (4,), ()])
+    def test_slots_that_are_not_a_2d_array_are_refused(self, shape):
+        """A 3-D choice once made choose raise numpy's TypeError."""
+        message = "^" + re.escape(f"control slots of shape {shape} are not a 2-D array") + "$"
+        with pytest.raises(PolicyError, match=message):
+            FeedbackPolicy(0, 3, np.zeros(shape, dtype=np.int64))
+        with pytest.raises(PolicyError, match=message):
+            FeedbackPolicy.from_array(make_three_state_example(0.01, 0, 3), np.zeros(shape, dtype=np.int64))
+
+    def test_a_policy_built_directly_holds_an_int64_copy(self):
+        choice = np.ones((3, 4), dtype=np.int32)
+        policy = FeedbackPolicy(0, 3, choice)
+        choice[0, 0] = 0
+        assert policy.choice.dtype == np.int64 and policy.choose(0, 0) == 1
+        assert FeedbackPolicy(0, 3, [[0, 1, 0, 0]] * 3).choice.dtype == np.int64
+
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
     def test_from_array_stores_integer_slots_as_int64(self, dtype):
         model = make_three_state_example(0.01, 0, 3)
