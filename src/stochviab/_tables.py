@@ -31,7 +31,6 @@ from typing import NoReturn
 
 import numpy as np
 
-from . import expr as _expr
 from .dp import TABLE_BYTES_GUARD
 from .model import InvalidModelError, Model, ModelError, TableDynamics, project_to_grid, validate
 
@@ -103,6 +102,8 @@ def build_tables(model: Model) -> Tables:
 
 def _expr_table(model: Model, u_max: int) -> np.ndarray:
     """Successors of expression dynamics: one slab per stage, or one in all."""
+    from . import expr as _expr
+
     asts = model.expr_trees
     states, noise, time, ctl = model.states, model.noise, model.time, model.controls
     once = ctl.kind != "per_stage_state" and not any("t" in _expr.variables(a) for a in asts)
@@ -144,6 +145,8 @@ def _mesh_bindings(t, x, u, w) -> dict:
 def _raise_first_failure(asts, bindings, shape, t, xs, js, err) -> NoReturn:
     """Raise at the stage's first failing point in (x, u, w) order: a slice of the
     mesh fails when one of its points does, so prefixes of rows, then atoms, bisect it."""
+    from . import expr as _expr
+
     mesh = {name: np.broadcast_to(v, shape) for name, v in bindings.items()}
 
     def failure(part):

@@ -131,8 +131,8 @@ def _write_plot_data(model: Model, states: np.ndarray, path: str) -> None:
     texts, first = io._codes(model.states.points[:, 0])
     first = np.append(first, len(texts))  # the sink's text is b"", appended
     io._write_csv(path, ["t", *(f"x_sample{s}" for s in range(len(states)))],
-                  [io._codes(model.time.t0 + np.arange(states.shape[1])),
-                   (np.append(texts, b""), first[states].T)])
+                  [[io._codes(model.time.t0 + np.arange(states.shape[1])),
+                    (np.append(texts, b""), first[states].T)]])
 
 
 def cmd_estimate(args) -> int:

@@ -23,7 +23,9 @@ lose that relative gap at every stage, so it achieves V within a relative
 policy-evaluation recursion and returns the best score.  It builds the laws
 backward, a stage at a time, so that all laws that agree on the later stages
 share one row of values; it still scores each law, and shares no code with
-the stage backups.
+the stage backups.  It goes depth first, in blocks of at most ``_BLOCK``
+(16 384) candidate rows: its memory is a few blocks for any number of laws,
+and the best score is the same float as when every law was held at once.
 
 Every function here reads ``model.tables``, which compiles only a valid
 model: each raises :class:`~stochviab.model.InvalidModelError` on any other.
@@ -57,6 +59,8 @@ __all__ = [
 
 ARGMAX_TOL = 1e-12
 BRUTE_FORCE_GUARD = 10**6
+# Candidate rows that brute_force_value enumerates at once.
+_BLOCK = 1 << 14
 # Largest next_state table, in logical bytes (shared stages count), a model may compile to.
 TABLE_BYTES_GUARD = 2**31
 
@@ -229,10 +233,15 @@ def brute_force_value(model: Model, x0: int) -> float:
     A candidate is one control slot per (stage, non-sink state); slots at
     states outside the constraint set count too.  Candidates are built
     backward: the stage-k candidates cross each candidate for stages
-    k+1..T-1 with every choice of slots at stage k, and all of them read
-    that later candidate's one row of values.  Each is scored with the plain
-    policy-evaluation recursion, and the maximum at (t0, x0) is taken once,
-    at the end.  Guarded to ``BRUTE_FORCE_GUARD`` candidate policies.
+    k+1..T-1 with every choice of slots at stage k, a state at a time, and
+    all of them read that later candidate's one row of values.  Each is
+    scored with the plain policy-evaluation recursion.  The enumeration goes
+    depth first in blocks of at most ``_BLOCK`` candidate rows (or one
+    state's control count, if larger): a block that the rest of a stage
+    would grow past that is split, and each part is carried on to stage t0
+    before the next starts.  So memory stays a few blocks for any candidate
+    count, and the result is the maximum at (t0, x0) over the same scores.
+    Guarded to ``BRUTE_FORCE_GUARD`` candidate policies.
     """
     tab = model.tables
     m = tab.n_states
@@ -244,19 +253,43 @@ def brute_force_value(model: Model, x0: int) -> float:
             raise ModelError(
                 f"policy enumeration exceeds guard of {BRUTE_FORCE_GUARD} candidates"
             )
-
-    # pi[c, x]: value at stage k of candidate c for stages k..T-1
+    rest = np.cumprod(tab.n_ctrl[:, m - 1 :: -1], axis=1)[:, ::-1]
     pi = tab.member[tab.steps, None].astype(np.float64)
-    for k in range(tab.steps - 1, -1, -1):
+    return _best_extension(tab, x0, rest, tab.steps, m, None, None, pi)
+
+
+def _best_extension(tab, x0, rest, k, x, acc, rows, pi) -> float:
+    """The best value at (t0, x0) over the candidates that extend a block.
+
+    ``pi[c]`` holds the stage-k values of candidate row ``c`` at states
+    before ``x`` (all of them when ``x == m``, with ``acc`` and ``rows``
+    unused); ``acc[rows[c]]`` holds its stage-k expectations.  ``rest[k, x]``
+    is the number of rows one row spreads into over states x..m-1 of stage k.
+    Stages go in a loop, so a long horizon costs no recursion; only a split
+    recurses, once per part.
+    """
+    m = tab.n_states
+    while True:
+        for x in range(x, m):
+            if len(pi) > 1 and len(pi) * rest[k, x] > _BLOCK:
+                # parts that the rest of the stage spreads into _BLOCK rows at most
+                step = max(1, _BLOCK // int(rest[k, x]))
+                return max(
+                    _best_extension(tab, x0, rest, k, x, acc, rows[lo : lo + step],
+                                    pi[lo : lo + step])
+                    for lo in range(0, len(pi), step)
+                )
+            r = int(tab.n_ctrl[k, x])
+            # row c becomes rows c*r .. c*r + r-1, one per control slot at x
+            scores = acc[rows, x, :r] if tab.member[k, x] else None
+            pi, rows = np.repeat(pi, r, axis=0), np.repeat(rows, r)
+            if scores is not None:
+                np.minimum(scores.ravel(), 1.0, out=pi[:, x])
+        if k == 0:
+            return float(pi[:, x0].max())
+        k, x = k - 1, 0
         acc = np.zeros(pi.shape + (tab.u_max,))
         for i in range(tab.n_atoms):
             acc += tab.probs[i] * pi[:, tab.next_state[k, :, :, i]]
         rows = np.arange(len(pi))
         pi = np.zeros((len(pi), m + 1))
-        for x in range(m):
-            r = int(tab.n_ctrl[k, x])
-            pi, rows = np.repeat(pi, r, axis=0), np.repeat(rows, r)
-            if tab.member[k, x]:
-                slots = np.tile(np.arange(r), len(rows) // r)
-                pi[:, x] = np.minimum(acc[rows, x, slots], 1.0)
-    return float(pi[:, x0].max())

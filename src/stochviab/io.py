@@ -65,6 +65,8 @@ def _fmt(value: float) -> str:
 # A CSV file is assembled in chunks of rows of about this many bytes, so that
 # a writer's buffers stay bounded for a file of any length.
 _CHUNK_BYTES = 1 << 18
+# Samples whose trajectory rows are indexed at once.
+_SAMPLE_BLOCK = 256
 
 
 def _codes(values) -> tuple[np.ndarray, np.ndarray]:
@@ -98,32 +100,37 @@ def _bytes_array(texts: Iterable[bytes]) -> np.ndarray:
     return np.array(texts, f"S{max(map(len, texts), default=1)}")
 
 
-def _write_csv(path: PathLike, header: Sequence[str], blocks: Sequence[tuple]) -> None:
-    """The header line, then one line per row of ``blocks``.
+def _write_csv(path: PathLike, header: Sequence[str], parts: Iterable[Sequence[tuple]]) -> None:
+    """The header line, then one line per row of each part's blocks, part by part.
 
-    Each block is a ``(texts, index)`` pair of :func:`_codes` whose ``index``
-    is ``(n,)`` for one column, or ``(n, k)`` for ``k`` columns that share
-    ``texts``.  The rows are laid out in a byte buffer with fixed columns: each
-    cell's NUL-padded text, then its ``,`` or the row's ``\n``.  Dropping the
-    NULs leaves the lines.
+    A part is a sequence of blocks.  Each block is a ``(texts, index)`` pair of
+    :func:`_codes` whose ``index`` is ``(n,)`` for one column, or ``(n, k)``
+    for ``k`` columns that share ``texts``.  The rows are laid out in a byte
+    buffer with fixed columns: each cell's NUL-padded text, then its ``,`` or
+    the row's ``\n``.  Dropping the NULs leaves the lines.  A writer whose
+    index arrays would grow with the file passes its parts lazily, so that
+    only one part's arrays are held at a time.
     """
-    blocks = [(texts, index[:, None] if index.ndim == 1 else index) for texts, index in blocks]
-    n = len(blocks[0][1])
-    width = sum((texts.itemsize + 1) * index.shape[1] for texts, index in blocks)
-    step = max(1, _CHUNK_BYTES // width)
-    buf = np.empty((min(n, step), width), np.uint8)
     with Path(path).open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for lo in range(0, n, step):
-            rows, start = buf[: min(step, n - lo)], 0
-            for texts, index in blocks:
-                k, w = index.shape[1], texts.itemsize
-                cells = rows[:, start : start + k * (w + 1)].reshape(len(rows), k, w + 1)
-                cells[:, :, :w].view(texts.dtype)[:, :, 0] = texts.take(index[lo : lo + len(rows)])
-                cells[:, :, w] = ord(",")
-                start += k * (w + 1)
-            rows[:, -1] = ord("\n")
-            fh.write(rows[rows != 0])
+        for blocks in parts:
+            blocks = [(texts, index[:, None] if index.ndim == 1 else index)
+                      for texts, index in blocks]
+            n = len(blocks[0][1])
+            width = sum((texts.itemsize + 1) * index.shape[1] for texts, index in blocks)
+            step = max(1, _CHUNK_BYTES // width)
+            buf = np.empty((min(n, step), width), np.uint8)
+            for lo in range(0, n, step):
+                rows, start = buf[: min(step, n - lo)], 0
+                for texts, index in blocks:
+                    k, w = index.shape[1], texts.itemsize
+                    cells = rows[:, start : start + k * (w + 1)].reshape(len(rows), k, w + 1)
+                    cell_texts = texts.take(index[lo : lo + len(rows)])
+                    cells[:, :, :w].view(texts.dtype)[:, :, 0] = cell_texts
+                    cells[:, :, w] = ord(",")
+                    start += k * (w + 1)
+                rows[:, -1] = ord("\n")
+                fh.write(rows[rows != 0])
 
 
 def _require_keys(obj: dict, where: str, required: set[str], optional: set[str] = frozenset()):
@@ -412,8 +419,8 @@ def write_value_csv(vf: ValueFunction, path: PathLike) -> None:
     k, x = np.divmod(np.arange(vf.table.shape[0] * m), m)
     texts, coords = _codes(vf.points)
     _write_csv(path, ["t", "state_index", *_coord_header(vf.points.shape[1]), "value"],
-               [_codes(vf.t0 + k), _codes(x), (texts, coords[x]),
-                _codes(vf.table[:, :m].ravel())])
+               [[_codes(vf.t0 + k), _codes(x), (texts, coords[x]),
+                 _codes(vf.table[:, :m].ravel())]])
 
 
 def read_value_csv(path: PathLike) -> ValueFunction:
@@ -561,7 +568,7 @@ def _write_slots(model: Model, path: PathLike, ks: np.ndarray, xs: np.ndarray,
     texts, coords = _codes(ctl.vectors)  # one row, or one per stage
     coords = np.broadcast_to(coords, (model.time.steps,) + coords.shape[1:])
     _write_csv(path, ["t", "state_index", "control_index", *_coord_header(ctl.dim, "u")],
-               [_codes(model.time.t0 + ks), _codes(xs), _codes(js), (texts, coords[ks, xs, js])])
+               [[_codes(model.time.t0 + ks), _codes(xs), _codes(js), (texts, coords[ks, xs, js])]])
 
 
 def write_kernel_csv(slices: Iterable[KernelSlice], points: np.ndarray,
@@ -576,8 +583,8 @@ def write_kernel_csv(slices: Iterable[KernelSlice], points: np.ndarray,
     b_texts, beta = _codes([sl.beta for sl in slices])
     texts, coords = _codes(pts)
     _write_csv(path, ["t", "beta", "state_index", *_coord_header(pts.shape[1])],
-               [(t_texts, np.repeat(t, sizes)), (b_texts, np.repeat(beta, sizes)),
-                _codes(xs), (texts, coords[xs])])
+               [[(t_texts, np.repeat(t, sizes)), (b_texts, np.repeat(beta, sizes)),
+                 _codes(xs), (texts, coords[xs])]])
 
 
 def write_trajectories_csv(model: Model, states: np.ndarray, controls: np.ndarray,
@@ -585,21 +592,29 @@ def write_trajectories_csv(model: Model, states: np.ndarray, controls: np.ndarra
     """Sample paths, one row per (sample, stage).
 
     Sink rows leave the coordinate cells empty; terminal rows leave the
-    control cell empty (no control acts at stage T).
+    control cell empty (no control acts at stage T).  The rows are indexed
+    ``_SAMPLE_BLOCK`` samples at a time, so memory beyond the paths stays
+    bounded for any number of samples.
     """
     n, dim, steps = len(states), model.states.dim, model.time.steps
-    xs = states[:, : steps + 1].ravel()
-    (s_texts, s), (t_texts, t) = _codes(np.arange(n)), _codes(model.time.t0 + np.arange(steps + 1))
+    (s_texts, s), (ok_texts, ok) = _codes(np.arange(n)), _codes(success)
+    t_texts, t = _codes(model.time.t0 + np.arange(steps + 1))
+    t = np.tile(t, min(n, _SAMPLE_BLOCK))
     # the sink's coordinates and the terminal control are an appended empty text
     p_texts, coords = _codes(model.states.points)
-    coords = np.vstack([coords, np.full((1, dim), len(p_texts))])
-    c_texts, ctrl = _codes(controls[:, :steps])
-    ctrl = np.hstack([ctrl, np.full((n, 1), len(c_texts))])
-    ok_texts, ok = _codes(success)
+    p_texts, coords = np.append(p_texts, b""), np.vstack([coords, np.full((1, dim), len(p_texts))])
+
+    def part(lo: int) -> list:
+        hi = min(lo + _SAMPLE_BLOCK, n)
+        xs = states[lo:hi, : steps + 1].ravel()
+        c_texts, ctrl = _codes(controls[lo:hi, :steps])
+        ctrl = np.hstack([ctrl, np.full((hi - lo, 1), len(c_texts))])
+        return [(s_texts, np.repeat(s[lo:hi], steps + 1)), (t_texts, t[: len(xs)]), _codes(xs),
+                (p_texts, coords[xs]), (np.append(c_texts, b""), ctrl.ravel()),
+                (ok_texts, np.repeat(ok[lo:hi], steps + 1))]
+
     _write_csv(path, ["sample", "t", "state_index", *_coord_header(dim), "control_index", "success"],
-               [(s_texts, np.repeat(s, steps + 1)), (t_texts, np.tile(t, n)), _codes(xs),
-                (np.append(p_texts, b""), coords[xs]), (np.append(c_texts, b""), ctrl.ravel()),
-                (ok_texts, np.repeat(ok, steps + 1))])
+               map(part, range(0, n, _SAMPLE_BLOCK)))
 
 
 def format_estimate(est: ProbabilityEstimate) -> str:

@@ -41,7 +41,7 @@ import numpy as np
 from . import _rng
 from .dp import TABLE_BYTES_GUARD, _policy_choice_array, _policy_successors
 from .kernel import FeedbackPolicy
-from .model import DisturbanceLaw, Model, ModelError, _check_x0
+from .model import DisturbanceLaw, Model, ModelError, _check_x0, _is_int, _shown
 
 __all__ = [
     "Scenario",
@@ -93,9 +93,15 @@ class ProbabilityEstimate:
 
 def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
     """Wilson score interval, as Python floats; stays inside [0, 1] even at
-    the boundaries."""
+    the boundaries.  ``successes`` and ``n`` are integers, numpy's included,
+    with ``0 <= successes <= n`` and ``n >= 1``."""
+    if not _is_int(n):
+        raise ModelError(f"interval needs an integer sample count, got {_shown(n)}")
     if n <= 0:
         raise ModelError("interval needs at least one sample")
+    if not (_is_int(successes) and 0 <= successes <= n):
+        raise ModelError(f"successes must be an integer in 0..{n}, got {_shown(successes)}")
+    successes, n = int(successes), int(n)
     phat = successes / n
     z2 = z * z
     denom = 1.0 + z2 / n
@@ -106,6 +112,8 @@ def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, floa
 
 def sample_scenario(noise: DisturbanceLaw, n_steps: int, seed: int) -> Scenario:
     """Independent inverse-cdf draws from the marginal, one per transition."""
+    if not _is_int(n_steps):
+        raise ModelError(f"n_steps must be an integer, got {_shown(n_steps)}")
     if n_steps < 0:
         raise ModelError(f"n_steps must be non-negative, got {n_steps}")
     return Scenario(_rng.draw(_rng.cdf_thresholds(noise.cdf), seed & _rng.MASK64,
@@ -136,8 +144,11 @@ def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
     stage, each the size of a stage of ``next_state`` over its control slots,
     with one row more.
     """
+    if not _is_int(n):
+        raise ModelError(f"need an integer number of samples, got {_shown(n)}")
     if n < 1:
         raise ModelError(f"need n >= 1 samples, got {n}")
+    n = int(n)
     choice = _policy_choice_array(model, policy)
     tab = model.tables
     width = tab.n_atoms
@@ -226,5 +237,6 @@ def estimate_probability(model: Model, policy: FeedbackPolicy, x0: int, n: int,
     x0 = _check_x0(model.states.n_points, x0)
     successes = _walk(model, policy, x0, n, functools.partial(_rng.derive_seed_array, base_seed),
                       record=False)
+    n = int(n)
     lo, hi = wilson_interval(successes, n)
     return ProbabilityEstimate(successes / n, n, lo, hi, int(base_seed))

@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, partial
 from itertools import chain, filterfalse
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from . import expr as _expr
+if TYPE_CHECKING:  # pragma: no cover
+    from .expr import Ast
 
 __all__ = [
     "ModelError",
@@ -552,7 +553,7 @@ class Model:
     dynamics: Dynamics
     constraints: ConstraintSets
     # the parse of each ``ExprDynamics`` source under ``dims``; empty for tables
-    expr_trees: tuple[_expr.Ast, ...] = field(init=False, repr=False, default=())
+    expr_trees: tuple[Ast, ...] = field(init=False, repr=False, default=())
 
     def __post_init__(self):
         m = self.states.n_points
@@ -579,6 +580,8 @@ class Model:
             if tab.size and (tab.min() < 0 or tab.max() > m):
                 raise ModelError("dynamics table entries must lie in 0..n_states")
         else:
+            from . import expr as _expr
+
             if len(self.dynamics.sources) != self.states.dim:
                 raise ModelError(
                     f"expr dynamics: {len(self.dynamics.sources)} expressions for "

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_model, random_policy, walk_model
-from stochviab import _tables
+from stochviab import _tables, dp
 from stochviab.closed_form import matrix_value
 from stochviab.dp import (
     ARGMAX_TOL,
@@ -346,6 +346,60 @@ class TestBruteForce:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**18 * 4 * 8, peak
+
+    @staticmethod
+    def _line_model(n: int) -> Model:
+        """n states on a line and one stage with two controls, a step left or
+        right (off the ends into the sink): 2^n candidate laws."""
+        table = np.full((1, n + 1, 2, 1), n, dtype=np.int64)
+        for x in range(n):
+            for j, y in enumerate((x - 1, x + 1)):
+                if 0 <= y < n:
+                    table[0, x, j, 0] = y
+        return Model(
+            TimeGrid(0, 1),
+            StateSpace(np.arange(n, dtype=float)[:, None]),
+            ControlMap.shared(np.array([[-1.0], [1.0]]), n),
+            DisturbanceLaw(np.array([[0.0]]), np.array([1.0])),
+            TableDynamics(table),
+            ConstraintSets("set", stationary=tuple(range(n))),
+        )
+
+    def test_memory_does_not_grow_with_the_candidate_count(self):
+        # 2^14 candidates fill one block; 2^19 hold 84 MB of value rows at once
+        assert dp._BLOCK == 2**14
+        peaks = {}
+        for n in (14, 19):
+            model = self._line_model(n)
+            model.tables
+            tracemalloc.start()
+            try:
+                assert brute_force_value(model, n // 2) == 1.0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[19] <= 2 * peaks[14], peaks
+        assert peaks[19] < 8 * 2**20, peaks
+
+    def test_a_long_horizon_of_one_control_equals_solve(self):
+        ex = make_three_state_example(0.0002, 0, 3000)
+        model = Model(ex.time, ex.states, ControlMap.shared(np.array([[0.0]]), 3),
+                      ex.noise, ex.dynamics, ex.constraints)
+        vf, _ = solve(model)
+        for x0 in range(3):
+            assert brute_force_value(model, x0) == vf.value(0, x0)
+        assert brute_force_value(model, 1) == 0.8226827217800934
+
+    @pytest.mark.parametrize("block,horizons", [(1, range(1, 5)), (5, range(1, 5)),
+                                                (64, range(1, 7))], ids=["1", "5", "64"])
+    def test_any_block_gives_the_same_bits(self, monkeypatch, block, horizons):
+        # T = 6 holds 2^18 laws, which blocks under 64 rows take seconds to go through
+        models = [random_model(seed) for seed in range(40)]
+        models += [make_three_state_example(0.01, 0, T) for T in horizons]
+        want = [[brute_force_value(m, x0) for x0 in range(m.states.n_points)] for m in models]
+        monkeypatch.setattr(dp, "_BLOCK", block)
+        got = [[brute_force_value(m, x0) for x0 in range(m.states.n_points)] for m in models]
+        assert got == want
 
     def test_guard_rejects_huge_enumerations(self):
         m = 4

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,15 @@ class TestSampleScenario:
         assert np.all((0 <= sc.draws) & (sc.draws < 3))
         with pytest.raises(ModelError, match="^n_steps must be non-negative, got -1$"):
             sample_scenario(example_model.noise, -1, 5)
+
+    @pytest.mark.parametrize("n_steps", [2.5, 3.0, True, "3"])
+    def test_a_count_that_is_no_integer_is_refused(self, example_model, n_steps):
+        with pytest.raises(ModelError, match="^n_steps must be an integer, got "):
+            sample_scenario(example_model.noise, n_steps, 5)
+
+    def test_numpy_integer_counts_are_taken(self, example_model):
+        a = sample_scenario(example_model.noise, np.int32(40), 123)
+        assert np.array_equal(a.draws, sample_scenario(example_model.noise, 40, 123).draws)
 
 
 def _head(words):
@@ -507,6 +517,41 @@ class TestEstimate:
         for n in (0, -1):
             with pytest.raises(ModelError, match="^interval needs at least one sample$"):
                 wilson_interval(0, n)
+
+    @pytest.mark.parametrize("n", [True, False, 2.5, 100.0, "100"])
+    def test_sample_counts_that_are_no_integers_are_refused(self, example_model, n):
+        fb = select_feedback(solve(example_model)[1])
+        for run in (lambda: estimate_probability(example_model, fb, 1, n, 0),
+                    lambda: simulate_batch(example_model, fb, 1, n, 0)):
+            with pytest.raises(ModelError, match="^need an integer number of samples, got "):
+                run()
+
+    def test_numpy_integer_sample_counts_are_taken(self, example_model):
+        fb = select_feedback(solve(example_model)[1])
+        est = estimate_probability(example_model, fb, 1, np.int64(500), 3)
+        assert est == estimate_probability(example_model, fb, 1, 500, 3)
+        assert type(est.n) is int and type(est.mean) is float
+        got = simulate_batch(example_model, fb, 1, np.uint8(9), 3)
+        for a, b in zip(got, simulate_batch(example_model, fb, 1, 9, 3)):
+            assert np.array_equal(a, b)
+        with pytest.raises(ModelError, match="^need n >= 1 samples, got 0$"):
+            simulate_batch(example_model, fb, 1, np.int64(0), 3)
+
+    @pytest.mark.parametrize("successes,n,message", [
+        (5, 3, "successes must be an integer in 0..3, got 5"),
+        (-1, 3, "successes must be an integer in 0..3, got -1"),
+        (1.0, 3, "successes must be an integer in 0..3, got 1.0"),
+        (True, 3, "successes must be an integer in 0..3, got True"),
+        (1, 2.5, "interval needs an integer sample count, got 2.5"),
+        (1, True, "interval needs an integer sample count, got True"),
+    ])
+    def test_interval_counts_must_be_integers_in_range(self, successes, n, message):
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            wilson_interval(successes, n)
+
+    def test_interval_takes_numpy_integers(self):
+        got = wilson_interval(np.int64(3), np.int32(7))
+        assert got == wilson_interval(3, 7) and all(type(v) is float for v in got)
 
 
 class TestKnownAnswers:

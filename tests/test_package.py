@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stochviab
@@ -46,6 +47,21 @@ def test_solve_loads_neither_monte_carlo_nor_the_oracle(example_file, tmp_path):
     assert (tmp_path / "solved" / "value.csv").exists()
     assert "stochviab.dp" in loaded
     assert not set(MC_AND_ORACLE) & set(loaded)
+
+
+def test_a_table_model_never_loads_the_expression_parser(tmp_path):
+    ex = stochviab.make_three_state_example(0.01, 0, 40)
+    table = stochviab.TableDynamics(np.array(ex.tables.next_state))
+    stochviab.save_model(stochviab.Model(ex.time, ex.states, ex.controls, ex.noise, table,
+                                         ex.constraints), tmp_path / "t.json")
+    code = ("from stochviab import cli\n"
+            "assert cli.main(['solve', '--model', '{}', '--out', '{}']) == 0")
+    loaded = loaded_after(code.format("t.json", "solved"), tmp_path)
+    assert (tmp_path / "solved" / "value.csv").exists()
+    assert "stochviab.model" in loaded and "stochviab.expr" not in loaded
+    # an expression model parses its sources, so it does load the parser
+    stochviab.save_model(ex, tmp_path / "e.json")
+    assert "stochviab.expr" in loaded_after(code.format("e.json", "solved-e"), tmp_path)
 
 
 def test_oracle_loads_no_monte_carlo(tmp_path):

@@ -5,6 +5,8 @@ a double and ``str(int(v))`` for an integer or flag, and joins each row with
 ``","``: the bytes the writers must produce.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,30 @@ def test_a_file_of_several_chunks(tmp_path):
     # a row's text is no longer than its padded width, so this is 3 chunks or more
     assert path.stat().st_size > 2 * io._CHUNK_BYTES
     assert path.read_bytes() == ref_trajectories(model, states, controls, success)
+
+
+@pytest.mark.parametrize("n,digest", [
+    (1, "6abf2edeff873212"), (255, "a864a75265072f2b"), (256, "2b1e194f75e92d51"),
+    (257, "8283c476096f6c85"), (600, "9a491751af50f947"),
+])
+def test_trajectories_across_sample_blocks(tmp_path, n, digest):
+    # the rows are indexed 256 samples at a time: files that end before, at
+    # and after a block's edge, and one of three blocks
+    model = make_three_state_example(0.2, 0, 6)
+    _, am = solve(model)
+    states, controls, _, success = simulate_batch(model, select_feedback(am), 1, n, 11)
+    path = tmp_path / "t.csv"
+    io.write_trajectories_csv(model, states, controls, success, path)
+    assert path.read_bytes() == ref_trajectories(model, states, controls, success)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_trajectories_in_small_sample_blocks(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(io, "_SAMPLE_BLOCK", block)
+    assert_writers_match(extreme_model(), tmp_path)
+    assert_writers_match(push_up_model(), tmp_path, x0=1)
+    assert_writers_match(make_three_state_example(0.1, 0, 5), tmp_path, n_paths=30, x0=1)
 
 
 doubles = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
