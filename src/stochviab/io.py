@@ -31,6 +31,7 @@ from .model import (
     TableDynamics,
     TimeGrid,
     _first_refused,
+    _LevelWalk,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -157,30 +158,25 @@ def _is_number(t: type) -> bool:
 
 
 def _floats(value, where: str) -> np.ndarray:
-    """``value`` as a float64 array, if it is numbers in lists of equal length;
-    else the first fault, level by level: a row of another length than its
-    level's first, a leaf that is not a number, or an integer past a double."""
+    """``value`` as a float64 array, if it is numbers in lists of equal length; a
+    :class:`~stochviab.model._LevelWalk` goes down while a level is all lists and raises
+    the first fault (a row of a length unlike its level's first, a leaf not a number)."""
+    walk = _LevelWalk(value)
+    while walk.items and all(isinstance(v, (list, tuple)) for v in walk.items):
+        n = len(walk.items[0])
+        walk.check(n.__eq__, len, lambda v, at: ModelFormatError(
+            f"{where}: row {''.join(map('[{}]'.format, at))} has {len(v)} entries, "
+            f"row {'[0]' * len(at)} has {n}"))
+        walk.descend()
+    walk.check(_is_number, type,
+               lambda v, at: ModelFormatError(f"{where}: expected a number, got {v!r}"))
+    if walk.fault is not None:
+        raise walk.fault
     try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # numpy's words differ per version
-        arr = None
-    leaves, shape = [value], []
-    while (len(shape) < arr.ndim) if arr is not None else (
-            leaves and all(isinstance(v, (list, tuple)) for v in leaves)):
-        r = _first_refused(len(leaves[0]).__eq__, len, leaves)
-        if r is not None:  # never in the top level, of one item
-            at = "".join(map("[{}]".format, np.unravel_index(r, shape)))
-            raise ModelFormatError(f"{where}: row {at} has {len(leaves[r])} entries, "
-                                   f"row {'[0]' * len(shape)} has {len(leaves[0])}")
-        shape.append(len(leaves[0]))
-        leaves = list(chain.from_iterable(leaves))
-    r = _first_refused(_is_number, type, leaves)
-    if r is not None:
-        raise ModelFormatError(f"{where}: expected a number, got {leaves[r]!r}")
-    if arr is None:  # numbers in even rows: the largest is an integer past a double
-        digits = len(str(abs(max(leaves, key=abs))))
-        raise ModelFormatError(f"{where}: integer of {digits} digits is past the range of a double")
-    return arr
+        return np.asarray(value, dtype=np.float64)
+    except OverflowError:  # numbers in even rows: the largest is an integer past a double
+        raise ModelFormatError(f"{where}: integer of {len(str(abs(max(walk.items, key=abs))))} "
+                               "digits is past the range of a double") from None
 
 
 def model_from_dict(doc: dict) -> Model:

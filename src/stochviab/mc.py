@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import statistics
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,14 +95,17 @@ class ProbabilityEstimate:
 def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
     """Wilson score interval, as Python floats; stays inside [0, 1] even at
     the boundaries.  ``successes`` and ``n`` are integers, numpy's included,
-    with ``0 <= successes <= n`` and ``n >= 1``."""
+    with ``0 <= successes <= n`` and ``n >= 1``, and ``z`` a finite number
+    above 0."""
     if not _is_int(n):
         raise ModelError(f"interval needs an integer sample count, got {_shown(n)}")
     if n <= 0:
         raise ModelError("interval needs at least one sample")
     if not (_is_int(successes) and 0 <= successes <= n):
         raise ModelError(f"successes must be an integer in 0..{n}, got {_shown(successes)}")
-    successes, n = int(successes), int(n)
+    if not ((_is_int(z) or isinstance(z, (float, np.floating))) and 0 < z <= sys.float_info.max):
+        raise ModelError(f"interval needs a finite z above 0, got {_shown(z)}")
+    successes, n, z = int(successes), int(n), float(z)
     phat = successes / n
     z2 = z * z
     denom = 1.0 + z2 / n
@@ -110,14 +114,21 @@ def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, floa
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _seed(seed) -> int:
+    """``seed`` folded into 0..2**64-1, if it is an integer, numpy's included;
+    a negative seed or one past 64 bits walks the streams of its fold."""
+    if not _is_int(seed):
+        raise ModelError(f"seed must be an integer, got {_shown(seed)}")
+    return int(seed) & _rng.MASK64
+
+
 def sample_scenario(noise: DisturbanceLaw, n_steps: int, seed: int) -> Scenario:
     """Independent inverse-cdf draws from the marginal, one per transition."""
     if not _is_int(n_steps):
         raise ModelError(f"n_steps must be an integer, got {_shown(n_steps)}")
     if n_steps < 0:
         raise ModelError(f"n_steps must be non-negative, got {n_steps}")
-    return Scenario(_rng.draw(_rng.cdf_thresholds(noise.cdf), seed & _rng.MASK64,
-                              np.arange(n_steps)))
+    return Scenario(_rng.draw(_rng.cdf_thresholds(noise.cdf), _seed(seed), np.arange(n_steps)))
 
 
 def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
@@ -212,7 +223,7 @@ def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
 def simulate(model: Model, policy: FeedbackPolicy, x0: int, seed: int) -> Trajectory:
     """One closed-loop trajectory under ``policy`` from state index ``x0``."""
     x0 = _check_x0(model.states.n_points, x0)
-    seeds = np.array([seed & _rng.MASK64], dtype=np.uint64)
+    seeds = np.array([_seed(seed)], dtype=np.uint64)
     states, controls, draws, ok = _walk(model, policy, x0, 1, lambda start, stop: seeds,
                                         record=True)
     return Trajectory(states[0], controls[0], Scenario(draws[0]), bool(ok[0]))
@@ -227,7 +238,7 @@ def simulate_batch(model: Model, policy: FeedbackPolicy, x0: int, n: int,
     ``derive_seed(base_seed, i)``.
     """
     x0 = _check_x0(model.states.n_points, x0)
-    return _walk(model, policy, x0, n, functools.partial(_rng.derive_seed_array, base_seed),
+    return _walk(model, policy, x0, n, functools.partial(_rng.derive_seed_array, _seed(base_seed)),
                  record=True)
 
 
@@ -235,8 +246,8 @@ def estimate_probability(model: Model, policy: FeedbackPolicy, x0: int, n: int,
                          base_seed: int) -> ProbabilityEstimate:
     """Monte Carlo estimate of the closed-loop success probability."""
     x0 = _check_x0(model.states.n_points, x0)
-    successes = _walk(model, policy, x0, n, functools.partial(_rng.derive_seed_array, base_seed),
-                      record=False)
+    seeds_of = functools.partial(_rng.derive_seed_array, _seed(base_seed))
+    successes = _walk(model, policy, x0, n, seeds_of, record=False)
     n = int(n)
     lo, hi = wilson_interval(successes, n)
     return ProbabilityEstimate(successes / n, n, lo, hi, int(base_seed))

@@ -68,12 +68,18 @@ class ExprSourceError(ModelError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Integer stages t0..T; controls act on t0..T-1, constraints on t0..T."""
+    """Integer stages t0..T; controls act on t0..T-1, constraints on t0..T.
+    Numpy integers are stored as Python ints; floats and bools are refused."""
 
     t0: int
     T: int
 
     def __post_init__(self):
+        for name in ("t0", "T"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ModelError(f"TimeGrid stages must be integers, got {name}={value!r}")
+            object.__setattr__(self, name, int(value))
         if self.t0 >= self.T:
             raise ModelError(f"TimeGrid requires t0 < T, got t0={self.t0}, T={self.T}")
 
@@ -371,8 +377,9 @@ class TableDynamics:
         that many control rows, so ``u_max`` is ``max(1, counts.max())``.
         Entries may use ``-1`` for the sink; the sink row is synthesized as
         absorbing, and control slots past a state's count hold the sink.
-        A body that fails a check raises :class:`ModelError` for its first
-        fault in (t, x, u, w) order, found from the checks on whole levels.
+        A body that fails a check raises :class:`ModelError` for the first
+        fault that a reading of its entries in file order meets (see
+        :class:`_LevelWalk`).
         """
         counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), (steps, n_states))
         u_max = max(1, int(counts.max(initial=0)))
@@ -395,73 +402,80 @@ def _first_refused(ok, key, *items):
     return int(np.fromiter(map(refused.__contains__, map(key, *items)), bool).argmax())
 
 
-def _nested_rows(nested, n_states: int, counts: np.ndarray, u_max: int, n_atoms: int,
-                 steps: int) -> np.ndarray:
-    """The control rows of ``nested``, in (t, x, u) order, as one
-    ``(rows, n_atoms)`` int64 array of entries in ``-1..n_states``.
+class _LevelWalk:
+    """Nested lists checked a level at a time, for the first fault that a reading of
+    the entries one by one, in file order, meets.  The checks of a level's ``items``
+    (``[top]`` first) go in the order in which that reading checks an item.  One that
+    fails keeps only the items before its first failure, so a fault that a later
+    check finds lies earlier in the file and replaces it as ``fault``."""
 
-    The levels (the body, stages, states, control rows, entries) are checked
-    whole, in the order in which a walk in (t, x, u, w) order checks each
-    item.  A check that fails keeps only the items before its first failure;
-    the later checks run on those, so a fault they find lies on an earlier
-    path and replaces it.  The last fault found is raised; the states' counts
-    of control rows are checked only when no item fails.
-    """
-    levels, fault = [], None  # the kept items of each level checked
+    def __init__(self, top):
+        self.levels, self.items, self.fault = [], [top], None
 
-    def where(depth: int, i: int) -> str:
-        """Where item ``i`` of level ``depth`` lies: the body, its stage, or its (t, x, u, w)."""
+    def check(self, ok, key, error) -> None:
+        """Keep the items before the first whose ``key`` ``ok`` refuses."""
+        self.cut(_first_refused(ok, key, self.items), error)
+
+    def cut(self, i, error) -> None:
+        """Keep the items before item ``i``, if not None; ``error(item, path)`` names it."""
+        if i is not None:
+            self.fault, self.items = error(self.items[i], self.path(i)), self.items[:i]
+
+    def descend(self) -> None:
+        self.levels.append(self.items)
+        self.items = list(chain.from_iterable(self.items))
+
+    def path(self, i: int) -> list:
+        """The indices that lead from ``top`` to item ``i`` of the level."""
         path = [i]
-        for items in reversed(levels[1:depth]):
+        for items in reversed(self.levels):
             ends = np.cumsum(np.fromiter(map(len, items), np.int64, len(items)))
             p = int(np.searchsorted(ends, path[0], "right"))
             path[:1] = [p, path[0] - int(ends[p]) + len(items[p])]
-        if depth < 2:
-            return f" stage {i}" if depth else ""
-        return " at (" + ", ".join(map("{}={}".format, "txuw", path)) + ")"
+        return path[1:]
 
-    def keep(items: list, i, error) -> list:
-        """``items`` before item ``i``, if one fails; ``error(item, where)`` names it."""
-        nonlocal fault
-        if i is None:
-            return items
-        fault = error(items[i], where(len(levels), i))
-        return items[:i]
 
-    items = [nested]
+def _nested_rows(nested, n_states: int, counts: np.ndarray, u_max: int, n_atoms: int,
+                 steps: int) -> np.ndarray:
+    """The control rows of ``nested``, in (t, x, u) order, as one ``(rows, n_atoms)``
+    int64 array of entries in ``-1..n_states``.  A :class:`_LevelWalk` raises the
+    first fault of the levels (the body, stages, states, control rows, entries);
+    the states' counts of control rows are checked once every level is whole."""
+    def at(path: list) -> str:  # where ``path`` leads: the body, a stage, or a (t, x, u, w)
+        return ("".join(map(" stage {}".format, path)) if len(path) < 2 else
+                " at (" + ", ".join(map("{}={}".format, "txuw", path)) + ")")
+
+    walk = _LevelWalk(nested)
     for what, ok, tail in (
         ("stages", lambda n: n == steps, f", expected {steps}"),
         ("states", lambda n: n == n_states, f", expected {n_states}"),
         ("control rows", lambda n: n <= u_max, f" exceed u_max={u_max}"),
         ("disturbance entries", lambda n: n == n_atoms, f", expected {n_atoms}"),
     ):
-        items = keep(items, _first_refused(lambda t: issubclass(t, (list, tuple)), type, items),
-                     lambda v, at: ModelError(
-                         f"dynamics table{at}: expected a list of {what}, got {v!r}"))
-        items = keep(items, _first_refused(ok, len, items),
-                     lambda v, at: ModelError(f"dynamics table{at}: {len(v)} {what}{tail}"))
-        levels.append(items)
-        items = list(chain.from_iterable(items))
+        walk.check(lambda t: issubclass(t, (list, tuple)), type, lambda v, p: ModelError(
+            f"dynamics table{at(p)}: expected a list of {what}, got {v!r}"))
+        walk.check(ok, len, lambda v, p: ModelError(
+            f"dynamics table{at(p)}: {len(v)} {what}{tail}"))
+        walk.descend()
     # the types _is_int accepts; ``true`` would otherwise convert to 1
-    items = keep(items, _first_refused(lambda t: t is int or issubclass(t, np.integer), type,
-                                       items),
-                 lambda v, at: ModelError(f"dynamics table entry {v!r}{at} is not an integer"))
+    walk.check(lambda t: t is int or issubclass(t, np.integer), type,
+               lambda v, p: ModelError(f"dynamics table entry {v!r}{at(p)} is not an integer"))
     try:
-        entries = np.fromiter(items, np.int64, len(items))
+        entries = np.fromiter(walk.items, np.int64, len(walk.items))
     except OverflowError:  # an entry past int64 is out of range: compare the ints themselves
-        entries = np.array(items, dtype=object)
+        entries = np.array(walk.items, dtype=object)
     out = (entries < -1) | (entries > n_states)
-    keep(items, int(out.argmax()) if out.any() else None,
-         lambda v, at: ModelError(f"dynamics table entry {v} out of range{at}"))
-    if fault is not None:
-        raise fault
-    n_rows = np.fromiter(map(len, levels[2]), np.int64, counts.size)
-    differ = n_rows != counts.ravel()  # checked once every level is whole
+    walk.cut(int(out.argmax()) if out.any() else None,
+             lambda v, p: ModelError(f"dynamics table entry {v} out of range{at(p)}"))
+    if walk.fault is not None:
+        raise walk.fault
+    n_rows = np.fromiter(map(len, walk.levels[2]), np.int64, counts.size)
+    differ = n_rows != counts.ravel()
     if differ.any():
         i = int(differ.argmax())
-        raise ModelError(f"dynamics table{where(2, i)}: {n_rows[i]} control rows, "
-                         f"expected {counts.flat[i]}")
-    return entries.reshape(len(levels[3]), n_atoms)
+        raise ModelError(f"dynamics table at (t={i // n_states}, x={i % n_states}): "
+                         f"{n_rows[i]} control rows, expected {counts.flat[i]}")
+    return entries.reshape(len(walk.levels[3]), n_atoms)
 
 
 @dataclass(frozen=True, eq=False)

@@ -154,6 +154,9 @@ class TestModelJson:
             (("dynamics", "mode"), "stochastic", "dynamics: unknown mode 'stochastic'"),
             (("constraints", "mode"), "ball", "constraints: unknown mode 'ball'"),
             (("states", "dim"), 2, "states: points of shape (3, 1) do not match dim 2"),
+            # of two faults, the one met first in file order is named
+            (("states", "points"), [[-1.0], ["zero"], [1.0, 2.0]],
+             "states.points: expected a number, got 'zero'"),
         ],
     )
     def test_malformed_fields_rejected(self, tmp_path, example_model, field, value, message):
@@ -272,6 +275,9 @@ class TestModelJson:
             ("box", ("constraints", "stationary", "upper", 0), "1" + "0" * 300, None),
             # the points of a one-coordinate space may be given flat
             ("example", ("states", "points"), "[-1.0, 0.0, 1.0]", None),
+            # a ragged row after a bad leaf: the leaf comes first in the file
+            ("example", ("controls", "lists"), '[[-1.0], ["1"], [1.0, 2.0]]',
+             "controls: expected a number, got '1'"),
         ],
     )
     def test_number_fields_read_strictly(self, tmp_path, model, keys, literal, message):

@@ -553,6 +553,52 @@ class TestEstimate:
         got = wilson_interval(np.int64(3), np.int32(7))
         assert got == wilson_interval(3, 7) and all(type(v) is float for v in got)
 
+    @pytest.mark.parametrize("z", [-1.96, 0, 0.0, math.nan, math.inf, True, "1.96",
+                                   pytest.param(10**400, id="1e400")])
+    def test_interval_z_must_be_a_finite_number_above_zero(self, z):
+        with pytest.raises(ModelError, match="^interval needs a finite z above 0, got "):
+            wilson_interval(5, 10, z)
+
+    def test_interval_takes_a_numpy_z(self):
+        got = wilson_interval(5, 10, np.float64(1.5))
+        assert got == wilson_interval(5, 10, 1.5) and all(type(v) is float for v in got)
+
+    @staticmethod
+    def _seeded_runs(model, fb, seed):
+        """Each Monte Carlo entry point run with ``seed``, its result made comparable."""
+        return {
+            "sample_scenario": lambda: sample_scenario(model.noise, 6, seed).draws.tolist(),
+            "simulate": lambda: simulate(model, fb, 1, seed).states.tolist(),
+            "simulate_batch": lambda: [a.tolist() for a in simulate_batch(model, fb, 1, 5, seed)],
+            "estimate_probability": lambda: estimate_probability(model, fb, 1, 300, seed),
+        }
+
+    @pytest.mark.parametrize("entry", ["sample_scenario", "simulate", "simulate_batch",
+                                       "estimate_probability"])
+    def test_numpy_integer_seeds_are_taken(self, example_model, entry):
+        fb = select_feedback(solve(example_model)[1])
+        got = self._seeded_runs(example_model, fb, np.int64(5))[entry]()
+        assert got == self._seeded_runs(example_model, fb, 5)[entry]()
+        if entry == "estimate_probability":
+            assert type(got.seed) is int
+
+    @pytest.mark.parametrize("seed", [2.0, True, "5"])
+    @pytest.mark.parametrize("entry", ["sample_scenario", "simulate", "simulate_batch",
+                                       "estimate_probability"])
+    def test_seeds_that_are_no_integers_are_refused(self, example_model, entry, seed):
+        fb = select_feedback(solve(example_model)[1])
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ModelError, match=message):
+            self._seeded_runs(example_model, fb, seed)[entry]()
+
+    def test_seeds_fold_into_64_bits(self, example_model):
+        fb = select_feedback(solve(example_model)[1])
+        for a, b in ((-1, 2**64 - 1), (2**64 + 5, 5), (np.int64(-1), 2**64 - 1)):
+            assert np.array_equal(simulate(example_model, fb, 1, a).states,
+                                  simulate(example_model, fb, 1, b).states)
+            assert (estimate_probability(example_model, fb, 1, 300, a).mean
+                    == estimate_probability(example_model, fb, 1, 300, b).mean)
+
 
 class TestKnownAnswers:
     """Pin the random stream across versions, not only within one run."""

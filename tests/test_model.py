@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from stochviab.dp import solve
 from stochviab.expr import parse
-from stochviab.io import model_from_dict, model_to_dict
+from stochviab.io import load_model, model_from_dict, model_to_dict, save_model
 from stochviab.model import (
     ConstraintSets,
     ControlMap,
@@ -32,6 +32,25 @@ def test_time_grid_rejects_empty_horizon():
     with pytest.raises(ModelError):
         TimeGrid(3, 3)
     assert TimeGrid(0, 40).steps == 40
+
+
+@pytest.mark.parametrize("t0,T,message", [
+    (0, 2.5, "T=2.5"), (0.0, 3, "t0=0.0"), (True, 3, "t0=True"), (0, "3", "T='3'"),
+])
+def test_time_grid_takes_only_integer_stages(t0, T, message):
+    with pytest.raises(ModelError, match=f"^TimeGrid stages must be integers, got {message}$"):
+        TimeGrid(t0, T)
+
+
+def test_numpy_integer_stages_are_stored_as_ints(tmp_path):
+    grid = TimeGrid(np.int64(0), np.int64(3))
+    assert grid == TimeGrid(0, 3) and type(grid.t0) is int and type(grid.T) is int
+    m = make_three_state_example(0.01, np.int64(0), np.int64(3))
+    save_model(m, tmp_path / "m.json")
+    assert model_to_dict(m)["time"] == {"t0": 0, "T": 3}
+    back = load_model(tmp_path / "m.json")
+    assert back.time == TimeGrid(0, 3)
+    assert np.array_equal(solve(back)[0].table, solve(m)[0].table)
 
 
 class TestProjectToGrid:
