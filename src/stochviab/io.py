@@ -31,6 +31,7 @@ from .model import (
     TableDynamics,
     TimeGrid,
     _first_refused,
+    _is_number,
     _LevelWalk,
 )
 
@@ -149,12 +150,6 @@ def _int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ModelFormatError(f"{where}: expected an integer, got {value!r}")
     return value
-
-
-def _is_number(t: type) -> bool:
-    """Whether ``t`` is a type of number: ``int`` or ``float``, not ``bool``
-    or ``str``, which ``np.asarray`` would convert too."""
-    return t is int or t is float or issubclass(t, (np.integer, np.floating))
 
 
 def _floats(value, where: str) -> np.ndarray:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import statistics
 import sys
 from dataclasses import dataclass
 
@@ -59,7 +58,8 @@ __all__ = [
 # state and temporaries stay in cache.
 _BLOCK = 1 << 14
 
-Z95 = statistics.NormalDist().inv_cdf(0.975)
+# statistics.NormalDist().inv_cdf(0.975), the two-sided 95 % normal quantile
+Z95 = 1.9599639845400536
 
 
 @dataclass(frozen=True, eq=False)

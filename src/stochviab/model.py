@@ -96,7 +96,7 @@ class StateSpace:
     points: np.ndarray  # (m, dim) float64
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = _as_floats(self.points, "StateSpace points")
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
@@ -171,6 +171,8 @@ def _check_index(t, t0: int, last: int, x=0, sink: int = 0) -> tuple[int, int]:
 # Rows of points projected per chunk, so that each temporary holds at most
 # about this many doubles.
 _PROJECT_CHUNK = 1 << 17
+# The offsets of a coordinate's two neighbour ranks from its insertion point.
+_SIDES = np.array([[-1], [0]])
 
 
 def project_to_grid(states: StateSpace, point) -> Union[int, np.ndarray]:
@@ -183,8 +185,8 @@ def project_to_grid(states: StateSpace, point) -> Union[int, np.ndarray]:
     a non-finite point raises :class:`ModelError`.
 
     Only the ``2**dim`` points built from the values either side of each
-    coordinate are measured, as any other value is ``min_spacing`` or more
-    away.
+    coordinate are measured (any other is ``min_spacing`` or more away),
+    candidate-major, and with no key search where the grid holds every key.
     """
     pts = np.asarray(point, dtype=np.float64)
     single, pts = pts.ndim < 2, np.atleast_2d(pts)
@@ -192,7 +194,8 @@ def project_to_grid(states: StateSpace, point) -> Union[int, np.ndarray]:
         raise ModelError(f"expected a point or an (N, dim) array, got shape {pts.shape}")
     if pts.shape[1] != states.dim:
         raise ModelError(f"point has dimension {pts.shape[1]}, state space has {states.dim}")
-    if not all(-np.inf < v[0] and v[-1] < np.inf for v in states._index[0]):  # NaN last
+    axes, keys, first = states._index
+    if not all(-np.inf < v[0] and v[-1] < np.inf for v in axes):  # NaN last
         raise ModelError("StateSpace: grid points must be finite")
     m, half, grid = states.n_points, states.min_spacing / 2.0, states.points
     out = np.empty(pts.shape[0], dtype=np.int64)
@@ -210,25 +213,24 @@ def project_to_grid(states: StateSpace, point) -> Union[int, np.ndarray]:
         step = max(1, _PROJECT_CHUNK // ((2 ** states.dim if narrow else m) * max(1, states.dim)))
         for lo in range(0, pts.shape[0], step):
             chunk = pts[lo : lo + step]
-            cand = _neighbours(states, chunk) if narrow else np.arange(m)[None, :]
+            if not narrow:
+                cand = np.arange(m)[:, None]
+            else:  # the candidates' codes, axis by axis, then each code's first point
+                cand, count = np.zeros((1, len(chunk)), dtype=np.int64), 1
+                for p, vals, known in zip(chunk.T, axes, (None,) + keys):
+                    r = np.minimum(np.maximum(np.searchsorted(vals, p) + _SIDES, 0), vals.size - 1)
+                    cand = ((cand * vals.size)[:, None] + r).reshape(-1, p.size)
+                    if known is not None and known.size != count * vals.size:  # not every key
+                        # a point's keys side by side, in ascending order: numpy's fastest search
+                        cand = np.minimum(np.searchsorted(known, cand.T).T, known.size - 1)
+                    count = vals.size if known is None else known.size
+                cand = first.take(cand)
             # np.sum((points - p) ** 2, axis=1) for each row p, in numpy's order
-            d2 = np.sum((grid[cand] - chunk[:, None, :]) ** 2, axis=-1)
-            best = d2.min(axis=1)
-            i = np.where(d2 == best[:, None], cand, m).min(axis=1)  # the smallest index
+            d2 = np.sum((grid.take(cand, axis=0) - chunk) ** 2, axis=-1)
+            best = d2.min(axis=0)
+            i = np.where(d2 == best, cand, m).min(axis=0)  # the smallest index
             out[lo : lo + step] = np.where(best <= half * half, i, m)
     return int(out[0]) if single else out
-
-
-def _neighbours(states: StateSpace, pts: np.ndarray) -> np.ndarray:
-    """``(N, 2**dim)`` point indices: for each row of ``pts``, the grid points
-    whose every coordinate is one of the two values either side of the row's
-    (both the end value at an end), and other points for combinations not held."""
-    code = np.zeros((pts.shape[0], 1), dtype=np.int64)
-    for p, vals, known in zip(pts.T, states._index[0], (None,) + states._index[1]):
-        r = np.minimum(np.maximum(np.searchsorted(vals, p)[:, None] + [-1, 0], 0), vals.size - 1)
-        key = ((code * vals.size)[:, :, None] + r[:, None, :]).reshape(p.size, -1)
-        code = key if known is None else np.minimum(np.searchsorted(known, key), known.size - 1)
-    return states._index[2][code]
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,7 +314,7 @@ def _is_int(value) -> bool:
 
 
 def _as_vector_list(entry, what: str) -> np.ndarray:
-    arr = np.asarray(entry, dtype=np.float64)
+    arr = _as_floats(entry, what)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
@@ -329,7 +331,7 @@ class DisturbanceLaw:
 
     def __post_init__(self):
         sup = _as_vector_list(self.support, "noise support")
-        probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
+        probs = _as_floats(self.probs, "noise probabilities").reshape(-1)
         if probs.shape[0] != sup.shape[0]:
             raise ModelError(
                 f"noise: {sup.shape[0]} support atoms but {probs.shape[0]} probabilities"
@@ -390,6 +392,30 @@ class TableDynamics:
         rows[rows == -1] = sink
         table[:, :n_states][listed] = rows
         return cls(table)
+
+
+def _is_number(t: type) -> bool:
+    """Whether ``t`` is a type of number: ``int`` or ``float``, not ``bool``
+    or ``str``, which ``np.asarray`` would convert too."""
+    return t is int or t is float or issubclass(t, (np.integer, np.floating))
+
+
+def _as_floats(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array, if it holds numbers only (:func:`_is_number`): an
+    array by its dtype, unless it holds objects, and nested lists (with any arrays in
+    them) entry by entry."""
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        if not _is_number(value.dtype.type):
+            raise ModelError(f"{what}: expected a number, got an array of dtype {value.dtype}")
+        return np.asarray(value, dtype=np.float64)
+    walk = _LevelWalk(value)
+    while walk.items and all(isinstance(v, (list, tuple)) or getattr(v, "ndim", 0)
+                             for v in walk.items):
+        walk.descend()
+    walk.check(_is_number, type, lambda v, at: ModelError(f"{what}: expected a number, got {v!r}"))
+    if walk.fault is not None:
+        raise walk.fault
+    return np.asarray(value, dtype=np.float64)
 
 
 def _first_refused(ok, key, *items):
@@ -549,8 +575,8 @@ def _normalize_constraint_payload(kind: str, payload):
             raise ModelError(f"set constraint: state index {bad[0]!r} is not an integer")
         return tuple(sorted({int(i) for i in payload}))
     lower, upper = payload
-    lo = np.asarray(lower, dtype=np.float64).reshape(-1)
-    hi = np.asarray(upper, dtype=np.float64).reshape(-1)
+    lo = _as_floats(lower, "box constraint").reshape(-1)
+    hi = _as_floats(upper, "box constraint").reshape(-1)
     if lo.shape != hi.shape:
         raise ModelError("box constraint: lower/upper must have equal length")
     return (lo, hi)

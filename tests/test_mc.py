@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -452,6 +453,9 @@ class TestEstimate:
         assert lo == pytest.approx(0.0, abs=1e-12) and hi < 0.28
         lo, hi = wilson_interval(10, 10)
         assert hi == 1.0 and lo > 0.72
+
+    def test_z95_is_the_normal_quantile(self):
+        assert mc.Z95 == statistics.NormalDist().inv_cdf(0.975)
 
     def test_interval_is_plain_floats(self, example_model):
         assert all(type(v) is float for v in wilson_interval(3, 7))

@@ -620,3 +620,42 @@ def test_one_stationary_constraint_fault_over_ten_thousand_stages():
     assert time.perf_counter() - start < 1.0
     assert out == ["ConstraintSets: stage index 0..10000 references invalid state indices "
                    "[1000] (the sink is never a member)"]
+
+
+# numeric strings and bools, which np.asarray would convert, are refused as the
+# model file refuses them; a numeric array is checked by its dtype
+def test_state_space_takes_only_numbers():
+    with pytest.raises(ModelError, match="^StateSpace points: expected a number, got '1'$"):
+        StateSpace([["1"], [True]])
+    with pytest.raises(ModelError, match="^StateSpace points: expected a number, got True$"):
+        StateSpace([[0.0], [True]])
+    with pytest.raises(ModelError, match="got an array of dtype bool$"):
+        StateSpace(np.array([[True], [False]]))
+    assert StateSpace([[1, np.float32(2.5)], [np.int8(3), 4.0]]).points.tolist() == [
+        [1.0, 2.5], [3.0, 4.0]]
+
+
+def test_disturbance_law_takes_only_numbers():
+    with pytest.raises(ModelError, match="^noise support: expected a number, got '0'$"):
+        DisturbanceLaw([["0"], [True]], ["0.5", True])
+    with pytest.raises(ModelError, match="^noise probabilities: expected a number, got '0.5'$"):
+        DisturbanceLaw([[0.0], [1.0]], ["0.5", True])
+    with pytest.raises(ModelError, match="^noise probabilities: expected a number, got True$"):
+        DisturbanceLaw([[0.0], [1.0]], [0.5, True])
+    assert DisturbanceLaw(np.arange(2)[:, None], np.array([1, 0])).probs.tolist() == [1.0, 0.0]
+
+
+def test_control_map_takes_only_numbers():
+    with pytest.raises(ModelError, match="^controls: expected a number, got '1'$"):
+        ControlMap.shared([["1"], [True]], 2)
+    with pytest.raises(ModelError, match="^controls: expected a number, got False$"):
+        ControlMap.per_state([[[1.0]], [[False]]], 2)
+    with pytest.raises(ModelError, match="^controls: expected a number, got an array of dtype <U"):
+        ControlMap.per_stage_state([[np.array(["1"]), [[1.0]]]], 2)
+
+
+def test_box_constraints_take_only_numbers():
+    with pytest.raises(ModelError, match="^box constraint: expected a number, got '0'$"):
+        ConstraintSets("box", stationary=(["0"], [True]))
+    with pytest.raises(ModelError, match="^box constraint: expected a number, got True$"):
+        ConstraintSets("box", per_stage=[([0.0], [1.0]), ([0.0], [True])])

@@ -72,6 +72,17 @@ def test_oracle_loads_no_monte_carlo(tmp_path):
     assert "stochviab.closed_form" in loaded and "stochviab.mc" not in loaded
 
 
+@pytest.mark.parametrize("command", [
+    ["estimate", "--x0", "1", "--samples", "100", "--seed", "7"],
+    ["simulate", "--x0", "1", "--samples", "9", "--seed", "11", "--out", "t.csv"],
+])
+def test_monte_carlo_loads_no_statistics(example_file, tmp_path, command):
+    code = ("from stochviab import cli\n"
+            f"assert cli.main({command[:1] + ['--model', str(example_file)] + command[1:]!r}) == 0")
+    loaded = loaded_after(code, tmp_path)
+    assert "stochviab.mc" in loaded and "statistics" not in loaded
+
+
 @pytest.mark.parametrize("name", stochviab.__all__)
 def test_public_name_is_its_home_modules_object(name):
     home, attr = stochviab._SOURCES[name]

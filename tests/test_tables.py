@@ -296,6 +296,63 @@ def test_projection_equals_a_scan_of_every_point(case):
     assert got.tolist() == want
 
 
+
+def _uneven_axis(rng, n: int) -> np.ndarray:
+    """``n`` values whose gaps are 2, 3 or 4 eighths, the smallest at least
+    twice, so that midpoints of the smallest gaps are exact ties."""
+    gaps = rng.choice([2, 3, 4], size=n - 1)
+    gaps[[0, n // 2]] = 2
+    return np.concatenate([[0.0], np.cumsum(gaps)]) / 8.0 - 3.0
+
+
+def _queries_across_chunks(axes, rng, rows: int) -> np.ndarray:
+    """``rows`` rows drawn from 4000 distinct ones.  Each coordinate of a distinct
+    row is an axis value (an exact hit), the midpoint of two neighbouring values
+    (a tie where their gap is the smallest), a quarter point, or far off the axis."""
+    choices = []
+    for v in axes:
+        far = [v[0] - 50.0, v[-1] + 50.0, np.inf, -np.inf, np.nan]
+        choices.append(np.concatenate([v, (v[:-1] + v[1:]) / 2.0, v[:-1] + np.diff(v) / 4.0, far]))
+    distinct = np.stack([rng.choice(c, size=4000) for c in choices], axis=-1)
+    distinct[: len(distinct) // 4] = rng.choice(axes[0], size=(len(distinct) // 4, len(axes)))
+    return distinct[rng.integers(0, len(distinct), size=rows)]
+
+
+def _tensor_grid(axes, rng, drop=None) -> StateSpace:
+    """The product of ``axes`` in shuffled row order, without its point
+    ``drop`` in lexicographic order, if given."""
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    if drop is not None:
+        points = np.delete(points, drop, axis=0)
+    return StateSpace(points[rng.permutation(len(points))])
+
+
+def _assert_projects_as_the_reference(states: StateSpace, points: np.ndarray) -> None:
+    distinct, inverse = np.unique(points, axis=0, return_inverse=True)
+    want = np.array([reference_project(states, p) for p in distinct])
+    assert project_to_grid(states, points).tolist() == want[inverse.reshape(-1)].tolist()
+
+
+@pytest.mark.parametrize("drop", [None, -1, 0, 41 * 20 + 17],
+                         ids=["full", "no-last", "no-first", "no-middle"])
+def test_projection_on_a_41_by_41_tensor_grid_across_chunks(drop):
+    """More than three chunks of 16 384 rows on a full tensor grid, where the
+    key search is skipped, and on the grid one point short, where it is not:
+    there every key but one is held, and the last key is one below the count."""
+    rng = np.random.default_rng(41)
+    axes = [_uneven_axis(rng, 41), _uneven_axis(rng, 41)]
+    states = _tensor_grid(axes, rng, drop)
+    assert len(states._index[2]) == 41 * 41 - (drop is not None)
+    _assert_projects_as_the_reference(states, _queries_across_chunks(axes, rng, 50_000))
+
+
+def test_projection_on_a_5_by_5_by_5_tensor_grid_without_its_last_point():
+    rng = np.random.default_rng(5)
+    axes = [_uneven_axis(rng, 5) for _ in range(3)]
+    states = _tensor_grid(axes, rng, drop=-1)
+    _assert_projects_as_the_reference(states, _queries_across_chunks(axes, rng, 20_000))
+
+
 def _expr_model(sources, T: int = 1, points=((0.0,), (1.0,), (2.0,)), atoms=(0.0,)) -> Model:
     """Dynamics ``sources`` under one control 0 and equally likely ``atoms``."""
     states = StateSpace(np.array(points, dtype=np.float64))
