@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ModelError
+from .model import ModelError, _check_beta, _check_p
 
 __all__ = ["KernelShape", "example_matrix", "matrix_value", "kernel_closed_form"]
 
@@ -57,8 +57,7 @@ class KernelShape(Enum):
 
 
 def example_matrix(p: float) -> np.ndarray:
-    if not (0.0 < p < 0.5):
-        raise ModelError(f"p must lie in (0, 1/2), got {p}")
+    _check_p(p)
     q = 1.0 - 2.0 * p
     return np.array([[p, q, p], [q, p, 0.0], [p, q, p]])
 
@@ -82,8 +81,7 @@ def matrix_value(p: float, T: int, t: int, x: int) -> float:
 
 def kernel_closed_form(p: float, T: int, t: int, beta: float) -> KernelShape:
     """Which of the three kernel shapes holds at stage ``t`` and level ``beta``."""
-    if not (0.0 < beta <= 1.0):
-        raise ModelError(f"beta must lie in (0, 1], got {beta}")
+    _check_beta(beta)
     if t > T:
         raise ModelError(f"stage t={t} exceeds horizon T={T}")
     v = _power_times_ones(p, T - t)

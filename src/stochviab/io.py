@@ -30,9 +30,9 @@ from .model import (
     StateSpace,
     TableDynamics,
     TimeGrid,
+    _as_floats,
     _first_refused,
-    _is_number,
-    _LevelWalk,
+    _is_int,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -147,31 +147,9 @@ def _require_keys(obj: dict, where: str, required: set[str], optional: set[str] 
 
 
 def _int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ModelFormatError(f"{where}: expected an integer, got {value!r}")
     return value
-
-
-def _floats(value, where: str) -> np.ndarray:
-    """``value`` as a float64 array, if it is numbers in lists of equal length; a
-    :class:`~stochviab.model._LevelWalk` goes down while a level is all lists and raises
-    the first fault (a row of a length unlike its level's first, a leaf not a number)."""
-    walk = _LevelWalk(value)
-    while walk.items and all(isinstance(v, (list, tuple)) for v in walk.items):
-        n = len(walk.items[0])
-        walk.check(n.__eq__, len, lambda v, at: ModelFormatError(
-            f"{where}: row {''.join(map('[{}]'.format, at))} has {len(v)} entries, "
-            f"row {'[0]' * len(at)} has {n}"))
-        walk.descend()
-    walk.check(_is_number, type,
-               lambda v, at: ModelFormatError(f"{where}: expected a number, got {v!r}"))
-    if walk.fault is not None:
-        raise walk.fault
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except OverflowError:  # numbers in even rows: the largest is an integer past a double
-        raise ModelFormatError(f"{where}: integer of {len(str(abs(max(walk.items, key=abs))))} "
-                               "digits is past the range of a double") from None
 
 
 def model_from_dict(doc: dict) -> Model:
@@ -182,7 +160,7 @@ def model_from_dict(doc: dict) -> Model:
 
     _require_keys(doc["states"], "states", {"dim", "points"})
     dim = _int(doc["states"]["dim"], "states.dim")
-    points = _floats(doc["states"]["points"], "states.points")
+    points = _as_floats(doc["states"]["points"], "states.points", ModelFormatError)
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2 or points.shape[1] != dim:
@@ -192,20 +170,20 @@ def model_from_dict(doc: dict) -> Model:
     _require_keys(doc["controls"], "controls", {"mode", "lists"})
     cmode, lists = doc["controls"]["mode"], doc["controls"]["lists"]
     if cmode == "shared":
-        controls = ControlMap.shared(_floats(lists, "controls"), states.n_points)
+        controls = ControlMap.shared(_as_floats(lists, "controls", ModelFormatError),
+                                     states.n_points)
     elif cmode == "per_state":
         if not isinstance(lists, list):
             raise ModelFormatError("controls: per_state lists must be a list")
-        controls = ControlMap.per_state(
-            [_floats(lst, f"controls list {x}") for x, lst in enumerate(lists)], states.n_points
-        )
+        controls = ControlMap.per_state([_as_floats(lst, f"controls list {x}", ModelFormatError)
+                                         for x, lst in enumerate(lists)], states.n_points)
     else:
         raise ModelFormatError(f"controls: unknown mode {cmode!r}")
 
     _require_keys(doc["noise"], "noise", {"support", "probs"})
     noise = DisturbanceLaw(
-        _floats(doc["noise"]["support"], "noise.support"),
-        _floats(doc["noise"]["probs"], "noise.probs"),
+        _as_floats(doc["noise"]["support"], "noise.support", ModelFormatError),
+        _as_floats(doc["noise"]["probs"], "noise.probs", ModelFormatError),
     )
 
     _require_keys(doc["dynamics"], "dynamics", {"mode", "body"})
@@ -236,8 +214,7 @@ def _constraints_from_dict(doc: dict) -> ConstraintSets:
     if mode not in ("set", "box"):
         raise ModelFormatError(f"constraints: unknown mode {mode!r}")
     has_stat = "stationary" in doc
-    has_per = "per_stage" in doc
-    if has_stat == has_per:
+    if has_stat == ("per_stage" in doc):
         raise ModelFormatError("constraints: exactly one of stationary/per_stage required")
 
     def to_payload(entry, where: str):
@@ -246,8 +223,8 @@ def _constraints_from_dict(doc: dict) -> ConstraintSets:
                 raise ModelFormatError(f"{where}: expected a list of state indices")
             return [_int(i, f"{where}[{j}]") for j, i in enumerate(entry)]
         _require_keys(entry, where, {"lower", "upper"})
-        return (_floats(entry["lower"], f"{where}.lower"),
-                _floats(entry["upper"], f"{where}.upper"))
+        return (_as_floats(entry["lower"], f"{where}.lower", ModelFormatError),
+                _as_floats(entry["upper"], f"{where}.upper", ModelFormatError))
 
     if has_stat:
         payload = to_payload(doc["stationary"], "constraints.stationary")

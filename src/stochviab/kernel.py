@@ -16,7 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .dp import ArgmaxPolicy, PolicyError, ValueFunction, _policy_choice_array, evaluate_policy
-from .model import Model, ModelError, _check_index, _check_x0, _is_int
+from .model import Model, ModelError, _as_array, _check_beta, _check_index, _check_x0, _is_int
 
 __all__ = [
     "KernelSlice",
@@ -38,11 +38,6 @@ class KernelSlice:
     members: tuple[int, ...]
 
 
-def _check_beta(beta: float) -> None:
-    if not (0.0 < beta <= 1.0):
-        raise ModelError(f"beta must lie in (0, 1], got {beta}")
-
-
 def kernel_slice(valuefn: ValueFunction, t: int, beta: float) -> KernelSlice:
     """Level section {x : V(t, x) >= beta}; the sink is never a member."""
     _check_beta(beta)
@@ -57,8 +52,8 @@ class FeedbackPolicy:
 
     ``choice[k, x]`` indexes the admissible control list at ``(t0 + k, x)``;
     the sink row is a dummy.  Instances are immutable and safe to share.
-    A ``choice`` that is not a 2-D integer array is refused; the policy
-    holds an int64 copy of it.
+    A ``choice`` that is not a 2-D integer array, or lists in rows of unequal
+    length, is refused; the policy holds an int64 copy of it.
     """
 
     t0: int
@@ -66,7 +61,7 @@ class FeedbackPolicy:
     choice: np.ndarray  # int64 (steps, m + 1)
 
     def __post_init__(self) -> None:
-        choice = np.asarray(self.choice)
+        choice = _as_array(self.choice, "control slots", PolicyError)
         if choice.dtype.kind not in "iu":
             raise PolicyError(f"control slots of dtype {choice.dtype} are not integers")
         if choice.ndim != 2:

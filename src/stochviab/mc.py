@@ -41,7 +41,7 @@ import numpy as np
 from . import _rng
 from .dp import TABLE_BYTES_GUARD, _policy_choice_array, _policy_successors
 from .kernel import FeedbackPolicy
-from .model import DisturbanceLaw, Model, ModelError, _check_x0, _is_int, _shown
+from .model import DisturbanceLaw, Model, ModelError, _check_x0, _is_int, _is_number, _shown
 
 __all__ = [
     "Scenario",
@@ -103,7 +103,7 @@ def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, floa
         raise ModelError("interval needs at least one sample")
     if not (_is_int(successes) and 0 <= successes <= n):
         raise ModelError(f"successes must be an integer in 0..{n}, got {_shown(successes)}")
-    if not ((_is_int(z) or isinstance(z, (float, np.floating))) and 0 < z <= sys.float_info.max):
+    if not (_is_number(type(z)) and 0 < z <= sys.float_info.max):
         raise ModelError(f"interval needs a finite z above 0, got {_shown(z)}")
     successes, n, z = int(successes), int(n), float(z)
     phat = successes / n

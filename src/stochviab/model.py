@@ -157,6 +157,18 @@ def _check_x0(m: int, x0: int) -> int:
     return int(x0)
 
 
+def _check_beta(beta) -> None:
+    """Refuse a ``beta`` that is not a number in (0, 1]."""
+    if not (_is_number(type(beta)) and 0.0 < beta <= 1.0):
+        raise ModelError(f"beta must lie in (0, 1], got {_shown(beta)}")
+
+
+def _check_p(p) -> None:
+    """Refuse a ``p`` that is not a number in (0, 1/2), the three-state example's exit weight."""
+    if not (_is_number(type(p)) and 0.0 < p < 0.5):
+        raise ModelError(f"p must lie in (0, 1/2), got {_shown(p)}")
+
+
 def _check_index(t, t0: int, last: int, x=0, sink: int = 0) -> tuple[int, int]:
     """``(t - t0, x)`` as ints, if ``t`` is an integer stage in ``t0..last``
     and ``x`` an integer state in ``0..sink``, the sink included."""
@@ -364,10 +376,12 @@ class TableDynamics:
     table: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.table, dtype=np.int64)
+        arr = _as_array(self.table, "dynamics table")
         if arr.ndim != 4:
             raise ModelError(f"dynamics table must be 4-d, got shape {arr.shape}")
-        object.__setattr__(self, "table", arr)
+        if arr.dtype.kind not in "iu":  # floats, strings and bools, which a cast would take
+            raise ModelError(f"dynamics table entries of dtype {arr.dtype} are not integers")
+        object.__setattr__(self, "table", arr.astype(np.int64, copy=False))
 
     @classmethod
     def from_nested(cls, nested, n_states: int, counts, n_atoms: int, steps: int
@@ -400,22 +414,40 @@ def _is_number(t: type) -> bool:
     return t is int or t is float or issubclass(t, (np.integer, np.floating))
 
 
-def _as_floats(value, what: str) -> np.ndarray:
+def _as_floats(value, what: str, error=ModelError) -> np.ndarray:
     """``value`` as a float64 array, if it holds numbers only (:func:`_is_number`): an
-    array by its dtype, unless it holds objects, and nested lists (with any arrays in
-    them) entry by entry."""
+    array by its dtype, unless it holds objects, and nested lists (with any arrays in them)
+    by a :class:`_LevelWalk`, which raises ``error`` for the first fault (a row of a length
+    unlike its level's first, a leaf not a number).  The model parts' constructors and
+    ``io.model_from_dict`` call it, each with its own ``what`` and ``error``."""
     if isinstance(value, np.ndarray) and value.dtype != object:
         if not _is_number(value.dtype.type):
-            raise ModelError(f"{what}: expected a number, got an array of dtype {value.dtype}")
+            raise error(f"{what}: expected a number, got an array of dtype {value.dtype}")
         return np.asarray(value, dtype=np.float64)
     walk = _LevelWalk(value)
     while walk.items and all(isinstance(v, (list, tuple)) or getattr(v, "ndim", 0)
                              for v in walk.items):
+        n = len(walk.items[0])
+        walk.check(n.__eq__, len, lambda v, at: error(
+            f"{what}: row {''.join(map('[{}]'.format, at))} has {len(v)} entries, "
+            f"row {'[0]' * len(at)} has {n}"))
         walk.descend()
-    walk.check(_is_number, type, lambda v, at: ModelError(f"{what}: expected a number, got {v!r}"))
+    walk.check(_is_number, type, lambda v, at: error(f"{what}: expected a number, got {v!r}"))
     if walk.fault is not None:
         raise walk.fault
-    return np.asarray(value, dtype=np.float64)
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except OverflowError:  # numbers in even rows: the largest is an integer past a double
+        digits = len(str(abs(max(filter(_is_int, walk.items), key=abs))))
+        raise error(f"{what}: integer of {digits} digits is past the range of a double") from None
+
+
+def _as_array(value, what: str, error=ModelError) -> np.ndarray:
+    """``np.asarray(value)``; nested lists in rows of unequal length raise ``error``."""
+    try:
+        return np.asarray(value)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise error(f"{what}: rows of unequal length") from None
 
 
 def _first_refused(ok, key, *items):
@@ -745,16 +777,13 @@ def make_three_state_example(p: float, t0: int = 0, T: int = 40) -> Model:
     the sink.  This model has a closed-form value function and kernel, see
     :mod:`stochviab.closed_form`.
     """
-    if not (0.0 < p < 0.5):
-        raise ModelError(f"p must lie in (0, 1/2), got {p}")
+    _check_p(p)
     states = StateSpace(np.array([[-1.0], [0.0], [1.0]]))
     return Model(
         time=TimeGrid(t0, T),
         states=states,
         controls=ControlMap.shared(np.array([[-1.0], [1.0]]), states.n_points),
-        noise=DisturbanceLaw(
-            np.array([[-1.0], [0.0], [1.0]]), np.array([p, 1.0 - 2.0 * p, p])
-        ),
+        noise=DisturbanceLaw(np.array([[-1.0], [0.0], [1.0]]), np.array([p, 1.0 - 2.0 * p, p])),
         dynamics=ExprDynamics(("x + u + w",)),
         constraints=ConstraintSets("set", stationary=(0, 1, 2)),
     )

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochviab.dp import solve
+from stochviab.closed_form import example_matrix, kernel_closed_form
+from stochviab.dp import PolicyError, solve
 from stochviab.expr import parse
 from stochviab.io import load_model, model_from_dict, model_to_dict, save_model
+from stochviab.kernel import FeedbackPolicy, kernel_slice, select_feedback, viable_feedback_check
 from stochviab.model import (
     ConstraintSets,
     ControlMap,
@@ -659,3 +661,61 @@ def test_box_constraints_take_only_numbers():
         ConstraintSets("box", stationary=(["0"], [True]))
     with pytest.raises(ModelError, match="^box constraint: expected a number, got True$"):
         ConstraintSets("box", per_stage=[([0.0], [1.0]), ([0.0], [True])])
+
+
+def _feedback_check_at(beta):
+    """``viable_feedback_check`` of the example's own feedback at level ``beta``."""
+    model = make_three_state_example(0.01, 0, 3)
+    vf, argmax = solve(model)
+    return viable_feedback_check(model, vf, select_feedback(argmax), 0, 1, beta)
+
+
+_RAGGED, _HUGE = [[0.0], [0.0, 1.0]], 10**400
+_DIGITS = "integer of 401 digits is past the range of a double"
+
+
+# each check has one home, so the constructors and entry points refuse what the
+# model file refuses, with the same words under their own labels
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: StateSpace(_RAGGED), ModelError,
+     "StateSpace points: row [1] has 2 entries, row [0] has 1"),
+    (lambda: StateSpace([[_HUGE]]), ModelError, f"StateSpace points: {_DIGITS}"),
+    (lambda: ControlMap.shared(_RAGGED, 2), ModelError,
+     "controls: row [1] has 2 entries, row [0] has 1"),
+    (lambda: ControlMap.shared([[_HUGE]], 2), ModelError, f"controls: {_DIGITS}"),
+    (lambda: DisturbanceLaw(_RAGGED, [0.5, 0.5]), ModelError,
+     "noise support: row [1] has 2 entries, row [0] has 1"),
+    (lambda: DisturbanceLaw([[0.0], [_HUGE]], [0.5, 0.5]), ModelError,
+     f"noise support: {_DIGITS}"),
+    (lambda: ConstraintSets("box", stationary=(_RAGGED, [1.0])), ModelError,
+     "box constraint: row [1] has 2 entries, row [0] has 1"),
+    (lambda: ConstraintSets("box", stationary=([0.0], [_HUGE])), ModelError,
+     f"box constraint: {_DIGITS}"),
+    (lambda: TableDynamics(np.full((1, 4, 1, 1), 1.9)), ModelError,
+     "dynamics table entries of dtype float64 are not integers"),
+    (lambda: TableDynamics([[[["1"]]]]), ModelError,
+     "dynamics table entries of dtype <U1 are not integers"),
+    (lambda: TableDynamics([[[[True]]]]), ModelError,
+     "dynamics table entries of dtype bool are not integers"),
+    (lambda: TableDynamics([[[[10**30]]]]), ModelError,
+     "dynamics table entries of dtype object are not integers"),
+    (lambda: TableDynamics([[[[1]], [[1, 2]]]]), ModelError,
+     "dynamics table: rows of unequal length"),
+    (lambda: FeedbackPolicy(0, 1, [[0, 1], [0]]), PolicyError,
+     "control slots: rows of unequal length"),
+    (lambda: kernel_slice(solve(make_three_state_example(0.01, 0, 3))[0], 0, True), ModelError,
+     "beta must lie in (0, 1], got True"),
+    (lambda: kernel_slice(solve(make_three_state_example(0.01, 0, 3))[0], 0, "0.5"), ModelError,
+     "beta must lie in (0, 1], got '0.5'"),
+    (lambda: _feedback_check_at(True), ModelError, "beta must lie in (0, 1], got True"),
+    (lambda: _feedback_check_at("0.5"), ModelError, "beta must lie in (0, 1], got '0.5'"),
+    (lambda: kernel_closed_form(0.01, 40, 39, True), ModelError,
+     "beta must lie in (0, 1], got True"),
+    (lambda: kernel_closed_form(0.01, 40, 39, "0.5"), ModelError,
+     "beta must lie in (0, 1], got '0.5'"),
+    (lambda: make_three_state_example("0.1"), ModelError, "p must lie in (0, 1/2), got '0.1'"),
+    (lambda: example_matrix("0.1"), ModelError, "p must lie in (0, 1/2), got '0.1'"),
+])
+def test_input_refused_as_the_model_file_refuses_it(build, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        build()
