@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ModelError, _check_beta, _check_p
+from .model import ModelError, _check_beta, _check_p, _is_int, _shown
 
 __all__ = ["KernelShape", "example_matrix", "matrix_value", "kernel_closed_form"]
 
@@ -70,21 +70,34 @@ def _power_times_ones(p: float, k: int) -> np.ndarray:
     return power @ np.ones(3)
 
 
-def matrix_value(p: float, T: int, t: int, x: int) -> float:
-    """Value at stage ``t`` and coordinate ``x``; 0 outside {-1, 0, 1}."""
+def _steps(T: int, t: int) -> int:
+    """``T - t``, if the stage ``t`` and the horizon ``T`` are integers with ``t <= T``."""
+    if not (_is_int(t) and _is_int(T)):
+        raise ModelError(
+            f"stage t and horizon T must be integers, got t={_shown(t)}, T={_shown(T)}")
     if t > T:
         raise ModelError(f"stage t={t} exceeds horizon T={T}")
+    return int(T) - int(t)
+
+
+def matrix_value(p: float, T: int, t: int, x: int) -> float:
+    """Value at stage ``t`` and integer coordinate ``x``; 0 outside {-1, 0, 1}.
+    ``p`` is checked first, then the stage, then ``x``."""
+    _check_p(p)
+    k = _steps(T, t)
+    if not _is_int(x):
+        raise ModelError(f"x must be an integer coordinate, got {_shown(x)}")
     if x not in (-1, 0, 1):
         return 0.0
-    return float(_power_times_ones(p, T - t)[x + 1])
+    return float(_power_times_ones(p, k)[x + 1])
 
 
 def kernel_closed_form(p: float, T: int, t: int, beta: float) -> KernelShape:
-    """Which of the three kernel shapes holds at stage ``t`` and level ``beta``."""
+    """Which of the three kernel shapes holds at stage ``t`` and level ``beta``.
+    ``p`` is checked first, then ``beta``, then the stage."""
+    _check_p(p)
     _check_beta(beta)
-    if t > T:
-        raise ModelError(f"stage t={t} exceeds horizon T={T}")
-    v = _power_times_ones(p, T - t)
+    v = _power_times_ones(p, _steps(T, t))
     if beta <= v[1]:
         return KernelShape.FULL
     if beta <= v[0]:

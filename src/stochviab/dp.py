@@ -10,11 +10,14 @@ started at x.  It satisfies the recursion
 
 with the maximum over the admissible controls at (t, x).  The sink carries
 value 0 at every stage.  Policy evaluation is the same backup over the
-policy's single control at each (t, x).  Controls whose stage expectation q
-satisfies ``q >= best - ARGMAX_TOL * best`` (ties, or a relative gap of at
-most ``ARGMAX_TOL`` below the stage maximum ``best``) all count as
-maximizers.  Any selection from those sets (see :mod:`stochviab.kernel`) may
-lose that relative gap at every stage, so it achieves V within a relative
+policy's single control at each (t, x).  The stage backup returns
+q(t, x, u), the expectation under each control slot.  The stage loop in
+``_backward`` stores the clamped maximum ``best`` of q and, for ``solve``
+only, takes there the one argmax threshold of q: controls with
+``q >= best - ARGMAX_TOL * best`` (ties, or a relative gap of at most
+``ARGMAX_TOL`` below ``best``) all count as maximizers.  Policy evaluation
+builds no mask.  Any selection from those sets (see :mod:`stochviab.kernel`)
+may lose that relative gap at every stage, so it achieves V within a relative
 ``steps * ARGMAX_TOL`` (up to rounding), values close to 0 included.  On a
 200-stage walk both tie-breaks fall short of V by a relative 1.3e-11.
 
@@ -65,25 +68,16 @@ _BLOCK = 1 << 14
 TABLE_BYTES_GUARD = 2**31
 
 
-def _stage_backup(member_t, n_ctrl_t, next_t, probs, v_next):
-    """One backward-induction stage.
-
-    Returns ``(values, argmax_mask)`` where ``values[x]`` is the stage value
-    (0 outside the constraint set) and ``argmax_mask[x, j]`` flags admissible
-    control slots within relative ``ARGMAX_TOL`` of the stage maximum.
-    """
+def _stage_backup(n_ctrl_t, next_t, probs, v_next):
+    """One backward-induction stage: ``q[x, j]``, the expectation of ``v_next``
+    over the successors of control slot ``j`` at state ``x``, and -inf at the
+    slots past the admissible count ``n_ctrl_t[x]``."""
     n_total, u_max, n_atoms = next_t.shape
     acc = np.zeros((n_total, u_max))
     for i in range(n_atoms):
         acc += probs[i] * v_next[next_t[:, :, i]]
     valid = np.arange(u_max)[None, :] < n_ctrl_t[:, None]
-    q = np.where(valid, acc, -np.inf)
-    best = q.max(axis=1)[:, None]
-    # float drift in the probability sum can push the expectation a few ulp
-    # past 1; the true value is a probability, so clamp the stored value
-    values = np.where(member_t, np.minimum(best[:, 0], 1.0), 0.0)
-    mask = member_t[:, None] & (q >= best - ARGMAX_TOL * best)
-    return values, mask
+    return np.where(valid, acc, -np.inf)
 
 
 class PolicyError(ValueError):
@@ -154,24 +148,30 @@ def terminal_slice(model: Model) -> ValueSlice:
 
 
 def _backward(model: Model, policy: "FeedbackPolicy | None" = None):
-    """V from V(T, .) back to t0 and the argmax mask, one ``_stage_backup`` per stage.
+    """V from V(T, .) back to t0, one ``_stage_backup`` per stage, and for
+    ``solve`` the argmax mask; with ``policy`` the mask is None.
 
-    With ``policy`` the only admissible control is the policy's (count 1).
+    With ``policy`` each state's one column is the policy's slot.
+    ``_policy_choice_array`` checked that slot against the state's count, so
+    every count is at least 1 and ``_stage_backup`` keeps the column.
     """
     tab = model.tables
-    n_ctrl, width, successors = tab.n_ctrl, tab.u_max, tab.next_state.__getitem__
+    successors = tab.next_state.__getitem__
     if policy is not None:
         choice = _policy_choice_array(model, policy)
-        n_ctrl, width = np.broadcast_to(np.int64(1), choice.shape), 1
         successors = lambda k: _policy_successors(tab, choice, k)[:, None]
 
     table = np.zeros((tab.steps + 1, tab.n_states + 1))
     table[tab.steps] = terminal_slice(model).values
-    mask = np.zeros(n_ctrl.shape + (width,), dtype=bool)
+    mask = None if policy is not None else np.zeros(tab.n_ctrl.shape + (tab.u_max,), bool)
     for k in range(tab.steps - 1, -1, -1):
-        table[k], mask[k] = _stage_backup(
-            tab.member[k], n_ctrl[k], successors(k), tab.probs, table[k + 1]
-        )
+        q = _stage_backup(tab.n_ctrl[k], successors(k), tab.probs, table[k + 1])
+        best = q.max(axis=1)
+        # float drift in the probability sum can push the expectation a few ulp
+        # past 1; the true value is a probability, so clamp the stored value
+        table[k] = np.where(tab.member[k], np.minimum(best, 1.0), 0.0)
+        if mask is not None:
+            mask[k] = tab.member[k][:, None] & (q >= (best - ARGMAX_TOL * best)[:, None])
     return ValueFunction(tab.t0, tab.T, model.states.points.copy(), table), mask
 
 

@@ -322,7 +322,12 @@ class ControlMap:
 
 def _is_int(value) -> bool:
     """Whether ``value`` is an integer: floats, strings and bools are not."""
-    return type(value) is int or isinstance(value, np.integer)
+    return _is_int_type(type(value))
+
+
+def _is_int_type(t: type) -> bool:
+    """Whether ``t`` is ``int`` or a numpy integer type, not ``bool``."""
+    return t is int or issubclass(t, np.integer)
 
 
 def _as_vector_list(entry, what: str) -> np.ndarray:
@@ -443,11 +448,22 @@ def _as_floats(value, what: str, error=ModelError) -> np.ndarray:
 
 
 def _as_array(value, what: str, error=ModelError) -> np.ndarray:
-    """``np.asarray(value)``; nested lists in rows of unequal length raise ``error``."""
+    """``np.asarray(value)``; nested lists in rows of unequal length raise ``error``,
+    and so does a list of integers with a bool among them, which numpy would read as
+    0 or 1.  An array is taken as it is: its caller checks its dtype."""
     try:
-        return np.asarray(value)
+        arr = np.asarray(value)
     except ValueError:  # numpy's "inhomogeneous shape"
         raise error(f"{what}: rows of unequal length") from None
+    if arr.dtype.kind in "iu" and not isinstance(value, np.ndarray):
+        walk = _LevelWalk(value)
+        for _ in range(arr.ndim):
+            walk.descend()
+        walk.check(_is_int_type, type,
+                   lambda v, at: error(f"{what}: expected an integer, got {v!r}"))
+        if walk.fault is not None:
+            raise walk.fault
+    return arr
 
 
 def _first_refused(ok, key, *items):
@@ -515,8 +531,8 @@ def _nested_rows(nested, n_states: int, counts: np.ndarray, u_max: int, n_atoms:
         walk.check(ok, len, lambda v, p: ModelError(
             f"dynamics table{at(p)}: {len(v)} {what}{tail}"))
         walk.descend()
-    # the types _is_int accepts; ``true`` would otherwise convert to 1
-    walk.check(lambda t: t is int or issubclass(t, np.integer), type,
+    # ``true`` would otherwise convert to 1
+    walk.check(_is_int_type, type,
                lambda v, p: ModelError(f"dynamics table entry {v!r}{at(p)} is not an integer"))
     try:
         entries = np.fromiter(walk.items, np.int64, len(walk.items))

@@ -401,6 +401,15 @@ def test_oracle_value_and_kernel(capsys):
     assert capsys.readouterr().out == "boundary_pair -1 1\n"
 
 
+def test_oracle_refuses_a_bad_p_before_an_x0_off_the_grid(capsys):
+    assert main(["oracle", "--p", "0.01", "--horizon", "40", "--time", "0", "--x0", "5"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    rc = main(["oracle", "--p", "0.7", "--horizon", "40", "--time", "0", "--x0", "5"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: p must lie in (0, 1/2), got 0.7\n"
+
+
 def test_oracle_requires_query(capsys):
     rc = main(["oracle", "--p", "0.01", "--horizon", "40", "--time", "39"])
     captured = capsys.readouterr()

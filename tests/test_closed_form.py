@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -109,3 +110,35 @@ def test_parameter_guards():
         kernel_closed_form(0.1, 5, 0, 1.5)
     with pytest.raises(ModelError, match="^stage t=6 exceeds horizon T=5$"):
         kernel_closed_form(0.1, 5, 6, 0.5)
+
+
+@pytest.mark.parametrize("call,message", [
+    # p first, before an x off the grid would answer 0
+    (lambda: matrix_value(0.7, 40, 0, 5), "p must lie in (0, 1/2), got 0.7"),
+    (lambda: matrix_value(0.7, 5, 6, 0), "p must lie in (0, 1/2), got 0.7"),
+    (lambda: kernel_closed_form(0.7, 40, 0, 1.5), "p must lie in (0, 1/2), got 0.7"),
+    # stages and coordinates are integers, not floats or bools
+    (lambda: matrix_value(0.01, 40, 2.5, 0),
+     "stage t and horizon T must be integers, got t=2.5, T=40"),
+    (lambda: matrix_value(0.01, True, 0, 0),
+     "stage t and horizon T must be integers, got t=0, T=True"),
+    (lambda: matrix_value(0.01, 40.0, 0, 0),
+     "stage t and horizon T must be integers, got t=0, T=40.0"),
+    (lambda: kernel_closed_form(0.01, 40, 0.0, 0.5),
+     "stage t and horizon T must be integers, got t=0.0, T=40"),
+    (lambda: kernel_closed_form(0.01, 40, False, 0.5),
+     "stage t and horizon T must be integers, got t=False, T=40"),
+    (lambda: matrix_value(0.01, 40, 0, True), "x must be an integer coordinate, got True"),
+    (lambda: matrix_value(0.01, 40, 0, 1.0), "x must be an integer coordinate, got 1.0"),
+    (lambda: matrix_value(0.01, 40, 0, 7.5), "x must be an integer coordinate, got 7.5"),
+    (lambda: matrix_value(0.01, 5, 6, 0), "stage t=6 exceeds horizon T=5"),
+])
+def test_arguments_checked_in_order(call, message):
+    with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+        call()
+
+
+def test_numpy_integers_are_integers():
+    assert matrix_value(0.01, np.int64(40), np.int64(39), np.int64(0)) == matrix_value(
+        0.01, 40, 39, 0)
+    assert matrix_value(0.01, 40, 0, np.int64(5)) == 0.0

@@ -58,12 +58,15 @@ def test_terminal_slice_box_target():
 
 
 def _backup(model, t, v_next):
-    """``_stage_backup`` at stage ``t`` of ``model``: the values and, per
-    state, the ordered tuple of maximizing control slots."""
+    """``_stage_backup`` at stage ``t`` of ``model``, read as ``solve`` reads its
+    ``q``: the values and, per state, the ordered tuple of maximizing control slots."""
     tab = model.tables
     k = t - model.time.t0
-    values, mask = _stage_backup(tab.member[k], tab.n_ctrl[k], tab.next_state[k], tab.probs,
-                                 np.asarray(v_next, dtype=np.float64))
+    q = _stage_backup(tab.n_ctrl[k], tab.next_state[k], tab.probs,
+                      np.asarray(v_next, dtype=np.float64))
+    best = q.max(axis=1)
+    values = np.where(tab.member[k], np.minimum(best, 1.0), 0.0)
+    mask = tab.member[k][:, None] & (q >= (best - ARGMAX_TOL * best)[:, None])
     return values, [tuple(np.flatnonzero(row).tolist()) for row in mask]
 
 
@@ -90,6 +93,24 @@ class TestBellmanStep:
         model = random_model(3, deterministic=True)
         values, _ = _backup(model, model.time.t0, model.tables.member[1].astype(np.float64))
         assert set(np.unique(values)) <= {0.0, 1.0}
+
+    def test_q_is_the_expectation_and_minus_inf_past_the_count(self):
+        past = 0
+        for seed in range(20):
+            tab = random_model(seed).tables
+            v_next = np.random.default_rng(seed).random(tab.n_states + 1)
+            for k in range(tab.steps):
+                q = _stage_backup(tab.n_ctrl[k], tab.next_state[k], tab.probs, v_next)
+                assert q.shape == (tab.n_states + 1, tab.u_max)
+                for x, j in itertools.product(range(tab.n_states + 1), range(tab.u_max)):
+                    if j < tab.n_ctrl[k, x]:
+                        # the atoms in the same order: the same float
+                        assert q[x, j] == sum(p * v_next[y] for p, y in
+                                              zip(tab.probs, tab.next_state[k, x, j]))
+                    else:
+                        assert q[x, j] == -np.inf
+                        past += 1
+        assert past > 0
 
 
 class TestSolve:
@@ -208,6 +229,10 @@ class TestEvaluatePolicy:
             for j in range(5):
                 pv = evaluate_policy(model, random_policy(model, 100 * seed + j))
                 assert np.all(pv.table <= vf.table + 1e-12)
+
+    def test_evaluation_builds_no_mask(self, example_model):
+        policy = select_feedback(solve(example_model)[1])
+        assert dp._backward(example_model, policy)[1] is None
 
     def test_evaluation_is_the_backup_over_the_policy_control(self, example_model):
         """Solving the model whose only admissible control at each (stage,

@@ -703,6 +703,13 @@ _DIGITS = "integer of 401 digits is past the range of a double"
      "dynamics table: rows of unequal length"),
     (lambda: FeedbackPolicy(0, 1, [[0, 1], [0]]), PolicyError,
      "control slots: rows of unequal length"),
+    # a bool among ints, which numpy reads as 1; an array is checked by its dtype alone
+    (lambda: TableDynamics([[[[1, True]]]]), ModelError,
+     "dynamics table: expected an integer, got True"),
+    (lambda: TableDynamics([[[np.array([1, 2]), [3, np.True_]]]]), ModelError,
+     f"dynamics table: expected an integer, got {np.True_!r}"),
+    (lambda: FeedbackPolicy(0, 1, [[0, True]]), PolicyError,
+     "control slots: expected an integer, got True"),
     (lambda: kernel_slice(solve(make_three_state_example(0.01, 0, 3))[0], 0, True), ModelError,
      "beta must lie in (0, 1], got True"),
     (lambda: kernel_slice(solve(make_three_state_example(0.01, 0, 3))[0], 0, "0.5"), ModelError,
