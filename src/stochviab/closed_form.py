@@ -25,7 +25,8 @@ beta <= (M^(T-t) 1)_2, the boundary pair {-1, 1} when that component is
 exceeded but (M^(T-t) 1)_1 is not, and empty above that.
 
 Matrix powers use plain repeated multiplication so the oracle stays
-elementary and exactly reproducible.  The test suite cross-checks this form
+elementary and exactly reproducible; a power above ``MATRIX_POWER_GUARD``
+is refused rather than multiplied out.  The test suite cross-checks this form
 against exhaustive scenario enumeration, policy enumeration, and the
 backward-induction solver.
 """
@@ -38,7 +39,12 @@ import numpy as np
 
 from .model import ModelError, _check_beta, _check_p, _is_int, _shown
 
-__all__ = ["KernelShape", "example_matrix", "matrix_value", "kernel_closed_form"]
+__all__ = ["MATRIX_POWER_GUARD", "KernelShape", "example_matrix", "matrix_value",
+           "kernel_closed_form"]
+
+# The most stages T - t whose matrix power is multiplied out, one product a
+# stage: 10**6 of them take about 2 s.
+MATRIX_POWER_GUARD = 10**6
 
 
 class KernelShape(Enum):
@@ -71,12 +77,16 @@ def _power_times_ones(p: float, k: int) -> np.ndarray:
 
 
 def _steps(T: int, t: int) -> int:
-    """``T - t``, if the stage ``t`` and the horizon ``T`` are integers with ``t <= T``."""
+    """``T - t``, if the stage ``t`` and the horizon ``T`` are integers with
+    ``t <= T`` and ``T - t <= MATRIX_POWER_GUARD``."""
     if not (_is_int(t) and _is_int(T)):
         raise ModelError(
             f"stage t and horizon T must be integers, got t={_shown(t)}, T={_shown(T)}")
     if t > T:
         raise ModelError(f"stage t={t} exceeds horizon T={T}")
+    if T - t > MATRIX_POWER_GUARD:
+        raise ModelError(f"T - t = {T - t} stages exceed the closed form's guard of "
+                         f"{MATRIX_POWER_GUARD}")
     return int(T) - int(t)
 
 

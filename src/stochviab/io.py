@@ -10,8 +10,9 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
@@ -85,15 +86,25 @@ def _codes(values) -> tuple[np.ndarray, np.ndarray]:
     """
     a = np.asarray(values)
     if a.dtype.kind == "f":
-        keys, fmt, kind = np.ascontiguousarray(a, np.float64).view(np.int64), b"%.17g", np.float64
+        fmt = b"%.17g"
     else:
-        keys, fmt, kind = a.astype(np.int64, copy=False), b"%d", np.int64
-        lo, hi = (int(keys.min()), int(keys.max())) if keys.size else (0, -1)
-        if hi - lo < keys.size:
-            return _bytes_array(map(fmt.__mod__, range(lo, hi + 1))), keys - lo
-    uniq, inverse = np.unique(keys, return_inverse=True)
+        a, fmt = a.astype(np.int64, copy=False), b"%d"
+        lo, hi = (int(a.min()), int(a.max())) if a.size else (0, -1)
+        if hi - lo < a.size:
+            return _bytes_array(map(fmt.__mod__, range(lo, hi + 1))), a - lo
+    numbers, index = _keyed(a)
+    return _bytes_array(map(fmt.__mod__, numbers)), index
+
+
+def _keyed(a: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct entries of the float or integer array ``a`` as Python
+    numbers, and each entry's place among them, in the shape of ``a``.
+    Doubles are keyed on their 64-bit pattern, because ``-0.0 == 0.0`` but
+    they print apart."""
+    kind = np.float64 if a.dtype.kind == "f" else np.int64
+    uniq, inverse = np.unique(np.ascontiguousarray(a, kind).view(np.int64), return_inverse=True)
     # numpy 1.x returns the inverse flat, numpy 2.x in the shape of ``a``
-    return _bytes_array(map(fmt.__mod__, uniq.view(kind).tolist())), inverse.reshape(a.shape)
+    return uniq.view(kind).tolist(), inverse.reshape(a.shape)
 
 
 def _bytes_array(texts: Iterable[bytes]) -> np.ndarray:
@@ -242,19 +253,44 @@ def model_to_dict(model: Model) -> dict:
     return json.loads("".join(_model_text(model)))
 
 
-# Stands in for a table body in the document that _model_text encodes; no
-# other string of a table model's document can equal it.
-_SPLICE = "\0table body"
+# Stands in for each number list in the document that _model_text encodes.
+# No other string of a model's document holds a NUL (an expression's
+# tokenizer refuses one), so the slots are the only places json writes
+# "\u0000".
+_SLOT = "\0"
 
 
-def _model_doc(model: Model) -> dict:
-    """The model document, with ``_SPLICE`` for a table model's body."""
-    ctl = model.controls
+def _model_doc(model: Model) -> tuple[dict, list]:
+    """The model document with ``_SLOT`` for each number list, and the texts
+    of those lists in document order, each an iterable of pieces.  A model
+    the format cannot hold is refused here."""
+    ctl, cons = model.controls, model.constraints
     if ctl.kind == "per_stage_state":
         raise ModelFormatError("the model file format stores shared or per_state controls only")
-    shared = ctl.kind == "shared"  # one list, broadcast to the states
-    lists = [v[:c].tolist() for v, c in zip(ctl.vectors[0, : 1 if shared else None], ctl.counts[0])]
-    controls = {"mode": ctl.kind, "lists": lists[0] if shared else lists}
+    texts, floats = [], []  # floats: each list of doubles, whose text is made last
+
+    def float_list(values: np.ndarray, level: int, where: str, counts=None) -> str:
+        floats.append((len(texts), values, where, level, counts))
+        texts.append(None)
+        return _SLOT
+
+    def payload(p, level: int, where: str):
+        """A constraint payload lying ``level`` deep in the document."""
+        if cons.kind == "box":
+            return {"lower": float_list(p[0], level + 1, f"{where}.lower"),
+                    "upper": float_list(p[1], level + 1, f"{where}.upper")}
+        # a set's state indices are distinct ints, each formatted once
+        names = np.array(list(map(int.__repr__, p)), dtype=object)
+        texts.append(_number_lists(names, np.arange(len(p))[None], level))
+        return _SLOT
+
+    points = float_list(model.states.points, 2, "states.points")
+    if ctl.kind == "shared":  # one list, broadcast to the states
+        lists = float_list(ctl.vectors[0, 0, : ctl.counts[0, 0]], 2, "controls.lists")
+    else:
+        lists = float_list(ctl.vectors[0], 2, "controls.lists", ctl.counts[0])
+    noise = {"support": float_list(model.noise.support, 2, "noise.support"),
+             "probs": float_list(model.noise.probs, 2, "noise.probs")}
 
     if isinstance(model.dynamics, ExprDynamics):
         dynamics = {"mode": "expr", "body": list(model.dynamics.sources)}
@@ -265,29 +301,29 @@ def _model_doc(model: Model) -> dict:
                 f"dynamics table has {tab.shape[2]} control slots, "
                 f"but up to {counts.max()} controls are admissible"
             )
-        dynamics = {"mode": "table", "body": _SPLICE}
-
-    cons = model.constraints
-
-    def payload(p):
-        return list(p) if cons.kind == "set" else {"lower": p[0].tolist(), "upper": p[1].tolist()}
+        texts.append(_table_body(model))
+        dynamics = {"mode": "table", "body": _SLOT}
 
     if cons.stationary is not None:
-        constraints = {"mode": cons.kind, "stationary": payload(cons.stationary)}
+        constraints = {"mode": cons.kind,
+                       "stationary": payload(cons.stationary, 2, "constraints.stationary")}
     else:
-        constraints = {"mode": cons.kind, "per_stage": [payload(p) for p in cons.per_stage]}
+        constraints = {"mode": cons.kind, "per_stage": [
+            payload(p, 3, f"constraints.per_stage[{k}]") for k, p in enumerate(cons.per_stage)]}
+
+    # every double of the document is keyed and formatted at once
+    names, index = _float_texts([(values, where) for _, values, where, _, _ in floats])
+    for (at, _, _, level, counts), entries in zip(floats, index):
+        texts[at] = _number_lists(names, entries[None], level, counts)
 
     return {
         "time": {"t0": model.time.t0, "T": model.time.T},
-        "states": {"dim": model.states.dim, "points": model.states.points.tolist()},
-        "controls": controls,
-        "noise": {
-            "support": model.noise.support.tolist(),
-            "probs": model.noise.probs.tolist(),
-        },
+        "states": {"dim": model.states.dim, "points": points},
+        "controls": {"mode": ctl.kind, "lists": lists},
+        "noise": noise,
         "dynamics": dynamics,
         "constraints": constraints,
-    }
+    }, texts
 
 
 def _read_text(path: PathLike) -> str:
@@ -330,15 +366,24 @@ def _model_text(model: Model) -> Iterator[str]:
     """The pieces of the model file's text: ``json.dumps(doc, indent=2)`` of
     the model document and a newline.
 
-    A table body is not encoded by ``json``: its text is built from the array
-    one stage at a time, in place of ``_SPLICE`` in the encoded rest of the
-    document, so that no more than one stage's text is held at once.
-    ``_model_doc``'s refusals raise in this call, before any piece is read.
+    ``json`` encodes only the document's skeleton, with ``_SLOT`` in place of
+    each number list; each list's text is laid out by :func:`_number_lists`
+    and put in its place, a table body one stage at a time, so that no more
+    than one stage's text is held at once.  ``_model_doc``'s refusals raise
+    in this call, before any piece is read.
     """
-    head, splice, tail = json.dumps(_model_doc(model), indent=2).partition(json.dumps(_SPLICE))
-    body = _table_body_pieces(model.dynamics.table[:, : model.states.n_points],
-                              model.controls.counts[0]) if splice else ()
-    return chain((head,), body, (tail + "\n",))
+    doc, texts = _model_doc(model)
+    pieces = json.dumps(doc, indent=2).split(json.dumps(_SLOT))
+    pieces[-1] += "\n"
+    return _spliced(pieces, texts)
+
+
+def _spliced(pieces: list[str], parts: Iterable[Iterable[str]]) -> Iterator[str]:
+    """``pieces``, with the pieces of one of ``parts`` between each two."""
+    yield pieces[0]
+    for part, piece in zip(parts, pieces[1:]):
+        yield from part
+        yield piece
 
 
 def _json_list(items: list[str], level: int) -> str:
@@ -350,28 +395,60 @@ def _json_list(items: list[str], level: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
 
 
-def _table_body_pieces(body: np.ndarray, counts: np.ndarray) -> Iterator[str]:
-    """The text of ``body[t][x][:counts[x]]`` as nested lists, ``-1`` for the
-    sink, in ``json.dumps(doc, indent=2)``, where the body is
-    ``doc["dynamics"]["body"]``, yielded one stage at a time.
+def _number_lists(texts: np.ndarray, index: np.ndarray, level: int,
+                  counts: np.ndarray = None) -> Iterator[str]:
+    """The text ``json.dumps(doc, indent=2)`` gives each array ``index[k]``
+    as nested lists of numbers that lie ``level`` lists and objects deep in
+    ``doc``, ``texts[i]`` being the text of the number ``i``.  With
+    ``counts``, list ``x`` of an array holds only its first ``counts[x]`` items.
 
-    Every stage lays out the same lists, so one stage's text is built once
-    with a NUL in place of each entry and split at the NULs; each stage's
-    text is those pieces with its own entries between them.
+    The arrays lay out the same lists, so the text of one is laid out once
+    with a NUL in place of each entry and split at the NULs; each array's
+    text is those pieces with its own entries' texts between them, in one join.
     """
-    steps, m, u_max, n_atoms = body.shape
-    row = _json_list(["\0"] * n_atoms, 5)
-    pieces = _json_list([_json_list([row] * n, 4) for n in counts.tolist()], 3).split("\0")
+    shape, ragged = index.shape[1:], counts is not None
+    item = "\0"
+    for axis in range(len(shape) - 1, int(ragged), -1):
+        item = _json_list([item] * shape[axis], level + axis)
+    items = ([_json_list([item] * n, level + 1) for n in counts.tolist()] if ragged
+             else [item] * shape[0])
+    pieces = _json_list(items, level).split("\0")
     text = [""] * (2 * len(pieces) - 1)
     text[::2] = pieces
-    names = np.array([*map(str, range(m)), "-1"], dtype=object)  # the sink m is -1
-    rows = np.arange(u_max) < counts[:, None]  # the (x, u) rows a stage lists
-    around = _json_list(["\0"] * steps, 2).split("\0")  # the body's list around its stages
-    for before, stage in zip(around, body):
-        text[1::2] = names[stage[rows]].ravel().tolist()
-        yield before
+    listed = np.arange(shape[1]) < counts[:, None] if ragged else ...  # the items listed
+    for entries in index:
+        text[1::2] = texts.take(entries[listed]).ravel().tolist()
         yield "".join(text)
-    yield around[-1]
+
+
+def _float_texts(fields: list[tuple[np.ndarray, str]]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``(texts, index)``: ``json``'s text of each distinct double of the
+    ``(values, where)`` pairs ``fields``, ``float.__repr__``, and for each
+    ``values`` its entries' places among them, in its shape.  A number that
+    is not finite, which ``json`` would write as ``NaN`` or ``Infinity`` and
+    no reader takes, is refused, named by its place in the first field
+    ``where`` holding one."""
+    numbers, index = _keyed(np.concatenate([np.ravel(values) for values, _ in fields]))
+    if not all(map(math.isfinite, numbers)):
+        values, where = next((v, w) for v, w in fields if not np.isfinite(v).all())
+        at = np.argwhere(~np.isfinite(values))[0]
+        raise ModelFormatError(f"{where}{''.join(map('[{}]'.format, at.tolist()))}: "
+                               f"{values[tuple(at)].item()!r} is not a JSON number; "
+                               "numbers must be finite")
+    ends = accumulate(values.size for values, _ in fields)
+    return (np.array(list(map(float.__repr__, numbers)), dtype=object),
+            [index[end - values.size : end].reshape(values.shape)
+             for end, (values, _) in zip(ends, fields)])
+
+
+def _table_body(model: Model) -> Iterator[str]:
+    """The text of the table body ``body[t][x][:counts[x]]``, ``-1`` for the
+    sink, which lies 2 deep in the document, one stage at a time."""
+    m = model.states.n_points
+    names = np.array([*map(int.__repr__, range(m)), "-1"], dtype=object)  # the sink m is -1
+    stages = _number_lists(names, model.dynamics.table[:, :m], 3, model.controls.counts[0])
+    around = _json_list(["\0"] * model.time.steps, 2).split("\0")  # the list of the stages
+    return _spliced(around, zip(stages))  # each stage's text is one piece
 
 
 # --- value function CSV ---

@@ -410,6 +410,14 @@ def test_oracle_refuses_a_bad_p_before_an_x0_off_the_grid(capsys):
     assert captured.err == "error: p must lie in (0, 1/2), got 0.7\n"
 
 
+def test_oracle_refuses_a_horizon_past_the_guard(capsys):
+    rc = main(["oracle", "--p", "0.01", "--horizon", "1000000000000", "--time", "0", "--x0", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: T - t = 1000000000000 stages exceed the closed form's "
+                            "guard of 1000000\n")
+
+
 def test_oracle_requires_query(capsys):
     rc = main(["oracle", "--p", "0.01", "--horizon", "40", "--time", "39"])
     captured = capsys.readouterr()

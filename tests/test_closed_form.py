@@ -4,7 +4,9 @@ import re
 import numpy as np
 import pytest
 
+from stochviab import closed_form
 from stochviab.closed_form import (
+    MATRIX_POWER_GUARD,
     KernelShape,
     example_matrix,
     kernel_closed_form,
@@ -132,10 +134,24 @@ def test_parameter_guards():
     (lambda: matrix_value(0.01, 40, 0, 1.0), "x must be an integer coordinate, got 1.0"),
     (lambda: matrix_value(0.01, 40, 0, 7.5), "x must be an integer coordinate, got 7.5"),
     (lambda: matrix_value(0.01, 5, 6, 0), "stage t=6 exceeds horizon T=5"),
+    # a power of 10**12 stages would be multiplied out for weeks
+    (lambda: matrix_value(0.01, 10**12, 0, 0),
+     "T - t = 1000000000000 stages exceed the closed form's guard of 1000000"),
+    (lambda: kernel_closed_form(0.01, 10**12, 1, 0.5),
+     "T - t = 999999999999 stages exceed the closed form's guard of 1000000"),
+    (lambda: matrix_value(0.01, MATRIX_POWER_GUARD + 7, 6, 0),
+     "T - t = 1000001 stages exceed the closed form's guard of 1000000"),
 ])
 def test_arguments_checked_in_order(call, message):
     with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
         call()
+
+
+def test_the_guard_admits_its_own_number_of_stages(monkeypatch):
+    monkeypatch.setattr(closed_form, "MATRIX_POWER_GUARD", 5)
+    assert matrix_value(0.1, 5, 0, -1) == matrix_value(0.1, 6, 1, -1)
+    with pytest.raises(ModelError, match="^T - t = 6 stages exceed the closed form's guard of 5$"):
+        matrix_value(0.1, 6, 0, -1)
 
 
 def test_numpy_integers_are_integers():

@@ -350,19 +350,70 @@ class TestModelJson:
         assert path.read_text() == json.dumps(model_to_dict(model), indent=2) + "\n"
 
     @pytest.mark.parametrize(
-        "controls,message",
+        "parts,message",
         [
-            (ControlMap.per_stage_state([[[[1.0]], [[1.0]]]] * 2, 2),
+            ({"controls": ControlMap.per_stage_state([[[[1.0]], [[1.0]]]] * 2, 2)},
              "the model file format stores shared or per_state controls only"),
-            (_per_state([[[1.0], [2.0]], [[1.0]]]),
+            ({"controls": _per_state([[[1.0], [2.0]], [[1.0]]])},
              "dynamics table has 1 control slots, but up to 2 controls are admissible"),
+            # json would write NaN or Infinity, which load_model refuses
+            ({"states": StateSpace([[0.0], [np.nan]])},
+             "states.points[1][0]: nan is not a JSON number; numbers must be finite"),
+            ({"controls": ControlMap.shared([[-np.inf]], 2)},
+             "controls.lists[0][0]: -inf is not a JSON number; numbers must be finite"),
+            ({"controls": _per_state([[[1.0]], [[np.inf]]])},
+             "controls.lists[1][0][0]: inf is not a JSON number; numbers must be finite"),
+            ({"noise": DisturbanceLaw([[0.0], [np.nan]], [0.75, 0.25])},
+             "noise.support[1][0]: nan is not a JSON number; numbers must be finite"),
+            ({"noise": DisturbanceLaw([[0.0], [1.0]], [0.75, np.inf])},
+             "noise.probs[1]: inf is not a JSON number; numbers must be finite"),
+            ({"constraints": ConstraintSets("box", stationary=([0.0], [np.inf]))},
+             "constraints.stationary.upper[0]: inf is not a JSON number; numbers must be finite"),
+            ({"constraints": ConstraintSets("box", per_stage=(
+                ([0.0], [1.0]), ([0.0, -np.inf], [1.0, np.nan]), ([0.0], [1.0])))},
+             "constraints.per_stage[1].lower[1]: -inf is not a JSON number; "
+             "numbers must be finite"),
         ],
     )
-    def test_save_model_refuses_what_a_file_cannot_hold(self, tmp_path, controls, message):
-        model = replace(table_model(), controls=controls)
+    def test_save_model_refuses_what_a_file_cannot_hold(self, tmp_path, parts, message):
+        model = replace(table_model(), **parts)
         with pytest.raises(ModelFormatError, match="^" + re.escape(message) + "$"):
             save_model(model, tmp_path / "m.json")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("layout", ["shared", "per_state"])
+    def test_save_model_writes_each_double_bit_for_bit(self, tmp_path, layout):
+        """``-0.0 == 0.0``, so ``json.loads`` of the writer's own text cannot
+        show one written for the other: the file's doubles are compared with
+        the model's by their bits."""
+        model = Model(
+            TimeGrid(0, 2),
+            StateSpace([[0.0, 2.0], [-0.0, 2.0], [0.0, -0.0]]),
+            ControlMap.shared([[-0.0, 0.0], [0.0, -0.0], [0.0, 0.0]], 3),
+            DisturbanceLaw([[0.0, -0.0], [-0.0, 0.0]], [0.5, 0.5]),
+            ExprDynamics(("x1 + u1 + w1", "x2 + u2 + w2")),
+            ConstraintSets("box", stationary=([-0.0, 0.0], [0.0, -0.0])),
+        )
+        lists = [model.controls.vectors[0, 0]]
+        if layout == "per_state":
+            lists = [[[0.0, -0.0]], [[-0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.0, -0.0]]]
+            model = replace(model, controls=_per_state(lists), constraints=ConstraintSets(
+                "box", per_stage=[([0.0, -0.0], [-0.0, 0.0])] * 3))
+        save_model(model, tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        controls, cons = doc["controls"]["lists"], doc["constraints"]
+        if layout == "shared":
+            controls, cons = [controls], {"per_stage": [cons["stationary"]]}
+        payloads = model.constraints.per_stage or [model.constraints.stationary]
+        written = [doc["states"]["points"], *controls, doc["noise"]["support"],
+                   doc["noise"]["probs"],
+                   *(box[side] for box in cons["per_stage"] for side in ("lower", "upper"))]
+        held = [model.states.points, *lists, model.noise.support, model.noise.probs,
+                *(bound for payload in payloads for bound in payload)]
+        assert len(written) == len(held)
+        for got, want in zip(written, held):
+            got, want = np.array(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_per_state_model_round_trip(self, tmp_path):
         save_model(ragged_table_model(), tmp_path / "a.json")
