@@ -32,7 +32,8 @@ from typing import NoReturn
 import numpy as np
 
 from .dp import TABLE_BYTES_GUARD
-from .model import InvalidModelError, Model, ModelError, TableDynamics, project_to_grid, validate
+from .model import (InvalidModelError, Model, ModelError, TableDynamics, _shown, project_to_grid,
+                    validate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,9 +79,9 @@ def build_tables(model: Model) -> Tables:
     nbytes = steps * n_total * u_max * n_atoms * 8
     if nbytes > TABLE_BYTES_GUARD:
         raise ModelError(
-            f"transition table needs {nbytes} bytes ({steps} stages x {n_total} states "
-            f"x {u_max} control slots x {n_atoms} atoms x 8 B), over the guard of "
-            f"{TABLE_BYTES_GUARD} bytes"
+            f"transition table needs {_shown(nbytes)} bytes ({_shown(steps)} stages x "
+            f"{n_total} states x {u_max} control slots x {n_atoms} atoms x 8 B), over the "
+            f"guard of {TABLE_BYTES_GUARD} bytes"
         )
 
     n_ctrl = np.pad(ctl.counts, [(0, 0), (0, 1)], constant_values=1)  # the sink's dummy control
@@ -161,5 +162,6 @@ def _raise_first_failure(asts, bindings, shape, t, xs, js, err) -> NoReturn:
     a = bisect_left(range(rows), True, key=lambda a: fails(np.s_[: a + 1]))
     i = bisect_left(range(atoms), True, key=lambda i: fails(np.s_[a, : i + 1])) if a < rows else 0
     located = failure((a, i)) if a < rows and i < atoms else None
+    t = _shown(t)  # t0 is read from the model file
     at = f"(t={t}, x={xs[a]}, u={js[a]}, w={i})" if located else f"t={t}"  # else no point fails
     raise ModelError(f"dynamics evaluation failed at {at}: {located or err}") from located or err

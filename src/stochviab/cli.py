@@ -18,7 +18,8 @@ import numpy as np
 from . import io, kernel as kern
 from .dp import ValueFunction, solve
 from .kernel import select_feedback
-from .model import InvalidModelError, Model, ModelError, _check_x0, make_three_state_example
+from .model import (InvalidModelError, Model, ModelError, _check_x0, _shown,
+                    make_three_state_example)
 
 
 def _solve_file(path: str) -> tuple:
@@ -97,7 +98,7 @@ def _check_seed(seed: int) -> None:
     """Refuse a seed that the library's 64-bit fold would map onto another seed's streams."""
     top = (1 << 64) - 1
     if not 0 <= seed <= top:
-        raise ModelError(f"--seed must lie in 0..{top}, got {seed}")
+        raise ModelError(f"--seed must lie in 0..{top}, got {_shown(seed)}")
 
 
 def cmd_simulate(args) -> int:

@@ -83,9 +83,9 @@ def _steps(T: int, t: int) -> int:
         raise ModelError(
             f"stage t and horizon T must be integers, got t={_shown(t)}, T={_shown(T)}")
     if t > T:
-        raise ModelError(f"stage t={t} exceeds horizon T={T}")
+        raise ModelError(f"stage t={_shown(t)} exceeds horizon T={_shown(T)}")
     if T - t > MATRIX_POWER_GUARD:
-        raise ModelError(f"T - t = {T - t} stages exceed the closed form's guard of "
+        raise ModelError(f"T - t = {_shown(T - t)} stages exceed the closed form's guard of "
                          f"{MATRIX_POWER_GUARD}")
     return int(T) - int(t)
 

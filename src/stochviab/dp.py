@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import Model, ModelError, _check_index, _check_x0
+from .model import Model, ModelError, _check_index, _check_x0, _shown
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import FeedbackPolicy
@@ -188,7 +188,8 @@ def _check_stages(model: Model, policy, shape: tuple) -> None:
     time, want = model.time, (model.time.steps, model.states.n_total)
     if (policy.t0, policy.T) != (time.t0, time.T):
         raise PolicyError(
-            f"policy stages [{policy.t0}, {policy.T}] differ from the model's [{time.t0}, {time.T}]"
+            f"policy stages [{_shown(policy.t0)}, {_shown(policy.T)}] differ from the model's "
+            f"[{_shown(time.t0)}, {_shown(time.T)}]"
         )
     if shape != want:
         raise PolicyError(f"policy table shape {shape} does not match model {want}")

@@ -38,6 +38,8 @@ from typing import Mapping, Union
 
 import numpy as np
 
+from .model import _shown
+
 __all__ = [
     "Ast",
     "Num",
@@ -74,7 +76,7 @@ class UnknownVariableError(ExprError):
     """A name not declared by the model dimensions; carries the name."""
 
     def __init__(self, name: str, offset: int):
-        super().__init__(f"unknown variable '{name}' (offset {offset})")
+        super().__init__(f"unknown variable {_shown(name)} (offset {offset})")
         self.name = name
         self.offset = offset
 
@@ -179,7 +181,7 @@ def _tokenize(source: str) -> list[_Token]:
         elif c.isalpha() or c == "_":
             kind, end = "name", _NAME.match(source, i).end()
         else:
-            raise ExprSyntaxError(f"unexpected character '{c}'", i)
+            raise ExprSyntaxError(f"unexpected character {_shown(c)}", i)
         tokens.append(_Token(kind, source[i:end], i))
         i = end
     tokens.append(_Token("eof", "", len(source)))
@@ -268,7 +270,7 @@ class _Parser:
     def parse_call(self, name_tok: _Token) -> Ast:
         arity = _FUNCTIONS.get(name_tok.text)
         if arity is None:
-            raise ExprSyntaxError(f"unknown function '{name_tok.text}'", name_tok.offset)
+            raise ExprSyntaxError(f"unknown function {_shown(name_tok.text)}", name_tok.offset)
         self.enter()
         args = [self.parse_chain()]
         while self.at(","):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left
 from itertools import accumulate, chain, repeat
 from pathlib import Path
@@ -34,6 +35,7 @@ from .model import (
     _as_floats,
     _first_refused,
     _is_int,
+    _shown,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -146,20 +148,36 @@ def _write_csv(path: PathLike, header: Sequence[str], parts: Iterable[Sequence[t
                 fh.write(rows[rows != 0])
 
 
+class _Object(dict):
+    """A JSON object of a model file, with the names it repeats in ``repeated``."""
+
+    __slots__ = ("repeated",)
+
+
+def _json_object(pairs: list) -> _Object:
+    """The object of ``json.loads``'s ``pairs``, which would keep a repeated name's last value."""
+    obj, seen = _Object(pairs), set()
+    obj.repeated = ([] if len(obj) == len(pairs) else
+                    [name for name, _ in pairs if name in seen or seen.add(name)])
+    return obj
+
+
 def _require_keys(obj: dict, where: str, required: set[str], optional: set[str] = frozenset()):
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where}: expected an object")
+    if getattr(obj, "repeated", None):
+        raise ModelFormatError(f"{where}: duplicate field {_shown(obj.repeated[0])}")
     missing = required - obj.keys()
     if missing:
         raise ModelFormatError(f"{where}: missing field(s) {sorted(missing)}")
     unknown = obj.keys() - required - optional
     if unknown:
-        raise ModelFormatError(f"{where}: unknown field(s) {sorted(unknown)}")
+        raise ModelFormatError(f"{where}: unknown field(s) {_shown(sorted(unknown))}")
 
 
 def _int(value, where: str) -> int:
     if not _is_int(value):
-        raise ModelFormatError(f"{where}: expected an integer, got {value!r}")
+        raise ModelFormatError(f"{where}: expected an integer, got {_shown(value)}")
     return value
 
 
@@ -175,7 +193,8 @@ def model_from_dict(doc: dict) -> Model:
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2 or points.shape[1] != dim:
-        raise ModelFormatError(f"states: points of shape {points.shape} do not match dim {dim}")
+        raise ModelFormatError(
+            f"states: points of shape {points.shape} do not match dim {_shown(dim)}")
     states = StateSpace(points)
 
     _require_keys(doc["controls"], "controls", {"mode", "lists"})
@@ -189,7 +208,7 @@ def model_from_dict(doc: dict) -> Model:
         controls = ControlMap.per_state([_as_floats(lst, f"controls list {x}", ModelFormatError)
                                          for x, lst in enumerate(lists)], states.n_points)
     else:
-        raise ModelFormatError(f"controls: unknown mode {cmode!r}")
+        raise ModelFormatError(f"controls: unknown mode {_shown(cmode)}")
 
     _require_keys(doc["noise"], "noise", {"support", "probs"})
     noise = DisturbanceLaw(
@@ -210,7 +229,7 @@ def model_from_dict(doc: dict) -> Model:
             time.steps,
         )
     else:
-        raise ModelFormatError(f"dynamics: unknown mode {dmode!r}")
+        raise ModelFormatError(f"dynamics: unknown mode {_shown(dmode)}")
 
     constraints = _constraints_from_dict(doc["constraints"])
     try:
@@ -223,7 +242,7 @@ def _constraints_from_dict(doc: dict) -> ConstraintSets:
     _require_keys(doc, "constraints", {"mode"}, {"stationary", "per_stage"})
     mode = doc["mode"]
     if mode not in ("set", "box"):
-        raise ModelFormatError(f"constraints: unknown mode {mode!r}")
+        raise ModelFormatError(f"constraints: unknown mode {_shown(mode)}")
     has_stat = "stationary" in doc
     if has_stat == ("per_stage" in doc):
         raise ModelFormatError("constraints: exactly one of stationary/per_stage required")
@@ -280,7 +299,12 @@ def _model_doc(model: Model) -> tuple[dict, list]:
             return {"lower": float_list(p[0], level + 1, f"{where}.lower"),
                     "upper": float_list(p[1], level + 1, f"{where}.upper")}
         # a set's state indices are distinct ints, each formatted once
-        names = np.array(list(map(int.__repr__, p)), dtype=object)
+        try:
+            names = np.array(list(map(int.__repr__, p)), dtype=object)
+        except ValueError:  # past the interpreter's limit on digits, which json's reader has too
+            j = next(j for j, i in enumerate(p) if abs(i) >= 10 ** sys.get_int_max_str_digits())
+            raise ModelFormatError(f"{where}[{j}]: {_shown(p[j])} is past the integers "
+                                   "a JSON reader takes") from None
         texts.append(_number_lists(names, np.arange(len(p))[None], level))
         return _SLOT
 
@@ -341,7 +365,7 @@ def load_model(path: PathLike) -> Model:
         raise ModelFormatError(f"{path}: {name} is not a JSON number; numbers must be finite")
 
     try:
-        doc = json.loads(text, parse_constant=non_finite)
+        doc = json.loads(text, parse_constant=non_finite, object_pairs_hook=_json_object)
     except ModelFormatError:
         raise
     except ValueError as err:  # a JSONDecodeError, or an integer of over 4300 digits
@@ -433,7 +457,7 @@ def _float_texts(fields: list[tuple[np.ndarray, str]]) -> tuple[np.ndarray, list
         values, where = next((v, w) for v, w in fields if not np.isfinite(v).all())
         at = np.argwhere(~np.isfinite(values))[0]
         raise ModelFormatError(f"{where}{''.join(map('[{}]'.format, at.tolist()))}: "
-                               f"{values[tuple(at)].item()!r} is not a JSON number; "
+                               f"{_shown(values[tuple(at)].item())} is not a JSON number; "
                                "numbers must be finite")
     ends = accumulate(values.size for values, _ in fields)
     return (np.array(list(map(float.__repr__, numbers)), dtype=object),
@@ -491,9 +515,8 @@ def read_value_csv(path: PathLike) -> ValueFunction:
         raise ModelFormatError(f"{path}: empty value file")
     header = lines[start].split(",")
     if header[:2] != ["t", "state_index"] or header[-1] != "value" or len(header) < 4:
-        head = lines[start]  # the whole file when its lines end in a lone \r
-        quoted = repr(head) if len(head) <= 200 else f"{head[:200]!r}..."
-        raise ModelFormatError(f"{path}: unexpected value header {quoted}")
+        # the line is the whole file when its lines end in a lone \r
+        raise ModelFormatError(f"{path}: unexpected value header {_shown(lines[start])}")
 
     n = len(header)
     rows = list(filter(None, lines[start + 1:]))
@@ -523,15 +546,14 @@ def read_value_csv(path: PathLike) -> ValueFunction:
         return ",".join(column[r] for column in texts)
 
     (stage_of, bad_t), (x_of, bad_x) = _distinct(int, [t_cells]), _distinct(int, [x_cells])
-    (coord_of, bad_c), (value_of, bad_v) = (_distinct(float, coord_cells),
-                                            _distinct(float, [value_cells]))
-    cut(bad_t | bad_x | bad_c | bad_v, lambda r: f"malformed number in {line(r)!r}")
+    float_of, bad_f = _distinct(float, [*coord_cells, value_cells])
+    cut(bad_t | bad_x | bad_f, lambda r: f"malformed number in {_shown(line(r))}")
 
     def column(convert: dict, texts: list, dtype) -> np.ndarray:
         return np.fromiter(map(convert.__getitem__, texts), dtype, n_rows)
 
-    value = column(value_of, value_cells, np.float64)
-    coords = np.stack([column(coord_of, c, np.float64) for c in coord_cells], axis=1)
+    value = column(float_of, value_cells, np.float64)
+    coords = np.stack([column(float_of, c, np.float64) for c in coord_cells], axis=1)
 
     def ranks(values: dict, texts: list) -> tuple[list, np.ndarray]:
         """The distinct values in order, and each row's rank among them, which
@@ -542,19 +564,20 @@ def read_value_csv(path: PathLike) -> ValueFunction:
 
     (stages, k), (states, x) = ranks(stage_of, t_cells), ranks(x_of, x_cells)
     cut(~(np.isfinite(value) & np.isfinite(coords).all(axis=1)),
-        lambda r: f"non-finite number in {line(r)!r}")
+        lambda r: f"non-finite number in {_shown(line(r))}")
     cut(~((0.0 <= value) & (value <= 1.0)),
-        lambda r: f"value {value_cells[r]} is not a probability in [0, 1]")
-    cut(x < bisect_left(states, 0), lambda r: f"negative state_index {states[x[r]]}")
+        lambda r: f"value {_shown(float(value[r]))} is not a probability in [0, 1]")
+    cut(x < bisect_left(states, 0), lambda r: f"negative state_index {_shown(states[x[r]])}")
     # a file without repeats or gaps has one row per (stage, state) pair of ranks
     key, span = k * len(states) + x, len(stages) * len(states)
     if span != key.size or np.bincount(key, minlength=span).max(initial=0) > 1:
         again = np.ones(key.size, dtype=bool)
         again[np.unique(key, return_index=True)[1]] = False
-        cut(again, lambda r: f"second row for (t={stages[k[r]]}, state_index={states[x[r]]})")
+        cut(again, lambda r: f"second row for (t={_shown(stages[k[r]])}, "
+                             f"state_index={_shown(states[x[r]])})")
     first, inverse = np.unique(x, return_index=True, return_inverse=True)[1:]
     cut((coords != coords[first][inverse]).any(axis=1),
-        lambda r: f"coordinates of state_index {states[x[r]]} differ from an earlier row")
+        lambda r: f"coordinates of state_index {_shown(states[x[r]])} differ from an earlier row")
 
     if fault is not None:
         numbered = np.flatnonzero(np.fromiter(map(bool, text.split("\n")), bool))

@@ -16,7 +16,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .dp import ArgmaxPolicy, PolicyError, ValueFunction, _policy_choice_array, evaluate_policy
-from .model import Model, ModelError, _as_array, _check_beta, _check_index, _check_x0, _is_int
+from .model import (Model, ModelError, _as_array, _check_beta, _check_index, _check_x0, _is_int,
+                    _shown)
 
 __all__ = [
     "KernelSlice",
@@ -119,13 +120,14 @@ def select_feedback(argmax: ArgmaxPolicy, tie_break: TieBreak = "smallest"
     width = mask.shape[2]
     if isinstance(tie_break, str):  # a preference list may be a numpy array
         if tie_break not in ("smallest", "largest"):
-            raise ModelError(f"unknown tie_break rule {tie_break!r}")
+            raise ModelError(f"unknown tie_break rule {_shown(tie_break)}")
         order = np.arange(width, dtype=np.int64)[:: 1 if tie_break == "smallest" else -1]
     else:
         prefs = list(tie_break)
         for j in prefs:
             if not (_is_int(j) and 0 <= j < width):
-                raise ModelError(f"preference slot {j} must be an integer in 0..{width - 1}")
+                raise ModelError(
+                    f"preference slot {_shown(j)} must be an integer in 0..{width - 1}")
         # a slot's first place counts, so the order is a permutation of the slots
         order = np.array(list(dict.fromkeys([*prefs, *range(width)])), dtype=np.int64)
     first = order[np.argmax(mask[..., order], axis=-1)]  # the first maximizer in that order

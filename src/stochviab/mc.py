@@ -102,7 +102,8 @@ def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, floa
     if n <= 0:
         raise ModelError("interval needs at least one sample")
     if not (_is_int(successes) and 0 <= successes <= n):
-        raise ModelError(f"successes must be an integer in 0..{n}, got {_shown(successes)}")
+        raise ModelError(
+            f"successes must be an integer in 0..{_shown(n)}, got {_shown(successes)}")
     if not (_is_number(type(z)) and 0 < z <= sys.float_info.max):
         raise ModelError(f"interval needs a finite z above 0, got {_shown(z)}")
     successes, n, z = int(successes), int(n), float(z)
@@ -127,7 +128,7 @@ def sample_scenario(noise: DisturbanceLaw, n_steps: int, seed: int) -> Scenario:
     if not _is_int(n_steps):
         raise ModelError(f"n_steps must be an integer, got {_shown(n_steps)}")
     if n_steps < 0:
-        raise ModelError(f"n_steps must be non-negative, got {n_steps}")
+        raise ModelError(f"n_steps must be non-negative, got {_shown(n_steps)}")
     return Scenario(_rng.draw(_rng.cdf_thresholds(noise.cdf), _seed(seed), np.arange(n_steps)))
 
 
@@ -158,7 +159,7 @@ def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
     if not _is_int(n):
         raise ModelError(f"need an integer number of samples, got {_shown(n)}")
     if n < 1:
-        raise ModelError(f"need n >= 1 samples, got {n}")
+        raise ModelError(f"need n >= 1 samples, got {_shown(n)}")
     n = int(n)
     choice = _policy_choice_array(model, policy)
     tab = model.tables
@@ -167,9 +168,9 @@ def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
         nbytes = n * (3 * tab.steps + 1) * 8 + n
         if nbytes > TABLE_BYTES_GUARD:
             raise ModelError(
-                f"recorded paths need {nbytes} bytes ({n} samples x {tab.steps} stages "
-                f"of states, controls and draws, 8 B each, and a success flag), over the "
-                f"guard of {TABLE_BYTES_GUARD} bytes"
+                f"recorded paths need {_shown(nbytes)} bytes ({_shown(n)} samples x "
+                f"{tab.steps} stages of states, controls and draws, 8 B each, and a success "
+                f"flag), over the guard of {TABLE_BYTES_GUARD} bytes"
             )
         states = np.empty((n, tab.steps + 1), dtype=np.int64)
         controls = np.empty((n, tab.steps), dtype=np.int64)

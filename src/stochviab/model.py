@@ -16,6 +16,7 @@ be inspected.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, partial
 from itertools import chain, filterfalse
@@ -78,10 +79,11 @@ class TimeGrid:
         for name in ("t0", "T"):
             value = getattr(self, name)
             if not _is_int(value):
-                raise ModelError(f"TimeGrid stages must be integers, got {name}={value!r}")
+                raise ModelError(f"TimeGrid stages must be integers, got {name}={_shown(value)}")
             object.__setattr__(self, name, int(value))
         if self.t0 >= self.T:
-            raise ModelError(f"TimeGrid requires t0 < T, got t0={self.t0}, T={self.T}")
+            raise ModelError(
+                f"TimeGrid requires t0 < T, got t0={_shown(self.t0)}, T={_shown(self.T)}")
 
     @property
     def steps(self) -> int:
@@ -144,10 +146,45 @@ class StateSpace:
         return tuple(axes), tuple(keys), first
 
 
-def _shown(value) -> str:
-    """An integer's text, or the ``repr`` of another value, so that ``"1"``
-    does not read as the number 1."""
-    return str(value) if _is_int(value) else repr(value)
+# The most characters of a text, or digits of an integer, that a diagnostic shows.
+_SHOWN_CHARS = 200
+
+
+def _shown(value, room: int = _SHOWN_CHARS) -> str:
+    """The text of a value from outside the program in a diagnostic; it never raises.
+
+    An integer is its text, so that ``"1"`` does not read as the number 1; past
+    ``_SHOWN_CHARS`` digits it is ``integer of N digits``, and past the
+    interpreter's limit on an integer's text ``integer of more than N digits``.
+    A string is its ``repr``, or past ``_SHOWN_CHARS`` characters the ``repr``
+    of its first ``_SHOWN_CHARS`` and ``...``.  A list or tuple is shown entry
+    by entry; it and any other value's ``repr`` are cut to ``room`` characters
+    and ``...``, and each nested list has less room, so nesting ends.
+    """
+    if _is_int(value):
+        try:
+            text = str(value)
+        except ValueError:  # the interpreter refuses to write so many digits
+            return f"integer of more than {sys.get_int_max_str_digits()} digits"
+        digits = len(text.lstrip("-"))
+        return text if digits <= _SHOWN_CHARS else f"integer of {digits} digits"
+    if isinstance(value, str):
+        return repr(value) if len(value) <= _SHOWN_CHARS else repr(value[:_SHOWN_CHARS]) + "..."
+    if isinstance(value, (list, tuple)):
+        parts, size = [], 1
+        for entry in value:
+            if size > room:  # the text is cut below
+                break
+            parts.append(_shown(entry, room - size))
+            size += len(parts[-1]) + 2
+        inner = ", ".join(parts) + ("," if type(value) is tuple and len(value) == 1 else "")
+        text = f"[{inner}]" if isinstance(value, list) else f"({inner})"
+    else:
+        try:
+            text = repr(value)
+        except Exception:  # a container holding such an integer, or a broken __repr__
+            text = f"<{type(value).__name__} object>"
+    return text if len(text) <= room else text[:room] + "..."
 
 
 def _check_x0(m: int, x0: int) -> int:
@@ -173,7 +210,7 @@ def _check_index(t, t0: int, last: int, x=0, sink: int = 0) -> tuple[int, int]:
     """``(t - t0, x)`` as ints, if ``t`` is an integer stage in ``t0..last``
     and ``x`` an integer state in ``0..sink``, the sink included."""
     if not (_is_int(t) and t0 <= t <= last):
-        raise ModelError(f"stage {_shown(t)} outside [{t0}, {last}]")
+        raise ModelError(f"stage {_shown(t)} outside [{_shown(t0)}, {_shown(last)}]")
     if not (_is_int(x) and 0 <= x <= sink):
         raise ModelError(
             f"x must be a state index in 0..{sink} ({sink} is the sink), got {_shown(x)}")
@@ -271,7 +308,7 @@ class ControlMap:
     def __post_init__(self, data):
         m = self.n_states
         if self.kind not in ("shared", "per_state", "per_stage_state"):
-            raise ModelError(f"unknown ControlMap kind {self.kind!r}")
+            raise ModelError(f"unknown ControlMap kind {_shown(self.kind)}")
         if self.kind == "shared":
             rows = [[data]]  # one state, broadcast to every state below
         else:
@@ -437,14 +474,14 @@ def _as_floats(value, what: str, error=ModelError) -> np.ndarray:
             f"{what}: row {''.join(map('[{}]'.format, at))} has {len(v)} entries, "
             f"row {'[0]' * len(at)} has {n}"))
         walk.descend()
-    walk.check(_is_number, type, lambda v, at: error(f"{what}: expected a number, got {v!r}"))
+    walk.check(_is_number, type, lambda v, at: error(f"{what}: expected a number, got {_shown(v)}"))
     if walk.fault is not None:
         raise walk.fault
     try:
         return np.asarray(value, dtype=np.float64)
     except OverflowError:  # numbers in even rows: the largest is an integer past a double
-        digits = len(str(abs(max(filter(_is_int, walk.items), key=abs))))
-        raise error(f"{what}: integer of {digits} digits is past the range of a double") from None
+        largest = _shown(max(filter(_is_int, walk.items), key=abs))
+        raise error(f"{what}: {largest} is past the range of a double") from None
 
 
 def _as_array(value, what: str, error=ModelError) -> np.ndarray:
@@ -460,7 +497,7 @@ def _as_array(value, what: str, error=ModelError) -> np.ndarray:
         for _ in range(arr.ndim):
             walk.descend()
         walk.check(_is_int_type, type,
-                   lambda v, at: error(f"{what}: expected an integer, got {v!r}"))
+                   lambda v, at: error(f"{what}: expected an integer, got {_shown(v)}"))
         if walk.fault is not None:
             raise walk.fault
     return arr
@@ -527,20 +564,20 @@ def _nested_rows(nested, n_states: int, counts: np.ndarray, u_max: int, n_atoms:
         ("disturbance entries", lambda n: n == n_atoms, f", expected {n_atoms}"),
     ):
         walk.check(lambda t: issubclass(t, (list, tuple)), type, lambda v, p: ModelError(
-            f"dynamics table{at(p)}: expected a list of {what}, got {v!r}"))
+            f"dynamics table{at(p)}: expected a list of {what}, got {_shown(v)}"))
         walk.check(ok, len, lambda v, p: ModelError(
             f"dynamics table{at(p)}: {len(v)} {what}{tail}"))
         walk.descend()
     # ``true`` would otherwise convert to 1
-    walk.check(_is_int_type, type,
-               lambda v, p: ModelError(f"dynamics table entry {v!r}{at(p)} is not an integer"))
+    walk.check(_is_int_type, type, lambda v, p: ModelError(
+        f"dynamics table entry {_shown(v)}{at(p)} is not an integer"))
     try:
         entries = np.fromiter(walk.items, np.int64, len(walk.items))
     except OverflowError:  # an entry past int64 is out of range: compare the ints themselves
         entries = np.array(walk.items, dtype=object)
     out = (entries < -1) | (entries > n_states)
     walk.cut(int(out.argmax()) if out.any() else None,
-             lambda v, p: ModelError(f"dynamics table entry {v} out of range{at(p)}"))
+             lambda v, p: ModelError(f"dynamics table entry {_shown(v)} out of range{at(p)}"))
     if walk.fault is not None:
         raise walk.fault
     n_rows = np.fromiter(map(len, walk.levels[2]), np.int64, counts.size)
@@ -586,7 +623,7 @@ class ConstraintSets:
 
     def __post_init__(self):
         if self.kind not in ("set", "box"):
-            raise ModelError(f"unknown constraint kind {self.kind!r}")
+            raise ModelError(f"unknown constraint kind {_shown(self.kind)}")
         if (self.stationary is None) == (self.per_stage is None):
             raise ModelError("constraints need exactly one of stationary/per_stage")
         norm = _normalize_constraint_payload
@@ -620,7 +657,7 @@ def _normalize_constraint_payload(kind: str, payload):
     if kind == "set":
         bad = [i for i in payload if not _is_int(i)]
         if bad:
-            raise ModelError(f"set constraint: state index {bad[0]!r} is not an integer")
+            raise ModelError(f"set constraint: state index {_shown(bad[0])} is not an integer")
         return tuple(sorted({int(i) for i in payload}))
     lower, upper = payload
     lo = _as_floats(lower, "box constraint").reshape(-1)
@@ -730,7 +767,7 @@ def validate(model: Model) -> list[str]:
     total = float(np.sum(probs))
     if abs(total - 1.0) > 1e-12:
         out.append(
-            f"DisturbanceLaw: probabilities sum to {total!r}, "
+            f"DisturbanceLaw: probabilities sum to {_shown(total)}, "
             "expected 1 within 1e-12 (normalization)"
         )
     if not np.all(np.isfinite(model.noise.support)):
@@ -765,7 +802,7 @@ def validate(model: Model) -> list[str]:
 def _stages(rows: int, first: int, last: int, r: int) -> str:
     """The stages of ``first..last`` that row ``r`` of ``rows`` stored rows
     holds: its own stage when each stage has a row, else all of them."""
-    return str(first + r) if rows == last - first + 1 else f"{first}..{last}"
+    return _shown(first + r) if rows == last - first + 1 else f"{_shown(first)}..{_shown(last)}"
 
 
 def _payload_faults(model: Model, payload, stages: str) -> list[str]:
@@ -773,7 +810,7 @@ def _payload_faults(model: Model, payload, stages: str) -> list[str]:
     if model.constraints.kind == "set":
         bad = [i for i in payload if not (0 <= i < model.states.n_points)]
         return [f"ConstraintSets: stage index {stages} references invalid state indices "
-                f"{bad} (the sink is never a member)"] if bad else []
+                f"{_shown(bad)} (the sink is never a member)"] if bad else []
     lo, hi = payload
     out = []
     if lo.shape[0] != model.states.dim:

@@ -95,17 +95,15 @@ def test_solve_diagnostics_on_invalid_model(model_path, tmp_path, capsys):
         (("time", "t0"), "0.5", "time.t0: expected an integer, got 0.5"),
         (("time", "T"), "-1", "TimeGrid requires t0 < T, got t0=0, T=-1"),
         (("noise", "probs"), "[0.5, 0.5]", "noise: 3 support atoms but 2 probabilities"),
-        # the later duplicate "mode" key wins, so the constraint becomes a box
-        (("constraints", "stationary"), '{"lower": [-1.0], "upper": [1.0, 1.0]}, "mode": "box"',
-         "box constraint: lower/upper must have equal length"),
+        # a repeated field is refused, not read as its last value
+        (("time", "T"), '3, "T": 5', "time: duplicate field 'T'"),
         (("constraints", "stationary"), "[0, 1.5, 2]",
          "constraints.stationary[1]: expected an integer, got 1.5"),
         (("dynamics", "body"), '["x + + "]',
          "dynamics.body[0]: expected a number, name or '(' (offset 4)"),
         (("dynamics", "body"), '["x + y"]', "dynamics.body[0]: unknown variable 'y' (offset 4)"),
-        # the later duplicate "mode" key wins, so the body is read as a table
-        (("dynamics", "body"), '5, "mode": "table"',
-         "dynamics table: expected a list of stages, got 5"),
+        (("dynamics", "body"), '["x + u + w"], "mode": "table"',
+         "dynamics: duplicate field 'mode'"),
         pytest.param(("dynamics", "body"), '["' + "(" * 300 + "x" + ")" * 300 + '"]',
                      "dynamics.body[0]: expression nested deeper than 100 levels (offset 100)",
                      id="300-parentheses"),
@@ -141,16 +139,20 @@ def test_solve_diagnostics_on_invalid_model(model_path, tmp_path, capsys):
         (("time", "T"), "100000000",
          "transition table needs 19200000000 bytes (100000000 stages x 4 states x 2 control "
          "slots x 3 atoms x 8 B), over the guard of 2147483648 bytes"),
-        # the later duplicate "mode" key wins; state 0 lists 1 of its 2 controls
-        pytest.param(("dynamics", "body"),
-                     "[" + ", ".join(["[[[0, 0, 0]], [[1, 1, 1], [1, 1, 1]], "
-                                      "[[2, 2, 2], [2, 2, 2]]]"] * 40) + '], "mode": "table"',
-                     "dynamics table at (t=0, x=0): 1 control rows, expected 2",
-                     id="table-missing-row"),
-        # the later duplicate "dim" key wins: one state of no coordinate
-        pytest.param(("states", "points"), '[[]], "dim": 0',
-                     "StateSpace needs points of at least one coordinate, got shape (1, 0)",
-                     id="points-of-no-coordinate"),
+        pytest.param(("states", "points"), '[[-1.0], [0.0], [1.0]], "dim": 1',
+                     "states: duplicate field 'dim'", id="repeated-dim"),
+        # a string of 10^6 characters is shown by its first 200: one short line
+        pytest.param(("states", "points"), '["' + "x" * 10**6 + '", [0.0], [1.0]]',
+                     f"states.points: expected a number, got {'x' * 200!r}...",
+                     id="long-point"),
+        # a horizon of 4300 digits, whose byte count the interpreter refuses to write
+        pytest.param(("time", "T"), "1" + "0" * 4299,
+                     "transition table needs integer of more than 4300 digits bytes (integer of "
+                     "4300 digits stages x 4 states x 2 control slots x 3 atoms x 8 B), over the "
+                     "guard of 2147483648 bytes", id="T-of-4300-digits"),
+        # a list is cut at 200 characters, a field name of 10^6 characters in it
+        pytest.param(("time", "T"), '3, "' + "x" * 10**6 + '": 1',
+                     "time: unknown field(s) ['" + "x" * 198 + "...", id="long-unknown-field"),
     ],
 )
 def test_solve_rejects_malformed_numbers(model_path, tmp_path, capsys, field, value, message):
@@ -163,6 +165,34 @@ def test_solve_rejects_malformed_numbers(model_path, tmp_path, capsys, field, va
     assert rc == 2
     assert captured.err == f"error: {bad}: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "parts,message",
+    [
+        pytest.param({"constraints": {"mode": "box",
+                                      "stationary": {"lower": [-1.0], "upper": [1.0, 1.0]}}},
+                     "box constraint: lower/upper must have equal length", id="box-bounds"),
+        pytest.param({"dynamics": {"mode": "table", "body": 5}},
+                     "dynamics table: expected a list of stages, got 5", id="table-body-number"),
+        # state 0 lists 1 of its 2 controls
+        pytest.param({"dynamics": {"mode": "table", "body": [
+            [[[0, 0, 0]], [[1, 1, 1], [1, 1, 1]], [[2, 2, 2], [2, 2, 2]]]] * 40}},
+                     "dynamics table at (t=0, x=0): 1 control rows, expected 2",
+                     id="table-missing-row"),
+        pytest.param({"states": {"dim": 0, "points": [[]]}},
+                     "StateSpace needs points of at least one coordinate, got shape (1, 0)",
+                     id="points-of-no-coordinate"),
+    ],
+)
+def test_solve_rejects_malformed_parts(model_path, tmp_path, capsys, parts, message):
+    """Parts of the example's file replaced whole: each fault is one stderr line."""
+    doc = {**json.loads(model_path.read_text()), **parts}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["solve", "--model", str(bad), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {bad}: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -88,6 +88,14 @@ def test_syntax_error_offsets(src, offset):
         assert str(err.value) == f"unexpected character '{src[offset]}' (offset {offset})"
 
 
+@pytest.mark.parametrize("char,shown", [("\x1b", "'\\x1b'"), ("\0", "'\\x00'"), ("'", '"\'"')])
+def test_unexpected_character_is_shown_by_its_repr(char, shown):
+    """A control character is named by its escape, not written to a terminal."""
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("x + " + char, DIMS)
+    assert str(err.value) == f"unexpected character {shown} (offset 4)"
+
+
 @pytest.mark.parametrize(
     "src,value",
     [

@@ -42,6 +42,10 @@ from stochviab.model import (
 )
 
 
+# a JSON string of 10^6 characters, and how a diagnostic shows it
+_LONG, _LONG_SHOWN = '"' + "x" * 10**6 + '"', repr("x" * 200) + "..."
+
+
 def table_model() -> Model:
     nested = [
         [[[1, 0]], [[0, -1]]],
@@ -193,18 +197,13 @@ class TestModelJson:
              "dynamics table at (t=0, x=1): 2 control rows exceed u_max=1"),
             (("dynamics", "body", 1, 0, 0), "[0]",
              "dynamics table at (t=1, x=0, u=0): 1 disturbance entries, expected 2"),
-            # the later duplicate "mode" key wins
-            (("controls", "lists"), '5, "mode": "per_state"',
+            (("controls",), '{"mode": "per_state", "lists": 5}',
              "controls: per_state lists must be a list"),
             # one row per admissible control: none missing, none past the state's count
             (("dynamics", "body", 0, 1), "[]",
              "dynamics table at (t=0, x=1): 0 control rows, expected 1"),
-            # the later duplicate "controls" key wins: state 1 has 2 controls, state 0 one
-            (("dynamics",),
-             '{"mode": "table", "body": [[[[1, 0], [0, 0]], [[0, -1], [1, 1]]], '
-             '[[[0, 0]], [[1, 1], [0, 0]]]]}, '
-             '"controls": {"mode": "per_state", "lists": [[[1.0]], [[1.0], [2.0]]]}',
-             "dynamics table at (t=0, x=0): 2 control rows, expected 1"),
+            # a field repeated with the same value is refused too
+            (("dynamics", "mode"), '"table", "mode": "table"', "dynamics: duplicate field 'mode'"),
             # np.asarray would read true as 1
             (("dynamics", "body", 1, 0, 0, 1), "true",
              "dynamics table entry True at (t=1, x=0, u=0, w=1) is not an integer"),
@@ -278,6 +277,35 @@ class TestModelJson:
             # a ragged row after a bad leaf: the leaf comes first in the file
             ("example", ("controls", "lists"), '[[-1.0], ["1"], [1.0, 2.0]]',
              "controls: expected a number, got '1'"),
+            # a string of 10^6 characters is shown by its first 200: one short line
+            pytest.param("example", ("states", "points", 1, 0), _LONG,
+                         f"states.points: expected a number, got {_LONG_SHOWN}",
+                         id="long-points-leaf"),
+            pytest.param("example", ("controls", "lists", 0, 0), _LONG,
+                         f"controls: expected a number, got {_LONG_SHOWN}",
+                         id="long-control"),
+            pytest.param("example", ("noise", "probs", 1), _LONG,
+                         f"noise.probs: expected a number, got {_LONG_SHOWN}",
+                         id="long-noise-probs"),
+            pytest.param("box", ("constraints", "stationary", "upper", 0), _LONG,
+                         f"constraints.stationary.upper: expected a number, got {_LONG_SHOWN}",
+                         id="long-box-bound"),
+            pytest.param("ragged", ("dynamics", "body", 0, 0, 0, 0), _LONG,
+                         f"dynamics table entry {_LONG_SHOWN} at (t=0, x=0, u=0, w=0) "
+                         "is not an integer",
+                         id="long-body-entry"),
+            pytest.param("example", ("constraints", "stationary", 1), _LONG,
+                         f"constraints.stationary[1]: expected an integer, got {_LONG_SHOWN}",
+                         id="long-set-index"),
+            pytest.param("example", ("time", "T"), _LONG,
+                         f"time.T: expected an integer, got {_LONG_SHOWN}",
+                         id="long-time-T"),
+            pytest.param("example", ("controls", "mode"), _LONG,
+                         f"controls: unknown mode {_LONG_SHOWN}",
+                         id="long-controls-mode"),
+            pytest.param("example", ("dynamics", "body", 0), '"x + ' + "x" * 10**6 + '"',
+                         f"dynamics.body[0]: unknown variable {_LONG_SHOWN} (offset 4)",
+                         id="long-expression-name"),
         ],
     )
     def test_number_fields_read_strictly(self, tmp_path, model, keys, literal, message):
@@ -292,6 +320,41 @@ class TestModelJson:
         if message is None:
             assert validate(load_model(path)) == []
             return
+        with pytest.raises(ModelFormatError, match="^" + re.escape(f"{path}: {message}") + "$"):
+            load_model(path)
+
+    def test_more_control_rows_than_controls_refused(self, tmp_path):
+        """State 0 of the body lists 2 control rows for its 1 control."""
+        doc = {**model_to_dict(table_model()),
+               "controls": {"mode": "per_state", "lists": [[[1.0]], [[1.0], [2.0]]]},
+               "dynamics": {"mode": "table", "body": [[[[1, 0], [0, 0]], [[0, -1], [1, 1]]],
+                                                      [[[0, 0]], [[1, 1], [0, 0]]]]}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        message = "dynamics table at (t=0, x=0): 2 control rows, expected 1"
+        with pytest.raises(ModelFormatError, match="^" + re.escape(f"{path}: {message}") + "$"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "keys,literal,message",
+        [
+            pytest.param(("noise",), '{"support": [[0.0]], "probs": [1.0]}, '
+                         '"noise": {"support": [[0.0]], "probs": [1.0]}',
+                         "model: duplicate field 'noise'", id="top-level"),
+            pytest.param(("time", "T"), '3, "T": 5', "time: duplicate field 'T'", id="time"),
+            pytest.param(("constraints", "stationary", "upper"), '[0.8], "upper": [0.9]',
+                         "constraints.stationary: duplicate field 'upper'", id="box-payload"),
+        ],
+    )
+    def test_repeated_field_refused(self, tmp_path, keys, literal, message):
+        """json.loads would keep a repeated name's last value; the file is refused."""
+        doc = model_to_dict(walk_model(5, 2))
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = "@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
         with pytest.raises(ModelFormatError, match="^" + re.escape(f"{path}: {message}") + "$"):
             load_model(path)
 
@@ -373,6 +436,10 @@ class TestModelJson:
                 ([0.0], [1.0]), ([0.0, -np.inf], [1.0, np.nan]), ([0.0], [1.0])))},
              "constraints.per_stage[1].lower[1]: -inf is not a JSON number; "
              "numbers must be finite"),
+            # an integer whose text the interpreter refuses, as json's reader does
+            ({"constraints": ConstraintSets("set", stationary=(0, 1, 10**5000))},
+             "constraints.stationary[2]: integer of more than 4300 digits is past the integers "
+             "a JSON reader takes"),
         ],
     )
     def test_save_model_refuses_what_a_file_cannot_hold(self, tmp_path, parts, message):
@@ -489,6 +556,10 @@ class TestValueCsv:
             (2, "0,0,-1,0.5\x85\n0,1,0,zero", "line 2: malformed number in '0,0,-1,0.5\\x85'"),
             (3, "\x0b\n0,1,0,zero", "line 3: 1 fields, expected 4"),
             (3, "0,1,0,0.5\r0,2,1,zero", "line 3: 7 fields, expected 4"),
+            # a cell of 10^6 characters: its line is shown by its first 200
+            pytest.param(3, "0,1,0," + "x" * 10**6,
+                         f"line 3: malformed number in {'0,1,0,' + 'x' * 194!r}...",
+                         id="long-cell"),
         ],
     )
     def test_malformed_rows_rejected(self, tmp_path, example_model, line, text, message):

@@ -13,6 +13,7 @@ from stochviab.dp import PolicyError, solve
 from stochviab.expr import parse
 from stochviab.io import load_model, model_from_dict, model_to_dict, save_model
 from stochviab.kernel import FeedbackPolicy, kernel_slice, select_feedback, viable_feedback_check
+from stochviab.mc import estimate_probability
 from stochviab.model import (
     ConstraintSets,
     ControlMap,
@@ -24,6 +25,7 @@ from stochviab.model import (
     StateSpace,
     TableDynamics,
     TimeGrid,
+    _shown,
     make_three_state_example,
     project_to_grid,
     validate,
@@ -151,6 +153,23 @@ class TestValidate:
             ConstraintSets("set", stationary=(0, 1, 2, 7)),
         )
         assert any("ConstraintSets" in v for v in validate(bad))
+
+    def test_constraint_index_past_the_str_limit(self):
+        """An integer whose text the interpreter refuses is named by its size."""
+        m = make_three_state_example(0.01)
+        bad = dataclasses.replace(m, constraints=ConstraintSets("set", stationary=(0, 1, _PAST)))
+        assert validate(bad) == [
+            f"ConstraintSets: stage index 0..40 references invalid state indices [{_PAST_TEXT}] "
+            "(the sink is never a member)"]
+
+    def test_stage_span_past_the_str_limit(self):
+        """T - t0 of 4301 digits, whose text the interpreter refuses."""
+        m, last = make_three_state_example(0.01), 10**4300 - 1
+        bad = dataclasses.replace(m, time=TimeGrid(-last, last),
+                                  constraints=ConstraintSets("set", stationary=(0, 1, 2, 7)))
+        assert validate(bad) == [
+            f"ConstraintSets: stage index 0..{_PAST_TEXT} references invalid state indices [7] "
+            "(the sink is never a member)"]
 
     def test_non_absorbing_sink_reported(self):
         table = np.zeros((1, 3, 1, 1), dtype=np.int64)
@@ -672,6 +691,20 @@ def _feedback_check_at(beta):
 
 _RAGGED, _HUGE = [[0.0], [0.0, 1.0]], 10**400
 _DIGITS = "integer of 401 digits is past the range of a double"
+# an integer past the interpreter's 4300-digit limit on an integer's text
+_PAST, _PAST_TEXT = 10**5000, "integer of more than 4300 digits"
+
+
+def _solved():
+    """The example over 3 stages, its value function and argmax sets."""
+    model = make_three_state_example(0.01, 0, 3)
+    return (model, *solve(model))
+
+
+def _estimate_from(x0):
+    """``estimate_probability`` of the example's own feedback from ``x0``."""
+    model, _, argmax = _solved()
+    return estimate_probability(model, select_feedback(argmax), x0, 10, 0)
 
 
 # each check has one home, so the constructors and entry points refuse what the
@@ -722,7 +755,61 @@ _DIGITS = "integer of 401 digits is past the range of a double"
      "beta must lie in (0, 1], got '0.5'"),
     (lambda: make_three_state_example("0.1"), ModelError, "p must lie in (0, 1/2), got '0.1'"),
     (lambda: example_matrix("0.1"), ModelError, "p must lie in (0, 1/2), got '0.1'"),
+    # an integer whose text the interpreter refuses to write is named by its size
+    (lambda: _solved()[1].value(0, _PAST), ModelError,
+     f"x must be a state index in 0..3 (3 is the sink), got {_PAST_TEXT}"),
+    (lambda: _estimate_from(_PAST), ModelError,
+     f"x0 must be a non-sink state index in 0..2, got {_PAST_TEXT}"),
+    (lambda: select_feedback(_solved()[2], [_PAST]), ModelError,
+     f"preference slot {_PAST_TEXT} must be an integer in 0..1"),
+    (lambda: StateSpace([[_PAST]]), ModelError,
+     f"StateSpace points: {_PAST_TEXT} is past the range of a double"),
+    (lambda: TableDynamics.from_nested([[[[_PAST]]]], 1, [1], 1, 1), ModelError,
+     f"dynamics table entry {_PAST_TEXT} out of range at (t=0, x=0, u=0, w=0)"),
 ])
 def test_input_refused_as_the_model_file_refuses_it(build, error, message):
     with pytest.raises(error, match="^" + re.escape(message) + "$"):
         build()
+
+
+# integers of any size, 10**k of up to 6000 digits among them, strings of any
+# characters and of up to 3000, and lists of them, nested
+_OUTSIDE = st.recursive(
+    st.integers() | st.builds(lambda k, sign: sign * 10**k, st.integers(0, 6000),
+                              st.sampled_from([1, -1]))
+    | st.text(max_size=3) | st.text(max_size=3000) | st.floats() | st.none() | st.booleans(),
+    lambda inner: st.lists(inner, max_size=80) | st.tuples(inner) | st.tuples(inner, inner),
+    max_leaves=300)
+
+
+@given(_OUTSIDE)
+@settings(max_examples=300, deadline=None)
+def test_shown_is_bounded_and_never_raises(value):
+    """``_shown`` of any value: ``str`` of a short integer, ``repr`` of a short
+    string or list, and a bounded text of a long one."""
+    text = _shown(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        digits = len(str(abs(value))) if abs(value) < 10**4300 else None
+        if digits is None:
+            assert text == "integer of more than 4300 digits"
+        else:
+            assert text == (str(value) if digits <= 200 else f"integer of {digits} digits")
+    elif isinstance(value, str):
+        assert text == (repr(value) if len(value) <= 200 else repr(value[:200]) + "...")
+    else:
+        assert len(text) <= 203
+        try:
+            full = repr(value)
+        except ValueError:  # an integer past the limit inside
+            full = None
+        if full is not None and len(full) <= 200:
+            assert text == full
+
+
+def test_shown_cuts_a_list_and_its_nesting():
+    assert _shown(list(range(1000))) == repr(list(range(1000)))[:200] + "..."
+    nested = []
+    for _ in range(5000):
+        nested = [nested]
+    assert _shown(nested) == "[" * 200 + "..."
+    assert _shown({"a": _PAST}) == "<dict object>"
