@@ -152,6 +152,8 @@ def cmd_oracle(args) -> int:
 
     if args.x0 is None and args.beta is None:
         raise ModelError("oracle needs --x0 (a coordinate in {-1,0,1}) or --beta")
+    if args.x0 is not None and args.beta is not None:
+        raise ModelError("oracle takes one of --x0 and --beta, not both")
     if args.x0 is not None:
         print(io._fmt(closed_form.matrix_value(args.p, args.horizon, args.time, args.x0)))
         return 0
@@ -159,6 +161,20 @@ def cmd_oracle(args) -> int:
     members = " ".join(str(c) for c in shape.members)
     print(f"{shape.value} {members}".rstrip())
     return 0
+
+
+class _Integer(argparse.Action):
+    """Stores an option's text as an ``int``.  A text that ``int`` refuses
+    raises :class:`ModelError`.  argparse lets an action's error through to
+    :func:`main`, which prints it as one line, the text as :func:`_shown`
+    shows it; a ``type``'s error it would print whole, after a usage line."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        try:
+            value = int(text)
+        except ValueError:  # not an integer, or past the interpreter's digit limit
+            raise ModelError(f"{option_string}: expected an integer, got {_shown(text)}") from None
+        setattr(namespace, self.dest, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="write the built-in three-state model file")
     p.add_argument("--p", type=float, required=True, help="disturbance tail probability, in (0, 1/2)")
-    p.add_argument("--t0", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=40, help="final stage T")
+    p.add_argument("--t0", action=_Integer, default=0)
+    p.add_argument("--horizon", action=_Integer, default=40, help="final stage T")
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_example)
 
@@ -184,14 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("value", help="query a solved value table")
     p.add_argument("--values", help="value CSV from `solve`")
     p.add_argument("--model", help="model JSON (solved on the fly)")
-    p.add_argument("--time", type=int, required=True)
-    p.add_argument("--x0", type=int, help="state index; omit for the whole stage")
+    p.add_argument("--time", action=_Integer, required=True)
+    p.add_argument("--x0", action=_Integer, help="state index; omit for the whole stage")
     p.set_defaults(func=cmd_value)
 
     p = sub.add_parser("kernel", help="level section {x : V(t,x) >= beta}")
     p.add_argument("--values", help="value CSV from `solve`")
     p.add_argument("--model", help="model JSON (solved on the fly)")
-    p.add_argument("--time", type=int, required=True)
+    p.add_argument("--time", action=_Integer, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--out", help="optional kernel CSV")
     p.set_defaults(func=cmd_kernel)
@@ -205,25 +221,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="closed-loop sample paths under the argmax selection")
     p.add_argument("--model", required=True)
-    p.add_argument("--x0", type=int, required=True, help="initial state index")
-    p.add_argument("--samples", type=int, default=9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--x0", action=_Integer, required=True, help="initial state index")
+    p.add_argument("--samples", action=_Integer, default=9)
+    p.add_argument("--seed", action=_Integer, default=0)
     p.add_argument("--out", help="trajectory CSV path")
     p.add_argument("--plot-data", dest="plot_data", help="wide per-stage CSV for plotting")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="Monte Carlo success probability with Wilson interval")
     p.add_argument("--model", required=True)
-    p.add_argument("--x0", type=int, required=True, help="initial state index")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--x0", action=_Integer, required=True, help="initial state index")
+    p.add_argument("--samples", action=_Integer, default=10000)
+    p.add_argument("--seed", action=_Integer, default=0)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("oracle", help="closed-form value/kernel of the three-state model")
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--horizon", type=int, required=True, help="final stage T")
-    p.add_argument("--time", type=int, required=True)
-    p.add_argument("--x0", type=int, help="state coordinate in {-1, 0, 1}")
+    p.add_argument("--horizon", action=_Integer, required=True, help="final stage T")
+    p.add_argument("--time", action=_Integer, required=True)
+    p.add_argument("--x0", action=_Integer, help="state coordinate in {-1, 0, 1}")
     p.add_argument("--beta", type=float)
     p.set_defaults(func=cmd_oracle)
 
@@ -232,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ModelError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import warnings
 from bisect import bisect_left
 from itertools import accumulate, chain, repeat
 from pathlib import Path
@@ -35,6 +36,7 @@ from .model import (
     _as_floats,
     _first_refused,
     _is_int,
+    _padded_table,
     _shown,
 )
 
@@ -224,10 +226,10 @@ def model_from_dict(doc: dict) -> Model:
             raise ModelFormatError("dynamics.body: expected a list of expressions")
         dynamics = ExprDynamics(body)
     elif dmode == "table":
-        dynamics = TableDynamics.from_nested(
-            doc["dynamics"]["body"], states.n_points, controls.counts[0], noise.n_atoms,
-            time.steps,
-        )
+        body = doc["dynamics"]["body"]
+        shape = states.n_points, controls.counts[0], noise.n_atoms, time.steps
+        dynamics = (body.table(*shape) if isinstance(body, _WrittenBody)
+                    else TableDynamics.from_nested(body, *shape))
     else:
         raise ModelFormatError(f"dynamics: unknown mode {_shown(dmode)}")
 
@@ -350,16 +352,25 @@ def _model_doc(model: Model) -> tuple[dict, list]:
     }, texts
 
 
-def _read_text(path: PathLike) -> str:
-    """The file's text, its line ends untranslated."""
+def _decoded(data: bytes, path: PathLike) -> str:
+    """The text of the file ``path``, whose bytes are ``data``, its line ends
+    untranslated; a byte that is not UTF-8 is named by its place in the file."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise ModelFormatError(f"{path}: not UTF-8: {err.reason} at byte {err.start}") from None
 
 
 def load_model(path: PathLike) -> Model:
-    text = _read_text(path)
+    """The model of a model file.  A file whose table body lies as
+    :func:`save_model` writes it is read by :func:`_written_table_model`;
+    every other file, and every file that one refuses, by ``json.loads`` and
+    :func:`model_from_dict`, which name its first fault."""
+    data = Path(path).read_bytes()
+    model = _written_table_model(data)
+    if model is not None:
+        return model
+    text = _decoded(data, path)
 
     def non_finite(name: str):
         raise ModelFormatError(f"{path}: {name} is not a JSON number; numbers must be finite")
@@ -376,6 +387,89 @@ def load_model(path: PathLike) -> Model:
         return model_from_dict(doc)
     except ModelError as err:  # schema and constructor errors alike name the file
         raise ModelFormatError(f"{path}: {err}") from None
+
+
+# What precedes and follows a table body in the file save_model writes.  No
+# JSON string holds a line end, so these are the document's own.
+_BODY_HEAD = b'"mode": "table",\n    "body": '
+_BODY_TAIL = b'\n  },\n  "constraints"'
+# A body's integers apart: brackets and white space dropped, commas made spaces
+_ENTRY_TEXT = bytes.maketrans(b",", b" "), b" \n[]"
+
+
+class _WrittenBody:
+    """The table body at ``data[start:end]``, read as the integers it lists."""
+
+    __slots__ = ("data", "start", "end")
+
+    def __init__(self, data: bytes, start: int, end: int):
+        self.data, self.start, self.end = data, start, end
+
+    def table(self, n_states: int, counts: np.ndarray, n_atoms: int, steps: int
+              ) -> TableDynamics:
+        """The table of the entries, if they are as many as ``counts`` rows of
+        ``n_atoms`` each and lie in ``-1..n_states - 1``; anything else raises.
+        Only the text's integers are read, so a caller checks its layout."""
+        counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), (steps, n_states))
+        n_rows = int(counts.sum())
+        entries = np.zeros(0, np.int64)  # numpy reads a text of no number as [0]
+        if n_rows * n_atoms:
+            text = self.data[self.start : self.end].translate(*_ENTRY_TEXT)
+            with warnings.catch_warnings():  # numpy 1.x warns of text it cannot read
+                warnings.simplefilter("error")
+                entries = np.fromstring(text, np.int64, sep=" ")
+        if entries.size != n_rows * n_atoms or entries.size and (
+                entries.min() < -1 or entries.max() >= n_states):
+            raise ValueError("not the entries of a table body")
+        return _padded_table(entries.reshape(n_rows, n_atoms), counts)
+
+    def is_text_of(self, model: Model) -> bool:
+        """Whether :func:`_table_body` gives this text, compared one stage at a time."""
+        at = self.start
+        for piece in _table_body(model):
+            piece = piece.encode()
+            if not self.data.startswith(piece, at, self.end):
+                return False
+            at += len(piece)
+        return at == self.end
+
+
+def _written_table_model(data: bytes) -> Model | None:
+    """The model of a file that holds a table body in the layout of
+    :func:`save_model`, or None.
+
+    The body is cut out of the bytes; the rest of the file is read by
+    ``json.loads``, with a ``NaN`` in its place that stands for the
+    :class:`_WrittenBody`, and the body's integers by numpy in one pass.  The
+    model is taken only when the writer gives back the body byte for byte:
+    ``json.loads`` would have read the same lists, so it is the model
+    :func:`model_from_dict` makes of the whole text.  Any fault, and any other
+    layout, gives None, and the whole text is read again.
+    """
+    start, end = data.find(_BODY_HEAD), -1
+    if start >= 0:
+        start += len(_BODY_HEAD)
+        end = data.rfind(_BODY_TAIL, start)  # constraints are the last field
+    if end < 0:
+        return None
+    body, constants = _WrittenBody(data, start, end), []
+
+    def placeholder(name: str) -> _WrittenBody:
+        """The body, for the NaN in its place; a second constant is a fault."""
+        constants.append(name)
+        if len(constants) > 1:
+            raise ValueError(f"{name} is not a JSON number")
+        return body
+
+    try:
+        doc = json.loads(data[:start].decode("utf-8") + "NaN" + data[end:].decode("utf-8"),
+                         parse_constant=placeholder, object_pairs_hook=_json_object)
+        if doc["dynamics"]["body"] is not body:
+            return None
+        model = model_from_dict(doc)
+    except Exception:  # the whole text's reading names the fault, or its absence
+        return None
+    return model if body.is_text_of(model) else None
 
 
 def save_model(model: Model, path: PathLike) -> None:
@@ -506,7 +600,7 @@ def read_value_csv(path: PathLike) -> ValueFunction:
     state's coordinates are those of its first row in line order.  Lines end
     in ``\n`` or ``\r\n``, so they are numbered as ``wc -l`` counts them.
     """
-    text = _read_text(path)
+    text = _decoded(Path(path).read_bytes(), path)
     if "\r" in text:  # \r\n line ends; a lone \r stays in its line
         text = text.replace("\r\n", "\n")
     lines = text.split("\n")

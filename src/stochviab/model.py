@@ -441,13 +441,22 @@ class TableDynamics:
         """
         counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), (steps, n_states))
         u_max = max(1, int(counts.max(initial=0)))
-        rows = _nested_rows(nested, n_states, counts, u_max, n_atoms, steps)
-        sink = n_states
-        table = np.full((steps, n_states + 1, u_max, n_atoms), sink, dtype=np.int64)
-        listed = np.arange(u_max) < counts[..., None]  # the (t, x, u) slots of the rows
-        rows[rows == -1] = sink
-        table[:, :n_states][listed] = rows
-        return cls(table)
+        return _padded_table(_nested_rows(nested, n_states, counts, u_max, n_atoms, steps),
+                             counts)
+
+
+def _padded_table(rows: np.ndarray, counts: np.ndarray) -> TableDynamics:
+    """The table of the control rows ``rows``, a ``(rows, n_atoms)`` array of
+    entries in ``-1..n_states`` in (t, x, u) order, which lists ``counts[t, x]``
+    rows for each stage and state.  ``-1`` becomes the sink; the sink row and
+    the slots past a state's count hold the sink.  ``rows`` is changed."""
+    steps, n_states = counts.shape
+    u_max, sink = max(1, int(counts.max(initial=0))), n_states
+    table = np.full((steps, n_states + 1, u_max, rows.shape[1]), sink, dtype=np.int64)
+    listed = np.arange(u_max) < counts[..., None]  # the (t, x, u) slots of the rows
+    rows[rows == -1] = sink
+    table[:, :n_states][listed] = rows
+    return TableDynamics(table)
 
 
 def _is_number(t: type) -> bool:

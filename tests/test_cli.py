@@ -452,3 +452,38 @@ def test_oracle_requires_query(capsys):
     rc = main(["oracle", "--p", "0.01", "--horizon", "40", "--time", "39"])
     captured = capsys.readouterr()
     assert rc == 2 and "--x0" in captured.err
+
+
+_NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "args,shown",
+    [
+        (["estimate", "--model", "@", "--x0", "1", "--seed", "1.5"], "--seed: '1.5'"),
+        # past the interpreter's 4300 digits: shown by its first 200
+        (["estimate", "--model", "@", "--x0", "1", "--seed", _NINES],
+         f"--seed: {'9' * 200!r}..."),
+        (["simulate", "--model", "@", "--x0", "one"], "--x0: 'one'"),
+        (["estimate", "--model", "@", "--x0", "1", "--samples", "1e3"], "--samples: '1e3'"),
+        (["value", "--model", "@", "--time", "0.0"], "--time: '0.0'"),
+        (["example", "--p", "0.01", "--t0", "", "--out", "@"], "--t0: ''"),
+        (["oracle", "--p", "0.01", "--horizon", _NINES, "--time", "0", "--x0", "0"],
+         f"--horizon: {'9' * 200!r}..."),
+    ],
+)
+def test_an_integer_flag_refuses_in_one_line(model_path, capsys, args, shown):
+    rc = main([str(model_path) if a == "@" else a for a in args])
+    captured = capsys.readouterr()
+    option, text = shown.split(": ", 1)
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: {option}: expected an integer, got {text}\n"
+
+
+def test_oracle_refuses_x0_with_beta(capsys):
+    """--beta was once ignored, unchecked, beside --x0."""
+    rc = main(["oracle", "--p", "0.01", "--horizon", "3", "--time", "0", "--x0", "0",
+               "--beta", "nan"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: oracle takes one of --x0 and --beta, not both\n"

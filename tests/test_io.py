@@ -1,19 +1,25 @@
+import functools
 import hashlib
+import importlib.util
 import json
 import random
 import re
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_model, signed_zero_model, walk_model
+from stochviab import io
 from stochviab.cli import _write_plot_data
 from stochviab.dp import ArgmaxPolicy, PolicyError, ValueFunction, solve
 from stochviab.io import (
     ModelFormatError,
+    _json_object,
     format_estimate,
     load_model,
     model_from_dict,
@@ -81,6 +87,16 @@ WRITTEN_MODELS = {
         noise=DisturbanceLaw(np.zeros((0, 1)), np.zeros(0)),
         dynamics=TableDynamics(np.zeros((2, 3, 1, 0), np.int64))),
 }
+
+
+def _written_model(name: str) -> Model:
+    """``WRITTEN_MODELS[name]``, or for ``random-<seed>`` that random model
+    with the per_state controls in force at t0, which a file can hold."""
+    if not name.startswith("random-"):
+        return WRITTEN_MODELS[name]()
+    model = random_model(int(name[7:]))
+    return replace(model, controls=_per_state(
+        [model.admissible(model.time.t0, x) for x in range(model.states.n_points)]))
 
 
 class TestModelJson:
@@ -369,14 +385,7 @@ class TestModelJson:
     @pytest.mark.parametrize("name", [*WRITTEN_MODELS, *(f"random-{s}" for s in range(200))])
     def test_save_model_writes_the_indented_json(self, tmp_path, name):
         """The spliced table body gives the bytes of ``json.dumps(indent=2)``."""
-        if name.startswith("random-"):
-            model = random_model(int(name[7:]))
-            # the file holds per_state controls: take those in force at t0
-            model = replace(model, controls=_per_state(
-                [model.admissible(model.time.t0, x)
-                 for x in range(model.states.n_points)]))
-        else:
-            model = WRITTEN_MODELS[name]()
+        model = _written_model(name)
         save_model(model, tmp_path / "m.json")
         want = json.dumps(model_to_dict(model), indent=2) + "\n"
         assert (tmp_path / "m.json").read_text() == want
@@ -493,6 +502,157 @@ class TestModelJson:
         save_model(model, path)
         doc = json.loads(path.read_text())
         assert doc["constraints"]["per_stage"] == [[0, 1], [0], [0, 1]]
+
+
+@functools.cache
+def _workloads():
+    """perfbench's workload generator, which imports no stochviab."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _written_text(name: str) -> str:
+    """The text of a model file holding a table body, as save_model or
+    perfbench (``json.dumps(indent=2)``) writes it."""
+    if name.startswith("table-1d-"):
+        _, _, scale, seed = name.split("-")
+        return _workloads().generate("table-1d", int(seed), scale).model.text()
+    return "".join(io._model_text(_written_model(name)))
+
+
+def _whole_text_model(text: str) -> Model:
+    return model_from_dict(json.loads(text, object_pairs_hook=_json_object))
+
+
+@pytest.fixture()
+def json_texts(monkeypatch) -> list:
+    """The texts that ``json.loads`` reads while the test runs."""
+    texts, loads = [], json.loads
+
+    def recorded(text, *args, **kwargs):
+        texts.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", recorded)
+    return texts
+
+
+class TestWrittenTableBody:
+    """A table body that lies as save_model writes it is read by numpy and
+    taken only when the writer gives back its bytes; any other file is read
+    whole by json.loads, with the same model or message as before."""
+
+    @pytest.mark.parametrize("name", [
+        *WRITTEN_MODELS, *(f"random-{s}" for s in range(200)),
+        *(f"table-1d-{scale}-{seed}" for scale in ("tiny", "full") for seed in (1, 89))])
+    def test_the_body_is_read_without_json(self, tmp_path, json_texts, name):
+        text = _written_text(name)
+        want = _whole_text_model(text)
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        del json_texts[:]
+        got = load_model(path)
+        # json.loads read the file once, with NaN in place of the body
+        assert len(json_texts) == 1 and '"body": NaN\n  },' in json_texts[0]
+        assert len(json_texts[0]) < len(text) or name == "no-atoms"
+        assert np.array_equal(got.dynamics.table, want.dynamics.table)
+        save_model(got, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == text
+
+    def test_an_expression_model_is_read_once(self, tmp_path, json_texts, example_model):
+        save_model(example_model, tmp_path / "m.json")
+        text = (tmp_path / "m.json").read_text()
+        del json_texts[:]
+        load_model(tmp_path / "m.json")
+        assert json_texts == [text]
+
+    @pytest.mark.parametrize(
+        "keys,literal,message",
+        [
+            (("dynamics", "body", 0, 0, 0), "[1 2]",
+             "not valid JSON: Expecting ',' delimiter: line 44 column 14 (char 472)"),
+            (("dynamics", "body", 0, 0, 0, 1), "-0", None),
+            (("dynamics", "body", 0, 0, 0, 1), "01",
+             "not valid JSON: Expecting ',' delimiter: line 46 column 14 (char 499)"),
+            (("dynamics", "body", 1, 1, 0, 0), "1.0",
+             "dynamics table entry 1.0 at (t=1, x=1, u=0, w=0) is not an integer"),
+            (("dynamics", "body", 1, 0, 0, 1), "true",
+             "dynamics table entry True at (t=1, x=0, u=0, w=1) is not an integer"),
+            (("dynamics", "body", 1, 1, 0, 1), "3",
+             "dynamics table entry 3 out of range at (t=1, x=1, u=0, w=1)"),
+            # the sink by its index, which the writer writes as -1
+            (("dynamics", "body", 1, 1, 0, 1), "2", None),
+            (("dynamics", "body", 0, 1), "[]",
+             "dynamics table at (t=0, x=1): 0 control rows, expected 1"),
+            (("noise", "probs", 1), "NaN", "NaN is not a JSON number; numbers must be finite"),
+            (("dynamics", "body", 0, 0, 0, 0), "NaN",
+             "NaN is not a JSON number; numbers must be finite"),
+        ],
+    )
+    def test_a_changed_entry_is_read_whole(self, tmp_path, json_texts, keys, literal, message):
+        """The file keeps the writer's layout around the changed part."""
+        doc = model_to_dict(table_model())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = "@"
+        self.check_read_whole(tmp_path, json_texts,
+                              json.dumps(doc, indent=2).replace('"@"', literal) + "\n", message)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            pytest.param(lambda text: text.replace("\n", "\r\n"), None, id="crlf"),
+            pytest.param(lambda text: json.dumps(json.loads(text)), None, id="compact"),
+            pytest.param(lambda text: json.dumps(
+                {k: v for k, v in reversed(json.loads(text).items())}, indent=2) + "\n",
+                None, id="constraints-before-dynamics"),
+            pytest.param(lambda text: text.replace(
+                '"mode": "table",', '"mode": "table",\n    "\\"body\\": [": 0,'),
+                'dynamics: unknown field(s) [\'"body": [\']', id="body-in-a-key"),
+            pytest.param(lambda text: text.replace(
+                '\n  },\n  "constraints"', ',\n    "body": []\n  },\n  "constraints"'),
+                "dynamics: duplicate field 'body'", id="repeated-body"),
+            pytest.param(lambda text: text.replace(
+                '\n  },\n  "constraints"', ',\n    "body": [[]]\n  },\n  "constraints"').replace(
+                '"body": [', '"body": [[]],\n    "body": [', 1),
+                "dynamics: duplicate field 'body'", id="body-before-the-body"),
+        ],
+    )
+    def test_another_layout_is_read_whole(self, tmp_path, json_texts, change, message):
+        text = change("".join(io._model_text(table_model())))
+        self.check_read_whole(tmp_path, json_texts, text, message)
+
+    @pytest.mark.parametrize("after", ['"constraints": {', '"body": ['])
+    def test_a_byte_not_utf8_is_named_by_its_place_in_the_file(self, tmp_path, after):
+        data = "".join(io._model_text(table_model())).encode()
+        at = data.index(after.encode()) + len(after) + 20
+        path = tmp_path / "m.json"
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        message = f"{path}: not UTF-8: invalid start byte at byte {at}"
+        with pytest.raises(ModelFormatError, match="^" + re.escape(message) + "$"):
+            load_model(path)
+
+    @staticmethod
+    def check_read_whole(tmp_path, json_texts, text, message):
+        """``load_model`` reads ``text`` whole: it gives the model of the whole
+        text, or, for ``message``, that diagnostic."""
+        path = tmp_path / "m.json"
+        path.write_text(text, newline="")
+        if message is not None:
+            with pytest.raises(ModelFormatError,
+                               match="^" + re.escape(f"{path}: {message}") + "$"):
+                load_model(path)
+            assert json_texts[-1] == text
+            return
+        want = _whole_text_model(text)
+        del json_texts[:]
+        got = load_model(path)
+        assert json_texts[-1] == text
+        assert np.array_equal(got.dynamics.table, want.dynamics.table)
 
 
 class TestValueCsv:
