@@ -37,6 +37,8 @@ def _solve_file(path: str) -> tuple:
 
 def _value_source(args) -> ValueFunction:
     """The value function of --values, falling back to solving --model."""
+    if args.values is not None and args.model is not None:
+        raise ModelError(f"{args.command} takes one of --values and --model, not both")
     if args.values:
         return io.read_value_csv(args.values)
     if args.model:
@@ -163,17 +165,23 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-class _Integer(argparse.Action):
-    """Stores an option's text as an ``int``.  A text that ``int`` refuses
-    raises :class:`ModelError`.  argparse lets an action's error through to
-    :func:`main`, which prints it as one line, the text as :func:`_shown`
-    shows it; a ``type``'s error it would print whole, after a usage line."""
+class _Number(argparse.Action):
+    """Stores an option's text as ``convert(text)``, ``int`` or ``float``.  A
+    text that ``convert`` refuses raises :class:`ModelError`.  argparse lets an
+    action's error through to :func:`main`, which prints it as one line, the
+    text as :func:`_shown` shows it; a ``type``'s error it would print whole,
+    after a usage line."""
+
+    def __init__(self, *args, convert=int, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.convert = convert
 
     def __call__(self, parser, namespace, text, option_string=None):
         try:
-            value = int(text)
-        except ValueError:  # not an integer, or past the interpreter's digit limit
-            raise ModelError(f"{option_string}: expected an integer, got {_shown(text)}") from None
+            value = self.convert(text)
+        except ValueError:  # not a number, or past the interpreter's digit limit
+            expected = "an integer" if self.convert is int else "a number"
+            raise ModelError(f"{option_string}: expected {expected}, got {_shown(text)}") from None
         setattr(namespace, self.dest, value)
 
 
@@ -186,9 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("example", help="write the built-in three-state model file")
-    p.add_argument("--p", type=float, required=True, help="disturbance tail probability, in (0, 1/2)")
-    p.add_argument("--t0", action=_Integer, default=0)
-    p.add_argument("--horizon", action=_Integer, default=40, help="final stage T")
+    p.add_argument("--p", action=_Number, convert=float, required=True,
+                   help="disturbance tail probability, in (0, 1/2)")
+    p.add_argument("--t0", action=_Number, default=0)
+    p.add_argument("--horizon", action=_Number, default=40, help="final stage T")
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_example)
 
@@ -200,15 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("value", help="query a solved value table")
     p.add_argument("--values", help="value CSV from `solve`")
     p.add_argument("--model", help="model JSON (solved on the fly)")
-    p.add_argument("--time", action=_Integer, required=True)
-    p.add_argument("--x0", action=_Integer, help="state index; omit for the whole stage")
+    p.add_argument("--time", action=_Number, required=True)
+    p.add_argument("--x0", action=_Number, help="state index; omit for the whole stage")
     p.set_defaults(func=cmd_value)
 
     p = sub.add_parser("kernel", help="level section {x : V(t,x) >= beta}")
     p.add_argument("--values", help="value CSV from `solve`")
     p.add_argument("--model", help="model JSON (solved on the fly)")
-    p.add_argument("--time", action=_Integer, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--time", action=_Number, required=True)
+    p.add_argument("--beta", action=_Number, convert=float, required=True)
     p.add_argument("--out", help="optional kernel CSV")
     p.set_defaults(func=cmd_kernel)
 
@@ -221,26 +230,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="closed-loop sample paths under the argmax selection")
     p.add_argument("--model", required=True)
-    p.add_argument("--x0", action=_Integer, required=True, help="initial state index")
-    p.add_argument("--samples", action=_Integer, default=9)
-    p.add_argument("--seed", action=_Integer, default=0)
+    p.add_argument("--x0", action=_Number, required=True, help="initial state index")
+    p.add_argument("--samples", action=_Number, default=9)
+    p.add_argument("--seed", action=_Number, default=0)
     p.add_argument("--out", help="trajectory CSV path")
     p.add_argument("--plot-data", dest="plot_data", help="wide per-stage CSV for plotting")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="Monte Carlo success probability with Wilson interval")
     p.add_argument("--model", required=True)
-    p.add_argument("--x0", action=_Integer, required=True, help="initial state index")
-    p.add_argument("--samples", action=_Integer, default=10000)
-    p.add_argument("--seed", action=_Integer, default=0)
+    p.add_argument("--x0", action=_Number, required=True, help="initial state index")
+    p.add_argument("--samples", action=_Number, default=10000)
+    p.add_argument("--seed", action=_Number, default=0)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("oracle", help="closed-form value/kernel of the three-state model")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--horizon", action=_Integer, required=True, help="final stage T")
-    p.add_argument("--time", action=_Integer, required=True)
-    p.add_argument("--x0", action=_Integer, help="state coordinate in {-1, 0, 1}")
-    p.add_argument("--beta", type=float)
+    p.add_argument("--p", action=_Number, convert=float, required=True)
+    p.add_argument("--horizon", action=_Number, required=True, help="final stage T")
+    p.add_argument("--time", action=_Number, required=True)
+    p.add_argument("--x0", action=_Number, help="state coordinate in {-1, 0, 1}")
+    p.add_argument("--beta", action=_Number, convert=float)
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -10,11 +10,10 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-import math
 import sys
 import warnings
 from bisect import bisect_left
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
@@ -284,15 +283,22 @@ _SLOT = "\0"
 def _model_doc(model: Model) -> tuple[dict, list]:
     """The model document with ``_SLOT`` for each number list, and the texts
     of those lists in document order, each an iterable of pieces.  A model
-    the format cannot hold is refused here."""
+    the format cannot hold is refused here, by its first such part in document order."""
     ctl, cons = model.controls, model.constraints
     if ctl.kind == "per_stage_state":
         raise ModelFormatError("the model file format stores shared or per_state controls only")
-    texts, floats = [], []  # floats: each list of doubles, whose text is made last
+    texts = []
 
     def float_list(values: np.ndarray, level: int, where: str, counts=None) -> str:
-        floats.append((len(texts), values, where, level, counts))
-        texts.append(None)
+        # json would write a number not finite as NaN or Infinity, which no reader takes
+        if not np.isfinite(values).all():
+            at = np.argwhere(~np.isfinite(values))[0]
+            raise ModelFormatError(f"{where}{''.join(map('[{}]'.format, at.tolist()))}: "
+                                   f"{_shown(values[tuple(at)].item())} is not a JSON number; "
+                                   "numbers must be finite")
+        numbers, index = _keyed(values)
+        names = np.array(list(map(float.__repr__, numbers)), dtype=object)
+        texts.append(_number_lists(names, index[None], level, counts))
         return _SLOT
 
     def payload(p, level: int, where: str):
@@ -327,7 +333,11 @@ def _model_doc(model: Model) -> tuple[dict, list]:
                 f"dynamics table has {tab.shape[2]} control slots, "
                 f"but up to {counts.max()} controls are admissible"
             )
-        texts.append(_table_body(model))
+        m = model.states.n_points  # body[t][x][:counts[x]], the sink m written -1
+        names = np.array([*map(int.__repr__, range(m)), "-1"], dtype=object)
+        around = _json_list(["\0"] * model.time.steps, 2).split("\0")  # the list of the stages
+        # one stage's text at a time, each one piece
+        texts.append(_spliced(around, zip(_number_lists(names, tab[:, :m], 3, counts))))
         dynamics = {"mode": "table", "body": _SLOT}
 
     if cons.stationary is not None:
@@ -336,11 +346,6 @@ def _model_doc(model: Model) -> tuple[dict, list]:
     else:
         constraints = {"mode": cons.kind, "per_stage": [
             payload(p, 3, f"constraints.per_stage[{k}]") for k, p in enumerate(cons.per_stage)]}
-
-    # every double of the document is keyed and formatted at once
-    names, index = _float_texts([(values, where) for _, values, where, _, _ in floats])
-    for (at, _, _, level, counts), entries in zip(floats, index):
-        texts[at] = _number_lists(names, entries[None], level, counts)
 
     return {
         "time": {"t0": model.time.t0, "T": model.time.T},
@@ -362,10 +367,10 @@ def _decoded(data: bytes, path: PathLike) -> str:
 
 
 def load_model(path: PathLike) -> Model:
-    """The model of a model file.  A file whose table body lies as
-    :func:`save_model` writes it is read by :func:`_written_table_model`;
-    every other file, and every file that one refuses, by ``json.loads`` and
-    :func:`model_from_dict`, which name its first fault."""
+    """The model of a model file.  A file that :func:`save_model` writes of a
+    table model is read by :func:`_written_table_model`; every other file, and
+    every file that one refuses, by ``json.loads`` and :func:`model_from_dict`,
+    which name its first fault."""
     data = Path(path).read_bytes()
     model = _written_table_model(data)
     if model is not None:
@@ -423,16 +428,6 @@ class _WrittenBody:
             raise ValueError("not the entries of a table body")
         return _padded_table(entries.reshape(n_rows, n_atoms), counts)
 
-    def is_text_of(self, model: Model) -> bool:
-        """Whether :func:`_table_body` gives this text, compared one stage at a time."""
-        at = self.start
-        for piece in _table_body(model):
-            piece = piece.encode()
-            if not self.data.startswith(piece, at, self.end):
-                return False
-            at += len(piece)
-        return at == self.end
-
 
 def _written_table_model(data: bytes) -> Model | None:
     """The model of a file that holds a table body in the layout of
@@ -441,10 +436,11 @@ def _written_table_model(data: bytes) -> Model | None:
     The body is cut out of the bytes; the rest of the file is read by
     ``json.loads``, with a ``NaN`` in its place that stands for the
     :class:`_WrittenBody`, and the body's integers by numpy in one pass.  The
-    model is taken only when the writer gives back the body byte for byte:
-    ``json.loads`` would have read the same lists, so it is the model
+    model is taken only when the pieces of :func:`_model_text` give back the
+    whole file byte for byte, compared one piece at a time: the file is then
+    the one the writer makes of the model, so the model is the one
     :func:`model_from_dict` makes of the whole text.  Any fault, and any other
-    layout, gives None, and the whole text is read again.
+    byte, gives None, and the whole text is read again.
     """
     start, end = data.find(_BODY_HEAD), -1
     if start >= 0:
@@ -452,24 +448,19 @@ def _written_table_model(data: bytes) -> Model | None:
         end = data.rfind(_BODY_TAIL, start)  # constraints are the last field
     if end < 0:
         return None
-    body, constants = _WrittenBody(data, start, end), []
-
-    def placeholder(name: str) -> _WrittenBody:
-        """The body, for the NaN in its place; a second constant is a fault."""
-        constants.append(name)
-        if len(constants) > 1:
-            raise ValueError(f"{name} is not a JSON number")
-        return body
-
+    body = _WrittenBody(data, start, end)
     try:
         doc = json.loads(data[:start].decode("utf-8") + "NaN" + data[end:].decode("utf-8"),
-                         parse_constant=placeholder, object_pairs_hook=_json_object)
-        if doc["dynamics"]["body"] is not body:
-            return None
-        model = model_from_dict(doc)
+                         parse_constant=lambda name: body, object_pairs_hook=_json_object)
+        model, at = model_from_dict(doc), 0
+        for piece in _model_text(model):
+            piece = piece.encode()
+            if not data.startswith(piece, at):
+                return None
+            at += len(piece)
     except Exception:  # the whole text's reading names the fault, or its absence
         return None
-    return model if body.is_text_of(model) else None
+    return model if at == len(data) else None
 
 
 def save_model(model: Model, path: PathLike) -> None:
@@ -537,36 +528,6 @@ def _number_lists(texts: np.ndarray, index: np.ndarray, level: int,
     for entries in index:
         text[1::2] = texts.take(entries[listed]).ravel().tolist()
         yield "".join(text)
-
-
-def _float_texts(fields: list[tuple[np.ndarray, str]]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``(texts, index)``: ``json``'s text of each distinct double of the
-    ``(values, where)`` pairs ``fields``, ``float.__repr__``, and for each
-    ``values`` its entries' places among them, in its shape.  A number that
-    is not finite, which ``json`` would write as ``NaN`` or ``Infinity`` and
-    no reader takes, is refused, named by its place in the first field
-    ``where`` holding one."""
-    numbers, index = _keyed(np.concatenate([np.ravel(values) for values, _ in fields]))
-    if not all(map(math.isfinite, numbers)):
-        values, where = next((v, w) for v, w in fields if not np.isfinite(v).all())
-        at = np.argwhere(~np.isfinite(values))[0]
-        raise ModelFormatError(f"{where}{''.join(map('[{}]'.format, at.tolist()))}: "
-                               f"{_shown(values[tuple(at)].item())} is not a JSON number; "
-                               "numbers must be finite")
-    ends = accumulate(values.size for values, _ in fields)
-    return (np.array(list(map(float.__repr__, numbers)), dtype=object),
-            [index[end - values.size : end].reshape(values.shape)
-             for end, (values, _) in zip(ends, fields)])
-
-
-def _table_body(model: Model) -> Iterator[str]:
-    """The text of the table body ``body[t][x][:counts[x]]``, ``-1`` for the
-    sink, which lies 2 deep in the document, one stage at a time."""
-    m = model.states.n_points
-    names = np.array([*map(int.__repr__, range(m)), "-1"], dtype=object)  # the sink m is -1
-    stages = _number_lists(names, model.dynamics.table[:, :m], 3, model.controls.counts[0])
-    around = _json_list(["\0"] * model.time.steps, 2).split("\0")  # the list of the stages
-    return _spliced(around, zip(stages))  # each stage's text is one piece
 
 
 # --- value function CSV ---

@@ -480,6 +480,54 @@ def test_an_integer_flag_refuses_in_one_line(model_path, capsys, args, shown):
     assert captured.err == f"error: {option}: expected an integer, got {text}\n"
 
 
+@pytest.mark.parametrize(
+    "args,shown",
+    [
+        (["example", "--p", "abc", "--out", "@"], "--p: 'abc'"),
+        # shown by its first 200 characters
+        (["oracle", "--p", "x" * 3000, "--horizon", "3", "--time", "0", "--beta", "0.5"],
+         f"--p: {'x' * 200!r}..."),
+        (["kernel", "--model", "@", "--time", "0", "--beta", "abc"], "--beta: 'abc'"),
+        (["oracle", "--p", "0.01", "--horizon", "3", "--time", "0", "--beta", ""], "--beta: ''"),
+    ],
+)
+def test_a_float_flag_refuses_in_one_line(model_path, capsys, args, shown):
+    rc = main([str(model_path) if a == "@" else a for a in args])
+    captured = capsys.readouterr()
+    option, text = shown.split(": ", 1)
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: {option}: expected a number, got {text}\n"
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["oracle", "--p", "nan", "--horizon", "3", "--time", "0", "--beta", "0.5"],
+         "p must lie in (0, 1/2), got nan"),
+        (["example", "--p", "1e999", "--out", "@"], "p must lie in (0, 1/2), got inf"),
+        (["oracle", "--p", "0.01", "--horizon", "3", "--time", "0", "--beta=-inf"],
+         "beta must lie in (0, 1], got -inf"),
+        (["kernel", "--model", "@", "--time", "0", "--beta", "1.5"],
+         "beta must lie in (0, 1], got 1.5"),
+    ],
+)
+def test_a_float_flag_passes_on_every_float_text(model_path, capsys, args, message):
+    rc = main([str(model_path) if a == "@" else a for a in args])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command,query", [("value", ["--x0", "1"]), ("kernel", ["--beta", "0.5"])])
+def test_values_and_model_are_refused_together(tmp_path, capsys, command, query):
+    """--model was once ignored beside --values; neither file is read."""
+    rc = main([command, "--values", str(tmp_path / "value.csv"),
+               "--model", str(tmp_path / "m.json"), "--time", "0", *query])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: {command} takes one of --values and --model, not both\n"
+
+
 def test_oracle_refuses_x0_with_beta(capsys):
     """--beta was once ignored, unchecked, beside --x0."""
     rc = main(["oracle", "--p", "0.01", "--horizon", "3", "--time", "0", "--x0", "0",

@@ -431,6 +431,10 @@ class TestModelJson:
             # json would write NaN or Infinity, which load_model refuses
             ({"states": StateSpace([[0.0], [np.nan]])},
              "states.points[1][0]: nan is not a JSON number; numbers must be finite"),
+            # two parts no file holds: the first in document order is named
+            ({"states": StateSpace([[0.0], [np.nan]]),
+              "controls": _per_state([[[1.0], [2.0]], [[1.0]]])},
+             "states.points[1][0]: nan is not a JSON number; numbers must be finite"),
             ({"controls": ControlMap.shared([[-np.inf]], 2)},
              "controls.lists[0][0]: -inf is not a JSON number; numbers must be finite"),
             ({"controls": _per_state([[[1.0]], [[np.inf]]])},
@@ -541,9 +545,10 @@ def json_texts(monkeypatch) -> list:
 
 
 class TestWrittenTableBody:
-    """A table body that lies as save_model writes it is read by numpy and
-    taken only when the writer gives back its bytes; any other file is read
-    whole by json.loads, with the same model or message as before."""
+    """A table body that lies as save_model writes it is read by numpy, and
+    the model is taken only when save_model gives back the whole file byte for
+    byte; any other file is read whole by json.loads, with the same model or
+    message as before."""
 
     @pytest.mark.parametrize("name", [
         *WRITTEN_MODELS, *(f"random-{s}" for s in range(200)),
@@ -606,6 +611,9 @@ class TestWrittenTableBody:
         "change,message",
         [
             pytest.param(lambda text: text.replace("\n", "\r\n"), None, id="crlf"),
+            # the body lies as the writer's, but the point 2.5 does not
+            pytest.param(lambda text: text.replace("2.5", "2.50"), None, id="a-point-written-otherwise"),
+            pytest.param(lambda text: text + "\n", None, id="a-line-end-after-the-file"),
             pytest.param(lambda text: json.dumps(json.loads(text)), None, id="compact"),
             pytest.param(lambda text: json.dumps(
                 {k: v for k, v in reversed(json.loads(text).items())}, indent=2) + "\n",
