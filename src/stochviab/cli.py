@@ -10,6 +10,7 @@ given its flags, seeds included.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -172,9 +173,12 @@ class _Number(argparse.Action):
     text as :func:`_shown` shows it; a ``type``'s error it would print whole,
     after a usage line."""
 
+    flags: set[str] = set()  # the option strings of every number option made
+
     def __init__(self, *args, convert=int, **kwargs):
         super().__init__(*args, **kwargs)
         self.convert = convert
+        _Number.flags.update(self.option_strings)
 
     def __call__(self, parser, namespace, text, option_string=None):
         try:
@@ -183,6 +187,19 @@ class _Number(argparse.Action):
             expected = "an integer" if self.convert is int else "a number"
             raise ModelError(f"{option_string}: expected {expected}, got {_shown(text)}") from None
         setattr(namespace, self.dest, value)
+
+
+def _joined(argv: list[str]) -> list[str]:
+    """``argv`` with each number option and a negative number after it, as in
+    ``--beta -1e-3``, joined as ``--beta=-1e-3``: argparse takes only a plain
+    negative decimal as a value and would read ``-1e-3`` or ``-inf`` as an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _Number.flags and re.match(r"-(\d|\.\d|inf|nan)", token, re.I):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except ModelError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -227,8 +227,8 @@ def model_from_dict(doc: dict) -> Model:
     elif dmode == "table":
         body = doc["dynamics"]["body"]
         shape = states.n_points, controls.counts[0], noise.n_atoms, time.steps
-        dynamics = (body.table(*shape) if isinstance(body, _WrittenBody)
-                    else TableDynamics.from_nested(body, *shape))
+        # a callable reads the body that load_model cut out: no JSON value is one
+        dynamics = body(*shape) if callable(body) else TableDynamics.from_nested(body, *shape)
     else:
         raise ModelFormatError(f"dynamics: unknown mode {_shown(dmode)}")
 
@@ -367,10 +367,9 @@ def _decoded(data: bytes, path: PathLike) -> str:
 
 
 def load_model(path: PathLike) -> Model:
-    """The model of a model file.  A file that :func:`save_model` writes of a
-    table model is read by :func:`_written_table_model`; every other file, and
-    every file that one refuses, by ``json.loads`` and :func:`model_from_dict`,
-    which name its first fault."""
+    """The model of a model file: :func:`_written_table_model`'s, whose one
+    check is that the model's text is the whole file, or else the model of
+    ``json.loads`` and :func:`model_from_dict`, which name the first fault."""
     data = Path(path).read_bytes()
     model = _written_table_model(data)
     if model is not None:
@@ -402,45 +401,17 @@ _BODY_TAIL = b'\n  },\n  "constraints"'
 _ENTRY_TEXT = bytes.maketrans(b",", b" "), b" \n[]"
 
 
-class _WrittenBody:
-    """The table body at ``data[start:end]``, read as the integers it lists."""
-
-    __slots__ = ("data", "start", "end")
-
-    def __init__(self, data: bytes, start: int, end: int):
-        self.data, self.start, self.end = data, start, end
-
-    def table(self, n_states: int, counts: np.ndarray, n_atoms: int, steps: int
-              ) -> TableDynamics:
-        """The table of the entries, if they are as many as ``counts`` rows of
-        ``n_atoms`` each and lie in ``-1..n_states - 1``; anything else raises.
-        Only the text's integers are read, so a caller checks its layout."""
-        counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), (steps, n_states))
-        n_rows = int(counts.sum())
-        entries = np.zeros(0, np.int64)  # numpy reads a text of no number as [0]
-        if n_rows * n_atoms:
-            text = self.data[self.start : self.end].translate(*_ENTRY_TEXT)
-            with warnings.catch_warnings():  # numpy 1.x warns of text it cannot read
-                warnings.simplefilter("error")
-                entries = np.fromstring(text, np.int64, sep=" ")
-        if entries.size != n_rows * n_atoms or entries.size and (
-                entries.min() < -1 or entries.max() >= n_states):
-            raise ValueError("not the entries of a table body")
-        return _padded_table(entries.reshape(n_rows, n_atoms), counts)
-
-
 def _written_table_model(data: bytes) -> Model | None:
     """The model of a file that holds a table body in the layout of
     :func:`save_model`, or None.
 
-    The body is cut out of the bytes; the rest of the file is read by
-    ``json.loads``, with a ``NaN`` in its place that stands for the
-    :class:`_WrittenBody`, and the body's integers by numpy in one pass.  The
-    model is taken only when the pieces of :func:`_model_text` give back the
-    whole file byte for byte, compared one piece at a time: the file is then
-    the one the writer makes of the model, so the model is the one
-    :func:`model_from_dict` makes of the whole text.  Any fault, and any other
-    byte, gives None, and the whole text is read again.
+    The body is cut out of the bytes and the rest read by ``json.loads``, with
+    a ``NaN`` in its place that stands for ``table``, which reads the body's
+    integers by numpy in one pass and checks none of them.  The one check is
+    that the pieces of :func:`_model_text` give back the whole file byte for
+    byte: the file is then the one the writer makes of the model, so the model
+    is the one :func:`model_from_dict` makes of the whole text.  Any fault, and
+    any other byte, gives None, and the whole text is read again.
     """
     start, end = data.find(_BODY_HEAD), -1
     if start >= 0:
@@ -448,10 +419,20 @@ def _written_table_model(data: bytes) -> Model | None:
         end = data.rfind(_BODY_TAIL, start)  # constraints are the last field
     if end < 0:
         return None
-    body = _WrittenBody(data, start, end)
+
+    def table(n_states: int, counts: np.ndarray, n_atoms: int, steps: int) -> TableDynamics:
+        counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), (steps, n_states))
+        n_rows = int(counts.sum())
+        entries = np.zeros(0, np.int64)  # numpy reads a text of no number as [0]
+        if n_rows * n_atoms:
+            with warnings.catch_warnings():  # numpy 1.x warns of text it cannot read
+                warnings.simplefilter("error")
+                entries = np.fromstring(data[start:end].translate(*_ENTRY_TEXT), np.int64, sep=" ")
+        return _padded_table(entries.reshape(n_rows, n_atoms), counts)
+
     try:
         doc = json.loads(data[:start].decode("utf-8") + "NaN" + data[end:].decode("utf-8"),
-                         parse_constant=lambda name: body, object_pairs_hook=_json_object)
+                         parse_constant=lambda name: table)
         model, at = model_from_dict(doc), 0
         for piece in _model_text(model):
             piece = piece.encode()

@@ -470,6 +470,9 @@ _NINES = "9" * 5000
         (["example", "--p", "0.01", "--t0", "", "--out", "@"], "--t0: ''"),
         (["oracle", "--p", "0.01", "--horizon", _NINES, "--time", "0", "--x0", "0"],
          f"--horizon: {'9' * 200!r}..."),
+        # a negative value after its flag, which argparse alone reads as an option
+        (["value", "--model", "@", "--time", "-1e3"], "--time: '-1e3'"),
+        (["value", "--model", "@", "--time=-1e3"], "--time: '-1e3'"),
     ],
 )
 def test_an_integer_flag_refuses_in_one_line(model_path, capsys, args, shown):
@@ -489,6 +492,7 @@ def test_an_integer_flag_refuses_in_one_line(model_path, capsys, args, shown):
          f"--p: {'x' * 200!r}..."),
         (["kernel", "--model", "@", "--time", "0", "--beta", "abc"], "--beta: 'abc'"),
         (["oracle", "--p", "0.01", "--horizon", "3", "--time", "0", "--beta", ""], "--beta: ''"),
+        (["kernel", "--model", "@", "--time", "0", "--beta", "-1e-3x"], "--beta: '-1e-3x'"),
     ],
 )
 def test_a_float_flag_refuses_in_one_line(model_path, capsys, args, shown):
@@ -507,6 +511,15 @@ def test_a_float_flag_refuses_in_one_line(model_path, capsys, args, shown):
         (["example", "--p", "1e999", "--out", "@"], "p must lie in (0, 1/2), got inf"),
         (["oracle", "--p", "0.01", "--horizon", "3", "--time", "0", "--beta=-inf"],
          "beta must lie in (0, 1], got -inf"),
+        # the same value after its flag, which argparse alone reads as an option
+        (["oracle", "--p", "0.01", "--horizon", "3", "--time", "0", "--beta", "-inf"],
+         "beta must lie in (0, 1], got -inf"),
+        (["oracle", "--p", "0.01", "--horizon", "3", "--time", "0", "--beta", "-1e-3"],
+         "beta must lie in (0, 1], got -0.001"),
+        (["oracle", "--p", "0.01", "--horizon", "3", "--time", "0", "--beta=-1e-3"],
+         "beta must lie in (0, 1], got -0.001"),
+        (["oracle", "--p", "-1e-3", "--horizon", "3", "--time", "0", "--beta", "0.5"],
+         "p must lie in (0, 1/2), got -0.001"),
         (["kernel", "--model", "@", "--time", "0", "--beta", "1.5"],
          "beta must lie in (0, 1], got 1.5"),
     ],
@@ -516,6 +529,15 @@ def test_a_float_flag_passes_on_every_float_text(model_path, capsys, args, messa
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("tail", [["--beta"], ["--beta", "--x0", "1"], ["--beta", "-h"]])
+def test_a_flag_with_no_value_keeps_the_usage_error(capsys, tail):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--p", "0.01", "--horizon", "3", "--time", "0", *tail])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("usage: stochviab oracle")
+    assert err.endswith("error: argument --beta: expected one argument\n")
 
 
 @pytest.mark.parametrize("command,query", [("value", ["--x0", "1"]), ("kernel", ["--beta", "0.5"])])
