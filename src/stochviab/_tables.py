@@ -11,7 +11,8 @@ control loops back to itself, so closed-loop walks never branch on it.
 
 The tables are read-only, with one row per stage.  A stationary part
 (``n_ctrl``, ``member``, or ``next_state`` compiled once, below) is stored
-once and every stage reads it through an ``np.broadcast_to`` view.
+once and every stage reads it through an ``np.broadcast_to`` view;
+``Tables.stored_row`` is the one place to ask which stored row a stage reads.
 
 Expression dynamics compile as whole arrays.  Each coordinate expression is
 evaluated once per stage over the mesh of admissible (state, control slot)
@@ -61,6 +62,10 @@ class Tables:
     @property
     def n_atoms(self) -> int:
         return self.next_state.shape[3]
+
+    def stored_row(self, part: np.ndarray, k: int) -> int:
+        """The stored row of ``part``, one of these tables, that stage ``k`` reads."""
+        return 0 if part.strides[0] == 0 else k
 
 
 def build_tables(model: Model) -> Tables:

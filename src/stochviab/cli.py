@@ -10,6 +10,7 @@ given its flags, seeds included.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -208,7 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Viability probabilities, kernels and feedback policies "
         "for finite stochastic control models.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviated flags: each has one spelling, which `_joined` matches in full
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("example", help="write the built-in three-state model file")
     p.add_argument("--p", action=_Number, convert=float, required=True,

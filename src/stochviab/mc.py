@@ -8,25 +8,19 @@ parallelizable, and reproducible bit for bit.  The terminal-stage disturbance
 never enters the dynamics or the success criterion, so scenarios store one
 draw per transition only.
 
-A draw is the integer inverse cdf of :func:`stochviab._rng.cdf_thresholds`:
-the raw stream word is compared with integer thresholds made once from the
-law's cdf, which picks the same atom as the cdf search on the word's 53-bit
-uniform without converting it to a float.  A 4096-entry guide table indexed
-by the word's top 12 bits gives the atom with one gather, and only the few
-words in a bucket that a threshold splits are fixed up by a binary search,
-so a draw costs about the same for any number of atoms.  ``sample_scenario``
-and the closed-loop walk share it.
-
-The walk takes the samples in blocks of ``_BLOCK``.  Once per call it
-builds one policy successor table, ``q[k][x * W + d]``: W times the
-successor of state ``x`` under atom ``d`` and the policy's control at stage
-``k``, one table shared by the stages that read the same stored successor
-slab, constraint row and policy row.  A walk is kept as ``y = x * W``, so a
-stage is one add and one gather, ``y = q[k][y + d]``.  An estimate records
-nothing, so its table sends a successor outside its constraint set to one
-extra absorbing "failed" row, and a walk succeeds exactly when it does not
-end there; no per-stage membership test is made.  The words of a stage are
-mixed in place in buffers kept for the block.
+A draw is the integer inverse cdf of :func:`stochviab._rng.cdf_thresholds` on
+a raw stream word, through a guide table (see :mod:`stochviab._rng`);
+``sample_scenario`` and the closed-loop walk share it.  The walk takes the
+samples in blocks of ``_BLOCK``.  Once per call it builds one policy successor
+table, ``q[k][x * W + d]``: W times the successor of state ``x`` under atom
+``d`` and the policy's control at stage ``k``, one table shared by the stages
+that read the same stored rows (``Tables.stored_row``) and policy row.  A walk
+is kept as ``y = x * W``, so a stage is one add and one gather,
+``y = q[k][y + d]``.  An estimate records nothing, so its table sends a
+successor outside its constraint set to the sink, which is absorbing and never
+a member, and a walk succeeds exactly when it does not end there; no per-stage
+membership test is made.  The words of a stage are mixed in place in buffers
+kept for the block.
 """
 
 from __future__ import annotations
@@ -129,6 +123,10 @@ def sample_scenario(noise: DisturbanceLaw, n_steps: int, seed: int) -> Scenario:
         raise ModelError(f"n_steps must be an integer, got {_shown(n_steps)}")
     if n_steps < 0:
         raise ModelError(f"n_steps must be non-negative, got {_shown(n_steps)}")
+    if 48 * n_steps > TABLE_BYTES_GUARD:  # six int64 or uint64 arrays at the mixing's peak
+        raise ModelError(f"a scenario needs {_shown(48 * n_steps)} bytes ({_shown(n_steps)} "
+                         f"steps x 48 B of counters and mixing buffers), over the guard of "
+                         f"{TABLE_BYTES_GUARD} bytes")
     return Scenario(_rng.draw(_rng.cdf_thresholds(noise.cdf), _seed(seed), np.arange(n_steps)))
 
 
@@ -142,19 +140,17 @@ def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
     ``q[k][x * W + d]`` is ``W`` times the policy's successor of ``x`` under
     atom ``d`` at stage ``k``, so a stage is ``y = q[k].take(y + d)``: one
     add and one gather.  When nothing is recorded, a successor outside its
-    constraint set is the absorbing row ``failed`` instead, and a walk
-    succeeds exactly when it ends elsewhere; the walk from ``x0`` outside
-    ``A(t0)`` is not taken at all.  A recorded walk keeps the real states and
-    checks each one against its constraint set.
+    constraint set is the sink instead, and a walk succeeds exactly when it
+    ends elsewhere; the walk from ``x0`` outside ``A(t0)`` is not taken at
+    all.  A recorded walk keeps the real states and checks each one against
+    its constraint set.
 
     The samples go in blocks of ``_BLOCK``, each advanced through every stage
-    before the next block starts, so the block state stays in cache.  Returns
-    the ``(states, controls, draws, success)`` paths when ``record`` is set,
-    and otherwise the number of successes, keeping nothing beyond one block.
-    Recorded paths larger than ``TABLE_BYTES_GUARD`` are refused before
-    anything of their size is allocated.  ``q`` holds one table per distinct
-    stage, each the size of a stage of ``next_state`` over its control slots,
-    with one row more.
+    before the next block starts.  Returns the ``(states, controls, draws,
+    success)`` paths when ``record`` is set, and otherwise the number of
+    successes, keeping nothing beyond one block.  Recorded paths larger than
+    ``TABLE_BYTES_GUARD`` are refused before they are allocated.  ``q`` holds
+    one table of ``(n_states + 1) * W`` entries per distinct stage key.
     """
     if not _is_int(n):
         raise ModelError(f"need an integer number of samples, got {_shown(n)}")
@@ -179,18 +175,17 @@ def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
         states[:, 0] = x0
     elif not tab.member[0, x0]:
         return 0
-    failed = tab.n_states + 1
-    scaled = np.arange(failed) * width
-    # stages that read the same stored successor slab, constraint row and
-    # policy row share one table: a stationary part is one stored row
+    sink = tab.sink * width
+    scaled = np.arange(tab.n_states + 1) * width
+    # stages that read the same stored rows and policy row share one table
     q, shared = [], {}
     for k in range(tab.steps):
-        key = (k * tab.next_state.strides[0], (k + 1) * tab.member.strides[0], choice[k].tobytes())
+        key = (tab.stored_row(tab.next_state, k), tab.stored_row(tab.member, k + 1),
+               choice[k].tobytes())
         if key not in shared:
-            # W times each successor, or W times `failed` for one outside its set
-            to = scaled if record else np.where(tab.member[k + 1], scaled, failed * width)
-            shared[key] = np.append(to.take(_policy_successors(tab, choice, k)),
-                                    np.full(width, failed * width))
+            # W times each successor, or W times the sink for one outside its set
+            to = scaled if record else np.where(tab.member[k + 1], scaled, sink)
+            shared[key] = to.take(_policy_successors(tab, choice, k).ravel())
         q.append(shared[key])
     thresholds = _rng.cdf_thresholds(model.noise.cdf)
     buffers = (np.empty(_BLOCK, dtype=np.uint64), np.empty(_BLOCK, dtype=np.uint64),
@@ -217,7 +212,7 @@ def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,
         if record:
             success[start:stop] = ok
         else:
-            successes += int(np.count_nonzero(y != failed * width))
+            successes += int(np.count_nonzero(y != sink))
     return (states, controls, draws, success) if record else successes
 
 

@@ -540,6 +540,17 @@ def test_a_flag_with_no_value_keeps_the_usage_error(capsys, tail):
     assert err.endswith("error: argument --beta: expected one argument\n")
 
 
+@pytest.mark.parametrize("tail", [["--bet", "-1e-3"], ["--bet=-1e-3"], ["--bet", "0.5"]])
+def test_an_abbreviated_flag_is_unrecognized(capsys, tail):
+    """An abbreviation once read a negative number as an option (``--bet -1e-3``)
+    but a joined one as its value; no flag takes an abbreviation now."""
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--p", "0.01", "--horizon", "3", "--time", "0", *tail])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.splitlines()[-1] == f"stochviab: error: unrecognized arguments: {' '.join(tail)}"
+
+
 @pytest.mark.parametrize("command,query", [("value", ["--x0", "1"]), ("kernel", ["--beta", "0.5"])])
 def test_values_and_model_are_refused_together(tmp_path, capsys, command, query):
     """--model was once ignored beside --values; neither file is read."""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_model, random_policy
+from conftest import random_model, random_policy, walk_model
 from stochviab import mc
 from stochviab._rng import (
     cdf_thresholds,
@@ -19,7 +19,7 @@ from stochviab._rng import (
     inverse_cdf,
     stream_array,
 )
-from stochviab.dp import TABLE_BYTES_GUARD, evaluate_policy, solve
+from stochviab.dp import TABLE_BYTES_GUARD, _policy_successors, evaluate_policy, solve
 from stochviab.kernel import FeedbackPolicy, kernel_slice, select_feedback
 from stochviab.mc import (
     estimate_probability,
@@ -79,6 +79,18 @@ class TestSampleScenario:
     def test_a_count_that_is_no_integer_is_refused(self, example_model, n_steps):
         with pytest.raises(ModelError, match="^n_steps must be an integer, got "):
             sample_scenario(example_model.noise, n_steps, 5)
+
+    def test_a_scenario_past_the_guard_fails_before_allocating(self, example_model):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError, match=(
+                    r"^a scenario needs 48000000000000 bytes \(1000000000000 steps x 48 B "
+                    rf"of counters and mixing buffers\), over the guard of {TABLE_BYTES_GUARD} bytes$")):
+                sample_scenario(example_model.noise, 10**12, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_numpy_integer_counts_are_taken(self, example_model):
         a = sample_scenario(example_model.noise, np.int32(40), 123)
@@ -292,6 +304,36 @@ class TestBlocks:
         small, large = peak(4 * self.B), peak(64 * self.B)
         assert large <= 2 * small, (small, large)
 
+    def expected_tables(self, model, fb):
+        """Stationary dynamics and sets: one walk table per distinct policy row."""
+        return len({row.tobytes() for row in fb.choice})
+
+    def test_one_walk_table_per_distinct_stage_key(self, walk, monkeypatch):
+        model, fb = walk
+        assert _walk_tables(model, fb, 1, monkeypatch) == self.expected_tables(model, fb)
+
+
+def _walk_tables(model, fb, x0, monkeypatch) -> int:
+    """The number of policy successor tables that one estimate from ``x0`` builds."""
+    calls = []
+
+    def counted(tab, choice, k):
+        calls.append(k)
+        return _policy_successors(tab, choice, k)
+
+    monkeypatch.setattr(mc, "_policy_successors", counted)
+    estimate_probability(model, fb, x0, 100, 0)
+    return len(calls)
+
+
+def test_stages_with_the_same_policy_row_share_a_walk_table(monkeypatch):
+    """A time-invariant walk under a policy whose three rows repeat over 12 stages."""
+    model = walk_model(11, 12)
+    rows = random_policy(model, 1).choice[:3]
+    assert len({row.tobytes() for row in rows}) == 3
+    fb = FeedbackPolicy.from_array(model, np.tile(rows, (4, 1)))
+    assert _walk_tables(model, fb, 5, monkeypatch) == 3
+
 
 def _many_atom_model(model=None, reach=0.3):
     """A walk ``x + u + w`` on an integer grid (by default the three-state
@@ -352,7 +394,7 @@ class TestBlocksManyAtoms(TestBlocks):
 class TestBlocksStrictSets(TestBlocks):
     """The same where the constraint sets are strict subsets of the grid that
     change with the stage, so that the walk that records nothing sends many
-    samples to its absorbing failed row, some of them from states that the
+    samples to the absorbing sink, some of them from states that the
     recorded walk leaves and comes back to."""
 
     @pytest.fixture(scope="class")
@@ -360,6 +402,10 @@ class TestBlocksStrictSets(TestBlocks):
         model = _strict_sets_model()
         _, am = solve(model)
         return model, select_feedback(am)
+
+    def expected_tables(self, model, fb):
+        """Every stage reads its own constraint row."""
+        return model.time.steps
 
     def test_paths_leave_their_sets_and_come_back(self, walk):
         model, fb = walk
@@ -412,6 +458,10 @@ class TestBlocksStageDynamics(TestBlocks):
             constraints=ConstraintSets("set", stationary=range(1, n - 1)),
         )
         return model, FeedbackPolicy.constant(model, [0.0])
+
+    def expected_tables(self, model, fb):
+        """Every stage reads its own successor slab."""
+        return model.time.steps
 
 
 class TestBlocksStrictSetsManyAtoms(TestBlocksStrictSets):

@@ -30,6 +30,7 @@ from stochviab.model import (
     Model,
     ModelError,
     StateSpace,
+    TableDynamics,
     TimeGrid,
     project_to_grid,
     validate,
@@ -447,6 +448,47 @@ def test_time_invariant_parts_are_stored_once():
     tab = walk_model(11, 50).tables
     for a in (tab.n_ctrl, tab.next_state, tab.member):
         assert np.shares_memory(a[0], a[-1])
+
+
+def _table_model(steps: int = 3, n: int = 3) -> Model:
+    """A table body ``min(x + w, n - 1)`` under one shared control, equally
+    likely w in {0, 1}, and the whole grid as its stationary set."""
+    succ = np.minimum(np.arange(n)[:, None, None] + np.arange(2), n - 1)
+    slab = np.concatenate([succ, np.full((1, 1, 2), n)])  # the sink row
+    return Model(
+        time=TimeGrid(0, steps),
+        states=StateSpace(np.arange(n, dtype=np.float64)[:, None]),
+        controls=ControlMap.shared([[0.0]], n),
+        noise=DisturbanceLaw([[0.0], [1.0]], [0.5, 0.5]),
+        dynamics=TableDynamics(np.repeat(slab[None], steps, axis=0)),
+        constraints=ConstraintSets("set", stationary=range(n)),
+    )
+
+
+@pytest.mark.parametrize(
+    "build,stationary",
+    [
+        # expression dynamics without t, shared controls and a stationary box
+        (lambda: walk_model(11, 4), {"next_state", "n_ctrl", "member"}),
+        # expression dynamics that read t: one successor slab per stage
+        (lambda: _expr_model(("x * t",), T=4), {"n_ctrl", "member"}),
+        # a table body, stored per stage even under shared controls
+        (_table_model, {"n_ctrl", "member"}),
+        # a table body under per-stage-state controls and per-stage sets
+        (lambda: random_model(1), set()),
+    ],
+    ids=["expr", "expr-reads-t", "table", "table-per-stage"],
+)
+def test_stored_row_is_the_row_each_stage_reads(build, stationary):
+    tab = build().tables
+    assert tab.steps >= 3
+    for name in ("next_state", "n_ctrl", "member"):
+        part = getattr(tab, name)  # member has steps + 1 stages
+        stages = range(tab.steps + (name == "member"))
+        want = [0 if name in stationary else k for k in stages]
+        assert [tab.stored_row(part, k) for k in stages] == want, name
+        for k in stages:
+            assert np.shares_memory(part[k], part[tab.stored_row(part, k)])
 
 
 def test_long_time_invariant_horizon_builds_in_little_memory():
