@@ -82,7 +82,9 @@ def _mix_head(seed, counter, z=None, t=None) -> tuple[np.ndarray, np.ndarray]:
     xorshift ``z ^ (z >> 31)``, as ``(z, t)``.
 
     The word is mixed in place in ``z``, with ``t`` as scratch: uint64
-    arrays of the broadcast shape, allocated when not given.
+    arrays of the broadcast shape, allocated when not given.  An array of
+    counters has its offsets ``(counter + 1) * GOLDEN`` built in ``t``, so
+    uint64 counters are mixed with no array beside ``z`` and ``t``.
     """
     seed = np.asarray(seed, dtype=np.uint64)
     counter = np.asarray(counter, dtype=np.uint64)
@@ -90,7 +92,9 @@ def _mix_head(seed, counter, z=None, t=None) -> tuple[np.ndarray, np.ndarray]:
         z = np.empty(np.broadcast_shapes(seed.shape, counter.shape), dtype=np.uint64)
     if t is None:
         t = np.empty_like(z)
-    np.add(seed, np.multiply(counter + _U1, _UGOLDEN), out=z)
+    offset = (np.multiply(np.add(counter, _U1, out=t), _UGOLDEN, out=t) if counter.ndim
+              else np.multiply(counter + _U1, _UGOLDEN))
+    np.add(seed, offset, out=z)
     for shift, mult in ((_U30, _UMIX_A), (_U27, _UMIX_B)):
         np.bitwise_xor(z, np.right_shift(z, shift, out=t), out=z)
         np.multiply(z, mult, out=z)

@@ -123,11 +123,12 @@ def sample_scenario(noise: DisturbanceLaw, n_steps: int, seed: int) -> Scenario:
         raise ModelError(f"n_steps must be an integer, got {_shown(n_steps)}")
     if n_steps < 0:
         raise ModelError(f"n_steps must be non-negative, got {_shown(n_steps)}")
-    if 48 * n_steps > TABLE_BYTES_GUARD:  # six int64 or uint64 arrays at the mixing's peak
-        raise ModelError(f"a scenario needs {_shown(48 * n_steps)} bytes ({_shown(n_steps)} "
-                         f"steps x 48 B of counters and mixing buffers), over the guard of "
+    if 33 * n_steps > TABLE_BYTES_GUARD:  # counters, z, t and draws at 8 B, a 1 B mask
+        raise ModelError(f"a scenario needs {_shown(33 * n_steps)} bytes ({_shown(n_steps)} "
+                         f"steps x 33 B of counters and mixing buffers), over the guard of "
                          f"{TABLE_BYTES_GUARD} bytes")
-    return Scenario(_rng.draw(_rng.cdf_thresholds(noise.cdf), _seed(seed), np.arange(n_steps)))
+    return Scenario(_rng.draw(_rng.cdf_thresholds(noise.cdf), _seed(seed),
+                              np.arange(n_steps, dtype=np.uint64)))
 
 
 def _walk(model: Model, policy: FeedbackPolicy, x0: int, n: int, seeds_of,

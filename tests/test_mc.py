@@ -84,13 +84,24 @@ class TestSampleScenario:
         tracemalloc.start()
         try:
             with pytest.raises(ModelError, match=(
-                    r"^a scenario needs 48000000000000 bytes \(1000000000000 steps x 48 B "
+                    r"^a scenario needs 33000000000000 bytes \(1000000000000 steps x 33 B "
                     rf"of counters and mixing buffers\), over the guard of {TABLE_BYTES_GUARD} bytes$")):
                 sample_scenario(example_model.noise, 10**12, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n_steps", [10**5, 10**6])
+    def test_the_guard_figure_is_the_measured_peak(self, example_model, n_steps):
+        # 33 B a step, as the guard reckons it, and a fixed slack for the cdf's tables
+        tracemalloc.start()
+        try:
+            sample_scenario(example_model.noise, n_steps, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 33 * n_steps + (1 << 16)
 
     def test_numpy_integer_counts_are_taken(self, example_model):
         a = sample_scenario(example_model.noise, np.int32(40), 123)
