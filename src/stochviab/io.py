@@ -32,6 +32,7 @@ from .model import (
     StateSpace,
     TableDynamics,
     TimeGrid,
+    _INT64,
     _as_floats,
     _first_refused,
     _is_int,
@@ -90,7 +91,8 @@ def _codes(values) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(values)
     if a.dtype.kind == "f":
         fmt = b"%.17g"
-    else:
+    else:  # an unsigned or Python integer past int64 raises OverflowError rather than wrap
+        a = a.astype(object) if a.dtype.kind == "u" else a
         a, fmt = a.astype(np.int64, copy=False), b"%d"
         lo, hi = (int(a.min()), int(a.max())) if a.size else (0, -1)
         if hi - lo < a.size:
@@ -599,6 +601,8 @@ def read_value_csv(path: PathLike) -> ValueFunction:
         return order, column({s: rank[v] for s, v in values.items()}, texts, np.int64)
 
     (stages, k), (states, x) = ranks(stage_of, t_cells), ranks(x_of, x_cells)
+    cut((k < bisect_left(stages, _INT64.start)) | (k >= bisect_left(stages, _INT64.stop)),
+        lambda r: f"stage {_shown(stages[k[r]])} is outside the 64-bit integers")
     cut(~(np.isfinite(value) & np.isfinite(coords).all(axis=1)),
         lambda r: f"non-finite number in {_shown(line(r))}")
     cut(~((0.0 <= value) & (value <= 1.0)),
@@ -683,7 +687,7 @@ def write_kernel_csv(slices: Iterable[KernelSlice], points: np.ndarray,
     slices = list(slices)
     sizes = [len(sl.members) for sl in slices]
     xs = np.fromiter(chain.from_iterable(sl.members for sl in slices), np.int64)
-    t_texts, t = _codes([sl.t for sl in slices])
+    t_texts, t = _codes(np.array([sl.t for sl in slices], dtype=object))
     b_texts, beta = _codes([sl.beta for sl in slices])
     texts, coords = _codes(pts)
     _write_csv(path, ["t", "beta", "state_index", *_coord_header(pts.shape[1])],

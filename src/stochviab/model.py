@@ -67,10 +67,13 @@ class ExprSourceError(ModelError):
         self.index, self.reason = index, reason
 
 
+_INT64 = range(-(2**63), 2**63)  # the stages that the CSV writers' int64 columns hold
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Integer stages t0..T; controls act on t0..T-1, constraints on t0..T.
-    Numpy integers are stored as Python ints; floats and bools are refused."""
+    Numpy integers are stored as ints; floats, bools and ints past 64 bits are refused."""
 
     t0: int
     T: int
@@ -78,8 +81,9 @@ class TimeGrid:
     def __post_init__(self):
         for name in ("t0", "T"):
             value = getattr(self, name)
-            if not _is_int(value):
-                raise ModelError(f"TimeGrid stages must be integers, got {name}={_shown(value)}")
+            if not (_is_int(value) and int(value) in _INT64):
+                kind = "64-bit integers" if _is_int(value) else "integers"
+                raise ModelError(f"TimeGrid stages must be {kind}, got {name}={_shown(value)}")
             object.__setattr__(self, name, int(value))
         if self.t0 >= self.T:
             raise ModelError(
@@ -231,7 +235,8 @@ def project_to_grid(states: StateSpace, point) -> Union[int, np.ndarray]:
     grid point is at most half the minimal grid spacing.  Ties go to the
     smallest index.  An ``(N, dim)`` array of points gives an int64 array of
     N indices, each equal to the single-point result of its row.  A grid with
-    a non-finite point raises :class:`ModelError`.
+    a non-finite point raises :class:`ModelError`.  Distances are measured in
+    units of a power of two near the spacing, whatever the grid's scale.
 
     Only the ``2**dim`` points built from the values either side of each
     coordinate are measured (any other is ``min_spacing`` or more away),
@@ -246,20 +251,13 @@ def project_to_grid(states: StateSpace, point) -> Union[int, np.ndarray]:
     axes, keys, first = states._index
     if not all(-np.inf < v[0] and v[-1] < np.inf for v in axes):  # NaN last
         raise ModelError("StateSpace: grid points must be finite")
-    m, half, grid = states.n_points, states.min_spacing / 2.0, states.points
+    # each difference times 2**e, exactly: no square near the radius over- or underflows
+    m, e = states.n_points, -int(np.frexp(states.min_spacing)[1])
+    radius = np.ldexp(states.min_spacing, e) / 2
+    narrow = 2 ** states.dim < m  # else a scan, which is no wider
+    step = max(1, _PROJECT_CHUNK // ((2 ** states.dim if narrow else m) * max(1, states.dim)))
     out = np.empty(pts.shape[0], dtype=np.int64)
-    # a squared distance that overflows is inf, outside a capture radius whose
-    # square is finite
-    with np.errstate(over="ignore"):
-        # a scan when it is no wider, or where the squares overflow or underflow
-        narrow = states.min_spacing * states.min_spacing > half * half and 2 ** states.dim < m
-        if np.isinf(half * half) and np.isfinite(half):
-            # a spacing above about 2.7e154, always scanned: measure in units of
-            # a power of two near it, an exact rescale, so that the radius's
-            # square is finite
-            scale = np.ldexp(1.0, -int(np.frexp(half)[1]))
-            half, grid, pts = half * scale, grid * scale, pts * scale
-        step = max(1, _PROJECT_CHUNK // ((2 ** states.dim if narrow else m) * max(1, states.dim)))
+    with np.errstate(over="ignore"):  # a square that overflows is inf, outside the radius
         for lo in range(0, pts.shape[0], step):
             chunk = pts[lo : lo + step]
             if not narrow:
@@ -274,11 +272,11 @@ def project_to_grid(states: StateSpace, point) -> Union[int, np.ndarray]:
                         cand = np.minimum(np.searchsorted(known, cand.T).T, known.size - 1)
                     count = vals.size if known is None else known.size
                 cand = first.take(cand)
-            # np.sum((points - p) ** 2, axis=1) for each row p, in numpy's order
-            d2 = np.sum((grid.take(cand, axis=0) - chunk) ** 2, axis=-1)
+            # np.sum(np.ldexp(points - p, e) ** 2, axis=1) for each row p, in numpy's order
+            d2 = np.sum(np.ldexp(states.points.take(cand, axis=0) - chunk, e) ** 2, axis=-1)
             best = d2.min(axis=0)
             i = np.where(d2 == best, cand, m).min(axis=0)  # the smallest index
-            out[lo : lo + step] = np.where(best <= half * half, i, m)
+            out[lo : lo + step] = np.where(best <= radius * radius, i, m)
     return int(out[0]) if single else out
 
 

@@ -145,11 +145,15 @@ def test_solve_diagnostics_on_invalid_model(model_path, tmp_path, capsys):
         pytest.param(("states", "points"), '["' + "x" * 10**6 + '", [0.0], [1.0]]',
                      f"states.points: expected a number, got {'x' * 200!r}...",
                      id="long-point"),
-        # a horizon of 4300 digits, whose byte count the interpreter refuses to write
+        # a horizon of 4300 digits is past the 64-bit stages, and named by its size
         pytest.param(("time", "T"), "1" + "0" * 4299,
-                     "transition table needs integer of more than 4300 digits bytes (integer of "
-                     "4300 digits stages x 4 states x 2 control slots x 3 atoms x 8 B), over the "
-                     "guard of 2147483648 bytes", id="T-of-4300-digits"),
+                     "TimeGrid stages must be 64-bit integers, got T=integer of 4300 digits",
+                     id="T-of-4300-digits"),
+        # the last 64-bit stage: its byte count is reckoned, and refused by the guard
+        pytest.param(("time", "T"), "9223372036854775807",
+                     "transition table needs 1770887431076116954944 bytes (9223372036854775807 "
+                     "stages x 4 states x 2 control slots x 3 atoms x 8 B), over the guard of "
+                     "2147483648 bytes", id="T-at-the-last-64-bit-stage"),
         # a list is cut at 200 characters, a field name of 10^6 characters in it
         pytest.param(("time", "T"), '3, "' + "x" * 10**6 + '": 1',
                      "time: unknown field(s) ['" + "x" * 198 + "...", id="long-unknown-field"),
@@ -221,6 +225,42 @@ def test_one_stationary_fault_over_10_12_stages(model_path, tmp_path, capsys, pa
     assert main(["solve", "--model", str(bad), "--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {bad}: {message}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--out", "{o}"],
+    ["policy", "--out", "{o}"],
+    ["simulate", "--x0", "1", "--samples", "3", "--out", "{o}"],
+    ["kernel", "--time", "9223372036854775808", "--beta", "0.5", "--out", "{o}"],
+])
+def test_stages_past_64_bits_are_refused(model_path, tmp_path, capsys, command):
+    """A file of such stages once solved, then failed with a traceback in the
+    CSV writer, or wrote each stage wrapped to -2**63; it writes nothing now."""
+    doc = json.loads(model_path.read_text())
+    doc["time"] = {"t0": 2**63, "T": 2**63 + 40}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    rc = main([command[0], "--model", str(bad), *(a.format(o=out) for a in command[1:])])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "") and not out.exists()
+    assert captured.err == (
+        f"error: {bad}: TimeGrid stages must be 64-bit integers, got t0=9223372036854775808\n")
+
+
+def test_value_file_of_stages_past_64_bits_is_refused(model_path, tmp_path, capsys):
+    assert main(["solve", "--model", str(model_path), "--out", str(tmp_path / "s")]) == 0
+    head, *rows = (tmp_path / "s" / "value.csv").read_text().splitlines()
+    bad = tmp_path / "value.csv"
+    bad.write_text("\n".join([head, *(f"{2**63},{r.split(',', 1)[1]}" for r in rows[:3])]) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "k.csv"
+    rc = main(["kernel", "--values", str(bad), "--time", str(2**63), "--beta", "0.5",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "") and not out.exists()
+    assert captured.err == (
+        f"error: {bad}: line 2: stage 9223372036854775808 is outside the 64-bit integers\n")
 
 
 def test_solve_missing_file_is_io_error(tmp_path, capsys):

@@ -760,6 +760,18 @@ class TestValueCsv:
             (2, "0,0,-1,0.5\x85\n0,1,0,zero", "line 2: malformed number in '0,0,-1,0.5\\x85'"),
             (3, "\x0b\n0,1,0,zero", "line 3: 1 fields, expected 4"),
             (3, "0,1,0,0.5\r0,2,1,zero", "line 3: 7 fields, expected 4"),
+            # a stage past the 64-bit integers, which the writers would wrap
+            (3, "9223372036854775808,1,0,0.5",
+             "line 3: stage 9223372036854775808 is outside the 64-bit integers"),
+            (3, "-9223372036854775809,1,0,0.5",
+             "line 3: stage -9223372036854775809 is outside the 64-bit integers"),
+            (124, "9223372036854775807,2,1,0.5", "stages are not contiguous"),
+            (2, "9223372036854775808,0,-1,inf",
+             "line 2: stage 9223372036854775808 is outside the 64-bit integers"),
+            (2, "0,0,-1,1.5\n9223372036854775808,1,0,0.5",
+             "line 2: value 1.5 is not a probability in [0, 1]"),
+            (3, "0,1,0,zero\n9223372036854775808,2,1,0.5",
+             "line 3: malformed number in '0,1,0,zero'"),
             # a cell of 10^6 characters: its line is shown by its first 200
             pytest.param(3, "0,1,0," + "x" * 10**6,
                          f"line 3: malformed number in {'0,1,0,' + 'x' * 194!r}...",
@@ -927,6 +939,41 @@ def test_kernel_csv_of_stages_far_apart(tmp_path):
     assert time.perf_counter() - start < 1.0
     assert (tmp_path / "kernel.csv").read_text() == (
         "t,beta,state_index,x1\n0,0.5,0,0\n1000000000000,0.5,1,1\n")
+
+
+def test_value_csv_of_stages_past_64_bits(tmp_path, example_model):
+    """Every stage of the example moved by 2**63: the file was once read back
+    and its stages written wrapped to -2**63."""
+    vf, _ = solve(example_model)
+    path = tmp_path / "value.csv"
+    write_value_csv(vf, path)
+    head, *rows = path.read_text().splitlines()
+    rows = [f"{int(r.split(',', 1)[0]) + 2**63},{r.split(',', 1)[1]}" for r in rows]
+    path.write_text("\n".join([head, *rows]) + "\n")
+    message = f"{path}: line 2: stage 9223372036854775808 is outside the 64-bit integers"
+    with pytest.raises(ModelFormatError, match="^" + re.escape(message) + "$"):
+        read_value_csv(path)
+
+
+@pytest.mark.parametrize("stages", [[2**63], [-1, 2**63], [np.uint64(2**63)], [2**64],
+                                    [-(2**63) - 1]])
+def test_kernel_csv_refuses_stages_past_64_bits(tmp_path, stages):
+    """Such a stage was once written wrapped, 2**63 as -9223372036854775808."""
+    slices = [KernelSlice(t, 0.5, (0,)) for t in stages]
+    with pytest.raises(OverflowError):
+        write_kernel_csv(slices, np.array([[0.0]]), tmp_path / "kernel.csv")
+    assert not list(tmp_path.iterdir())
+    write_kernel_csv([KernelSlice(-(2**63), 0.5, (0,)), KernelSlice(np.uint64(2**63 - 1), 1.0, ())],
+                     np.array([[0.0]]), tmp_path / "kernel.csv")
+    assert (tmp_path / "kernel.csv").read_text() == (
+        "t,beta,state_index,x1\n-9223372036854775808,0.5,0,0\n")
+
+
+def test_codes_of_unsigned_integers_past_int64_raise():
+    texts, index = io._codes(np.array([3, 5, 2**63 - 1], np.uint64))
+    assert texts[index].tolist() == [b"3", b"5", b"9223372036854775807"]
+    with pytest.raises(OverflowError):
+        io._codes(np.array([0, 2**63], np.uint64))
 
 
 def test_trajectories_csv(tmp_path, example_model):

@@ -46,6 +46,20 @@ def test_time_grid_takes_only_integer_stages(t0, T, message):
         TimeGrid(t0, T)
 
 
+@pytest.mark.parametrize("t0,T,message", [
+    (2**63, 2**63 + 40, "t0=9223372036854775808"),
+    (-(2**63) - 1, 0, "t0=-9223372036854775809"),
+    (0, 2**63, "T=9223372036854775808"),
+    (np.uint64(2**63), np.uint64(2**63 + 1), "t0=9223372036854775808"),
+])
+def test_time_grid_takes_only_64_bit_stages(t0, T, message):
+    """The CSV writers hold stages in int64 columns, which once wrapped 2**63."""
+    want = f"^TimeGrid stages must be 64-bit integers, got {message}$"
+    with pytest.raises(ModelError, match=want):
+        TimeGrid(t0, T)
+    assert TimeGrid(-(2**63), 2**63 - 1).steps == 2**64 - 1
+
+
 def test_numpy_integer_stages_are_stored_as_ints(tmp_path):
     grid = TimeGrid(np.int64(0), np.int64(3))
     assert grid == TimeGrid(0, 3) and type(grid.t0) is int and type(grid.T) is int
@@ -106,6 +120,52 @@ class TestProjectToGrid:
             assert tab.next_state[k, :3].tolist() == [
                 [[3, 3, 3], [3, 3, 3]], [[3, 0, 1], [1, 2, 3]], [[3, 3, 3], [3, 3, 3]]]
 
+    @pytest.mark.parametrize("h", [1e-170, 2.0**-1070])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_tiny_grid_projects_as_a_unit_grid(self, h, dim):
+        """Squares of such a spacing underflow: every point once tied with its
+        neighbours, and a point 0.6 of a spacing off the grid was captured."""
+        axes = [np.arange(3.0) * h] * dim
+        grid = StateSpace(np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dim))
+        pts, m = grid.points, grid.n_points
+        assert project_to_grid(grid, pts).tolist() == list(range(m))
+        for a in range(dim):
+            for sign in (1, -1):
+                near = pts.copy()
+                near[:, a] += sign * 0.4 * h
+                assert project_to_grid(grid, near).tolist() == list(range(m))
+        assert project_to_grid(grid, pts[0] - 0.6 * h) == m
+        assert project_to_grid(grid, pts[-1] + 0.6 * h) == m
+
+    @pytest.mark.parametrize("points,queries,want", [
+        # hypothesis's grid: a spacing of 1e-186 beside coordinates of -1
+        ([[-1], [-1], [-1], [-1], [0], [1.0871838e-186], [-1]],
+         [[1.0871838e-186], [0], [-1], [5e-187], [-0.6e-186], [1.7e-186]], [5, 4, 0, 4, 7, 7]),
+        # a subnormal spacing beside coordinates of -1: a rescale of the
+        # coordinates, not of their differences, would overflow to inf - inf
+        ([[-1], [-1], [0], [2.2e-309], [-1]], [[2.2e-309], [0], [-1], [1e-309]], [3, 2, 0, 2]),
+        ([[-1, -1], [-1, 0], [-1, 2.2e-309], [-1, -1]],
+         [[-1, 2.2e-309], [-1, 0], [-1, -1], [-1, 1e-309], [-1, 4e-309]], [2, 1, 0, 1, 4]),
+    ])
+    def test_tiny_and_unit_coordinates_in_one_grid(self, points, queries, want):
+        grid = StateSpace(np.array(points, dtype=np.float64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert project_to_grid(grid, np.array(queries, dtype=np.float64)).tolist() == want
+            assert [project_to_grid(grid, q) for q in queries] == want
+
+    @pytest.mark.parametrize("s", [1e-170, 1e-300, 2.0**-1070, 1e200, 2.0**1020])
+    def test_the_scaled_example_solves_as_the_example(self, s):
+        """The paper's example with its points, controls and support times s."""
+        m = make_three_state_example(0.01)
+        scaled = dataclasses.replace(
+            m, states=StateSpace(m.states.points * s),
+            controls=ControlMap.shared(m.controls.vectors[0, 0] * s, m.states.n_points),
+            noise=DisturbanceLaw(m.noise.support * s, m.noise.probs))
+        want, got = solve(m)[0].table, solve(scaled)[0].table
+        assert got.tobytes() == want.tobytes()
+        assert got[0, 1] == 0.81726127948327409
+
     def test_radius_whose_square_overflows_still_captures_exactly(self):
         # spacing 1e200: the capture radius is 5e199, whose square overflows
         grid = StateSpace(np.array([[0.0], [1e200], [-1e300]]))
@@ -160,15 +220,6 @@ class TestValidate:
         bad = dataclasses.replace(m, constraints=ConstraintSets("set", stationary=(0, 1, _PAST)))
         assert validate(bad) == [
             f"ConstraintSets: stage index 0..40 references invalid state indices [{_PAST_TEXT}] "
-            "(the sink is never a member)"]
-
-    def test_stage_span_past_the_str_limit(self):
-        """T - t0 of 4301 digits, whose text the interpreter refuses."""
-        m, last = make_three_state_example(0.01), 10**4300 - 1
-        bad = dataclasses.replace(m, time=TimeGrid(-last, last),
-                                  constraints=ConstraintSets("set", stationary=(0, 1, 2, 7)))
-        assert validate(bad) == [
-            f"ConstraintSets: stage index 0..{_PAST_TEXT} references invalid state indices [7] "
             "(the sink is never a member)"]
 
     def test_non_absorbing_sink_reported(self):
@@ -766,6 +817,8 @@ def _estimate_from(x0):
      f"StateSpace points: {_PAST_TEXT} is past the range of a double"),
     (lambda: TableDynamics.from_nested([[[[_PAST]]]], 1, [1], 1, 1), ModelError,
      f"dynamics table entry {_PAST_TEXT} out of range at (t=0, x=0, u=0, w=0)"),
+    (lambda: TimeGrid(-_PAST, _PAST), ModelError,
+     f"TimeGrid stages must be 64-bit integers, got t0={_PAST_TEXT}"),
 ])
 def test_input_refused_as_the_model_file_refuses_it(build, error, message):
     with pytest.raises(error, match="^" + re.escape(message) + "$"):

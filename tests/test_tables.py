@@ -38,9 +38,13 @@ from stochviab.model import (
 
 
 def reference_project(states: StateSpace, point) -> int:
-    d2 = np.sum((states.points - np.asarray(point, dtype=np.float64)) ** 2, axis=1)
+    """A scan of every point, each difference measured in units of the power
+    of two ``2**-e`` near the spacing, so that no square near the capture
+    radius overflows or underflows."""
+    e = -int(np.frexp(states.min_spacing)[1])
+    d2 = np.sum(np.ldexp(states.points - np.asarray(point, dtype=np.float64), e) ** 2, axis=1)
     i = int(np.argmin(d2))
-    half = states.min_spacing / 2.0
+    half = np.ldexp(states.min_spacing, e) / 2.0
     return i if d2[i] <= half * half else states.sink
 
 
